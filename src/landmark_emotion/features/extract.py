@@ -7,6 +7,8 @@ arguments return bit-identical vectors.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.spatial.distance import pdist
 
@@ -119,6 +121,7 @@ def point_texture_spec(point_count: int, scales: int, orientations: int) -> Feat
     return FeatureSpec(blocks=(block,))
 
 
+@functools.lru_cache(maxsize=None)
 def _texture_bank(scales: int, orientations: int) -> FilterBank:
     sizes = point_texture_sizes(scales)
     config = GaborBankConfig(
@@ -129,9 +132,6 @@ def _texture_bank(scales: int, orientations: int) -> FilterBank:
         image_size=1,
     )
     return build_gabor_bank(config)
-
-
-_TEXTURE_BANK_CACHE: dict[tuple[int, int], FilterBank] = {}
 
 
 def point_texture(
@@ -148,10 +148,7 @@ def point_texture(
     """
     if scales < 1 or orientations < 1:
         raise DimensionMismatchError("scales and orientations must be positive")
-    key = (scales, orientations)
-    bank = _TEXTURE_BANK_CACHE.get(key)
-    if bank is None:
-        bank = _TEXTURE_BANK_CACHE[key] = _texture_bank(scales, orientations)
+    bank = _texture_bank(scales, orientations)
     sizes = point_texture_sizes(scales)
 
     h, w = image.pixels.shape

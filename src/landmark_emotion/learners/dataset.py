@@ -2,12 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from ..errors import DimensionMismatchError
-from ..features.spec import FeatureSpec, FeatureVector
+from ..features.spec import FeatureSpec
 
 # Fixed class order used everywhere: confusion-matrix axes, tie-breaking,
 # reports.  Index into this tuple is the integer label.
@@ -75,20 +74,11 @@ class LabeledDataset:
         if np.any(self.y == UNLABELED):
             raise DimensionMismatchError("dataset contains unlabeled samples")
 
-    @staticmethod
-    def from_vectors(
-        samples: Sequence[tuple[FeatureVector, str | int]],
-        ids: Sequence[str] = (),
-    ) -> "LabeledDataset":
-        if not samples:
-            raise DimensionMismatchError("cannot build a dataset from zero samples")
-        spec = samples[0][0].spec
-        for fv, _ in samples:
-            if fv.spec.total_dimension != spec.total_dimension or fv.spec.digest() != spec.digest():
-                raise DimensionMismatchError("all samples must share one FeatureSpec")
-        X = np.stack([fv.values for fv in (fv for fv, _ in samples)])
-        y = np.array(
-            [label_index(lbl) if isinstance(lbl, str) else int(lbl) for _, lbl in samples],
-            dtype=np.int64,
-        )
-        return LabeledDataset(X=X, y=y, spec=spec, ids=tuple(ids))
+
+def canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row order independent of how the caller shuffled the samples.
+
+    A stable sort keyed on the features, first column first, then on ``y``.
+    """
+    keys = np.vstack([y[None, :].astype(np.float64), X.T[::-1]])
+    return np.lexsort(keys)

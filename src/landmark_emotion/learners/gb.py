@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import DimensionMismatchError
 from ..features.spec import FeatureVector
-from .dataset import CLASSES, LabeledDataset
+from .dataset import CLASSES, LabeledDataset, canonical_order
 
 DEFAULT_SHRINKAGE = 0.1
 
@@ -114,11 +114,6 @@ def _softmax(F: np.ndarray) -> np.ndarray:
     shifted = F - F.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def _canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    keys = np.vstack([y[None, :].astype(np.float64), X.T[::-1]])
-    return np.lexsort(keys)
 
 
 class _SplitSearch:
@@ -253,7 +248,7 @@ def gb_train(
     if val.dimension != train.dimension:
         raise DimensionMismatchError("train and validation dimensions differ")
 
-    order = _canonical_order(train.X, train.y)
+    order = canonical_order(train.X, train.y)
     X = np.ascontiguousarray(train.X[order])
     y = train.y[order]
     n, kc = X.shape[0], len(classes)
@@ -328,10 +323,6 @@ def gb_predict_batch(model: GBModel, X: np.ndarray) -> np.ndarray:
     """Predicted global class indices for each row of ``X``."""
     scores = gb_scores(model, X)
     return np.array(model.classes)[np.argmax(scores, axis=1)]
-
-
-def gb_predict_proba(model: GBModel, X: np.ndarray) -> np.ndarray:
-    return _softmax(gb_scores(model, X))
 
 
 def gb_staged_scores(model: GBModel, X: np.ndarray) -> Iterator[np.ndarray]:

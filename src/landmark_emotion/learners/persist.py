@@ -116,7 +116,19 @@ class _LineReader:
 
 
 def load_model(text: str, expected_spec_digest: str | None = None) -> GBModel | SVMModel:
-    """Parse a model file; verify the FeatureSpec digest when one is expected."""
+    """Parse a model file; verify the FeatureSpec digest when one is expected.
+
+    Every malformed file ends in a FormatError.
+    """
+    try:
+        return _parse_model(text, expected_spec_digest)
+    except FormatError:
+        raise
+    except (KeyError, IndexError, ValueError) as exc:
+        raise FormatError(f"malformed model file ({type(exc).__name__}: {exc})") from exc
+
+
+def _parse_model(text: str, expected_spec_digest: str | None) -> GBModel | SVMModel:
     reader = _LineReader(text)
     if reader.next() != FORMAT_HEADER:
         raise FormatError(f"not a model file (missing {FORMAT_HEADER!r} header)")

@@ -5,21 +5,20 @@ Binary subproblems solve the standard C-SVC dual
     min  0.5 * a' Q a - e' a    s.t.  0 <= a_i <= C,  y' a = 0,  Q_ij = y_i y_j K_ij
 
 with maximal-violating-pair working-set selection.  Multiclass reduction is
-one-vs-one with majority voting.  Everything is deterministic: subproblem
-rows are put into a canonical order before solving, and all tie-breaks are
-first-index.
+one-vs-one with majority voting.  Everything is deterministic: the training
+rows are put into one canonical order per training set, each subproblem
+takes its rows in that order, and all tie-breaks are first-index.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import DimensionMismatchError
 from ..features.spec import FeatureVector
-from .dataset import CLASSES, LabeledDataset
+from .dataset import CLASSES, LabeledDataset, canonical_order
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 1_000_000
@@ -27,18 +26,6 @@ _TAU = 1e-12
 
 DEFAULT_C_GRID = tuple(2.0**e for e in range(-5, 16, 2))
 DEFAULT_GAMMA_GRID = tuple(2.0**e for e in range(-15, 4, 2))
-
-
-def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    """exp(-gamma * ||x - y||^2)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimensionMismatchError(f"kernel arguments must be equal-length vectors, got {x.shape} and {y.shape}")
-    if not gamma > 0:
-        raise DimensionMismatchError(f"gamma must be positive, got {gamma}")
-    d = x - y
-    return math.exp(-gamma * float(d @ d))
 
 
 def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -74,12 +61,6 @@ class Scaler:
 
 def fit_scaler(train: LabeledDataset) -> Scaler:
     return Scaler(lo=train.X.min(axis=0), hi=train.X.max(axis=0))
-
-
-def apply_scaler(scaler: Scaler, x: FeatureVector | np.ndarray) -> FeatureVector | np.ndarray:
-    if isinstance(x, FeatureVector):
-        return FeatureVector(values=scaler.transform(x.values), spec=x.spec)
-    return scaler.transform(np.asarray(x, dtype=np.float64))
 
 
 def smo_solve(
@@ -176,30 +157,6 @@ def _compute_bias(y: np.ndarray, alpha: np.ndarray, grad: np.ndarray, C: float) 
     return -rho
 
 
-def dual_objective(K: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
-    """sum(a) - 0.5 a' Q a, the value SMO maximizes."""
-    y = np.asarray(y, dtype=np.float64)
-    Q = (y[:, None] * y[None, :]) * K
-    return float(alpha.sum() - 0.5 * alpha @ Q @ alpha)
-
-
-def kkt_violation(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, bias: float, C: float) -> float:
-    """Largest violation of the C-SVC KKT conditions at (alpha, bias)."""
-    y = np.asarray(y, dtype=np.float64)
-    f = K @ (alpha * y) + bias
-    margins = y * f
-    violation = 0.0
-    for a, m in zip(alpha, margins):
-        if a <= 1e-9:
-            violation = max(violation, 1.0 - m)  # should satisfy m >= 1
-        elif a >= C - 1e-9:
-            violation = max(violation, m - 1.0)  # should satisfy m <= 1
-        else:
-            violation = max(violation, abs(m - 1.0))
-    violation = max(violation, abs(float(alpha @ y)))
-    return float(violation)
-
-
 @dataclass(frozen=True)
 class BinaryMachine:
     """One class-pair classifier: positive decisions vote for ``pos_class``."""
@@ -222,18 +179,10 @@ class SVMModel:
     C: float
     scaler: Scaler | None
     spec_digest: str = ""
-    # original training-row index of each vector; metadata for audits, not persisted
-    vector_train_rows: tuple[int, ...] = field(default=(), repr=False)
 
     @property
     def dimension(self) -> int:
         return self.vectors.shape[1]
-
-
-def _canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row order independent of how the caller shuffled the samples."""
-    keys = np.vstack([y[None, :].astype(np.float64), X.T[::-1]])
-    return np.lexsort(keys)
 
 
 def svm_train(
@@ -243,13 +192,8 @@ def svm_train(
     scaler: Scaler | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    _sqdist: np.ndarray | None = None,
 ) -> SVMModel:
-    """Train one-vs-one binary machines on pre-scaled features.
-
-    ``_sqdist`` optionally carries the precomputed train-by-train squared
-    distance matrix so a grid search does not recompute it per cell.
-    """
+    """Train one-vs-one binary machines on pre-scaled features."""
     train.require_labeled()
     classes = train.classes_present()
     if len(classes) < 2:
@@ -257,20 +201,19 @@ def svm_train(
     if not C > 0 or not gamma > 0:
         raise DimensionMismatchError(f"C and gamma must be positive, got C={C}, gamma={gamma}")
     X, y = train.X, train.y
-    if _sqdist is None:
-        _sqdist = squared_distances(X, X)
+    sqdist = squared_distances(X, X)
+    # The sort is stable and keyed on the features first, so each pair's rows keep their
+    # own canonical order; the -y tie-break puts the larger class, the pair's -1 label, first.
+    order = canonical_order(X, -y)
 
     machines = []
     used_rows: list[int] = []
     for ai in range(len(classes)):
         for bi in range(ai + 1, len(classes)):
             pos, neg = classes[ai], classes[bi]
-            rows = np.flatnonzero((y == pos) | (y == neg))
+            rows = order[(y[order] == pos) | (y[order] == neg)]
             labels = np.where(y[rows] == pos, 1.0, -1.0)
-            order = _canonical_order(X[rows], labels)
-            rows = rows[order]
-            labels = labels[order]
-            K = np.exp(-gamma * _sqdist[np.ix_(rows, rows)])
+            K = np.exp(-gamma * sqdist[np.ix_(rows, rows)])
             alpha, bias, _ = smo_solve(K, labels, C, tol=tol, max_iter=max_iter)
             sv = np.flatnonzero(alpha > 1e-12)
             machines.append(
@@ -298,7 +241,6 @@ def svm_train(
         gamma=gamma,
         C=C,
         scaler=scaler,
-        vector_train_rows=tuple(unique_rows),
     )
 
 
@@ -376,26 +318,14 @@ def grid_search(
     Xtr = scaler.transform(train.X)
     Xval = scaler.transform(val.X)
     train_scaled = LabeledDataset(X=Xtr, y=train.y, spec=train.spec, ids=train.ids)
-    tr_sqdist = squared_distances(Xtr, Xtr)
-    val_sqdist = squared_distances(Xval, Xtr)
 
     C_grid = tuple(float(c) for c in C_grid)
     gamma_grid = tuple(float(g) for g in gamma_grid)
     accuracy = np.zeros((len(C_grid), len(gamma_grid)))
     for gi, gamma in enumerate(gamma_grid):
         for ci, C in enumerate(C_grid):
-            model = svm_train(
-                train_scaled, C, gamma, scaler=scaler, tol=tol, max_iter=max_iter, _sqdist=tr_sqdist
-            )
-            K_val = np.exp(-gamma * val_sqdist[:, list(model.vector_train_rows)]) if len(
-                model.vectors
-            ) else np.zeros((len(val), 0))
-            votes = np.zeros((len(val), len(CLASSES)), dtype=np.int64)
-            for m in model.machines:
-                dec = K_val[:, m.sv_indices] @ m.coef + m.bias
-                votes[:, m.pos_class] += dec > 0
-                votes[:, m.neg_class] += ~(dec > 0)
-            pred = np.argmax(votes, axis=1)
+            model = svm_train(train_scaled, C, gamma, scaler=scaler, tol=tol, max_iter=max_iter)
+            pred = svm_predict_batch(model, Xval)
             accuracy[ci, gi] = float(np.mean(pred == val.y))
 
     best_acc = float(accuracy.max())

@@ -5,15 +5,42 @@ the resulting equality-constrained stationarity system, and keeps the best
 feasible candidate.  For a convex QP the optimum's pattern is among those
 enumerated, so the maximum over feasible candidates is the exact optimum.
 Only viable for a handful of points; that is the point.
+
+Also holds the scalar references the SVM tests check the library against:
+the RBF kernel of one pair of vectors, the dual value and the KKT violation.
 """
 import itertools
+import math
 
 import numpy as np
 
 
+def rbf_kernel(x, y, gamma):
+    """exp(-gamma * ||x - y||^2) for one pair of vectors."""
+    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return math.exp(-gamma * float(d @ d))
+
+
 def dual_value(K, y, alpha):
+    """sum(a) - 0.5 a' Q a, the value SMO maximizes."""
+    y = np.asarray(y, dtype=float)
     Q = (y[:, None] * y[None, :]) * K
     return float(alpha.sum() - 0.5 * alpha @ Q @ alpha)
+
+
+def kkt_violation(K, y, alpha, bias, C):
+    """Largest violation of the C-SVC KKT conditions at (alpha, bias)."""
+    y = np.asarray(y, dtype=float)
+    margins = y * (K @ (alpha * y) + bias)
+    violation = 0.0
+    for a, m in zip(alpha, margins):
+        if a <= 1e-9:
+            violation = max(violation, 1.0 - m)  # should satisfy m >= 1
+        elif a >= C - 1e-9:
+            violation = max(violation, m - 1.0)  # should satisfy m <= 1
+        else:
+            violation = max(violation, abs(m - 1.0))
+    return max(violation, abs(float(alpha @ y)))
 
 
 def qp_max_enumerate(K, y, C):

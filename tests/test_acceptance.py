@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import apply_similarity, make_face, random_similarity
-from qp_oracle import qp_max_enumerate
+from qp_oracle import dual_value, kkt_violation, qp_max_enumerate
 from landmark_emotion.cli import main
 from landmark_emotion.evaluation import (
     ConfusionMatrix,
@@ -24,12 +24,7 @@ from landmark_emotion.features.image import GrayImage
 from landmark_emotion.features.spec import FeatureSpec
 from landmark_emotion.learners.dataset import LabeledDataset
 from landmark_emotion.learners.gb import gb_influence, gb_train
-from landmark_emotion.learners.svm import (
-    dual_objective,
-    kkt_violation,
-    rbf_kernel_matrix,
-    smo_solve,
-)
+from landmark_emotion.learners.svm import rbf_kernel_matrix, smo_solve
 from landmark_emotion.pipeline import read_manifest
 from landmark_emotion.shapes import LandmarkSet, normalize_size, upright
 
@@ -108,7 +103,7 @@ def test_criterion_4_smo_matches_qp_oracle():
         gamma = float(rng.choice([0.2, 1.0, 3.0]))
         K = rbf_kernel_matrix(X, X, gamma)
         alpha, bias, _ = smo_solve(K, y, C)
-        smo_obj = dual_objective(K, y, alpha)
+        smo_obj = dual_value(K, y, alpha)
         oracle_obj, _ = qp_max_enumerate(K, y, C)
         gap = abs(smo_obj - oracle_obj)
         kkt = kkt_violation(K, y, alpha, bias, C)

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from landmark_emotion.cli import main
 from landmark_emotion.errors import FormatError
 from landmark_emotion.features.spec import FeatureBlock, FeatureSpec
 from landmark_emotion.learners.dataset import LabeledDataset
@@ -82,3 +85,56 @@ def test_malformed_model_files(rng):
     truncated = "\n".join(text.splitlines()[:-1])
     with pytest.raises(FormatError):
         load_model(truncated)
+
+
+def _sub_first(pattern, new):
+    def edit(text):
+        edited, count = re.subn(pattern, new, text, count=1)
+        assert count == 1
+        return edited
+
+    return edit
+
+
+# (model kind, edit of a valid model file, raw exception the parser used to leak)
+MALFORMED = {
+    "tree_without_class": ("gb", _sub_first("tree class=", "tree klass="), KeyError),
+    "tree_unknown_class": ("gb", _sub_first("tree class=0 ", "tree class=1 "), KeyError),
+    "truncated_node_line": ("gb", _sub_first(r"(?m)^node .*$", "node"), IndexError),
+    "nodes_not_a_number": ("gb", _sub_first(r"nodes=\d+", "nodes=x"), ValueError),
+    "classes_not_numbers": ("gb", _sub_first("classes: 0,3,6", "classes: a"), ValueError),
+    "machine_without_nsv": ("svm", _sub_first(" nsv=", " count="), KeyError),
+    "blank_line_after_vectors": ("svm", _sub_first(r"(?m)^machine ", "\nmachine "), IndexError),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_model_texts():
+    """A GB and an SVM model file whose digest matches a distances-only config."""
+    from dataclasses import replace
+
+    ds = three_class(np.random.default_rng(5))
+    digest = FeatureSpec.distances(68).digest()
+    scaler = fit_scaler(ds)
+    scaled = LabeledDataset(X=scaler.transform(ds.X), y=ds.y, spec=ds.spec)
+    return {
+        "gb": save_model(replace(gb_train(ds, ds, max_trees=2), spec_digest=digest)),
+        "svm": save_model(replace(svm_train(scaled, C=4.0, gamma=0.8, scaler=scaler), spec_digest=digest)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_model_raises_only_format_error(case, valid_model_texts, tmp_path, capsys):
+    kind, edit, leaked = MALFORMED[case]
+    text = edit(valid_model_texts[kind])
+    with pytest.raises(FormatError) as caught:
+        load_model(text)
+    assert isinstance(caught.value.__cause__, leaked)
+
+    model_path = tmp_path / "bad.model"
+    model_path.write_text(text, encoding="utf-8")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"manifest = {tmp_path / 'manifest.csv'}\nfeatures = distances\nmodel = {kind}\n")
+    assert main(["evaluate", "--config", str(cfg), "--model", str(model_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err

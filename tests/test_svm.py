@@ -3,19 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from qp_oracle import qp_max_enumerate
+from qp_oracle import dual_value, kkt_violation, qp_max_enumerate, rbf_kernel
 from landmark_emotion.errors import DimensionMismatchError
-from landmark_emotion.features.spec import FeatureBlock, FeatureSpec, FeatureVector
-from landmark_emotion.learners.dataset import CLASSES, LabeledDataset
+from landmark_emotion.features.spec import FeatureBlock, FeatureSpec
+from landmark_emotion.learners.dataset import CLASSES, LabeledDataset, canonical_order
 from landmark_emotion.learners.svm import (
     BinaryMachine,
     SVMModel,
-    apply_scaler,
-    dual_objective,
     fit_scaler,
     grid_search,
-    kkt_violation,
-    rbf_kernel,
     rbf_kernel_matrix,
     smo_solve,
     svm_predict,
@@ -38,28 +34,23 @@ def dataset(X, y, ids=()):
 
 def test_rbf_self_is_one(rng):
     for _ in range(5):
-        x = rng.standard_normal(7)
-        assert rbf_kernel(x, x, gamma=rng.uniform(0.01, 10)) == 1.0
+        X = rng.standard_normal((6, 7))
+        K = rbf_kernel_matrix(X, X, gamma=rng.uniform(0.01, 10))
+        # the expanded |a|^2 + |b|^2 - 2ab form leaves rounding dust on the diagonal
+        assert np.allclose(np.diag(K), 1.0, rtol=0, atol=1e-12)
 
 
 def test_rbf_hand_value():
-    value = rbf_kernel(np.array([0.0, 0.0]), np.array([1.0, 1.0]), gamma=0.5)
+    value = rbf_kernel_matrix(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]), gamma=0.5)[0, 0]
     assert value == pytest.approx(math.exp(-1.0), abs=1e-12)
     assert value == pytest.approx(0.36787944117144233, abs=1e-12)
 
 
 def test_rbf_symmetry(rng):
     for _ in range(10):
-        x, y = rng.standard_normal(4), rng.standard_normal(4)
+        A, B = rng.standard_normal((5, 4)), rng.standard_normal((3, 4))
         g = rng.uniform(0.01, 5)
-        assert rbf_kernel(x, y, g) == rbf_kernel(y, x, g)
-
-
-def test_rbf_errors():
-    with pytest.raises(DimensionMismatchError):
-        rbf_kernel(np.zeros(3), np.zeros(4), 1.0)
-    with pytest.raises(DimensionMismatchError):
-        rbf_kernel(np.zeros(3), np.zeros(3), 0.0)
+        assert np.array_equal(rbf_kernel_matrix(A, B, g), rbf_kernel_matrix(B, A, g).T)
 
 
 def test_rbf_matrix_consistent(rng):
@@ -82,12 +73,8 @@ def test_scaler_endpoints_and_constant(rng):
     scaled = scaler.transform(X)
     assert np.allclose(scaled.min(axis=0), [-1, -1, 0, -1])
     assert np.allclose(scaled.max(axis=0), [1, 1, 0, 1])
-    lows = apply_scaler(scaler, X.min(axis=0))
+    lows = scaler.transform(X.min(axis=0))
     assert np.allclose(lows, [-1, -1, 0, -1])
-    fv = FeatureVector(values=X[0], spec=plain_spec(4))
-    out = apply_scaler(scaler, fv)
-    assert isinstance(out, FeatureVector)
-    assert np.allclose(out.values, scaled[0])
 
 
 # --- SMO --------------------------------------------------------------------
@@ -125,7 +112,7 @@ def test_smo_matches_enumeration_oracle(rng):
         gamma = float(rng.choice([0.3, 1.0, 2.0]))
         K = rbf_kernel_matrix(X, X, gamma)
         alpha, bias, _ = smo_solve(K, y, C)
-        smo_obj = dual_objective(K, y, alpha)
+        smo_obj = dual_value(K, y, alpha)
         oracle_obj, _ = qp_max_enumerate(K, y, C)
         assert smo_obj == pytest.approx(oracle_obj, abs=1e-4), f"trial {trial}"
         assert kkt_violation(K, y, alpha, bias, C) <= 1e-3
@@ -191,6 +178,59 @@ def test_svm_sample_order_invariance(rng):
     )
     probe = scaler.transform(rng.standard_normal((40, 2)) * 3)
     assert np.array_equal(svm_predict_batch(a, probe), svm_predict_batch(b, probe))
+
+
+def machine_bytes(model):
+    """Each machine's support vectors, coefficients and bias, as bytes in solve order.
+
+    The shared vector table follows the caller's row order, so whole model
+    files differ under a shuffle; the machines themselves must not.
+    """
+    return [
+        (m.pos_class, m.neg_class, model.vectors[m.sv_indices].tobytes(), m.coef.tobytes(), m.bias)
+        for m in model.machines
+    ]
+
+
+def cross_class_duplicates(rng):
+    """Exact duplicate feature rows under different labels.
+
+    Only the label tie-break in the canonical order fixes the relative order
+    of the duplicates.  Small integer features make every squared distance
+    exact, so the kernel matrix cannot pick up rounding that depends on
+    where a row sits in the input.
+    """
+    base = rng.integers(-3, 4, size=(6, 3)).astype(float)
+    X = np.vstack([base, base, base[:4], rng.integers(-3, 4, size=(6, 3)).astype(float)])
+    y = np.array([0] * 6 + [3] * 6 + [5] * 4 + [6] * 6)
+    return X, y
+
+
+def test_svm_machines_shuffle_invariant_with_cross_class_duplicates(rng):
+    X, y = cross_class_duplicates(rng)
+    for C, gamma in ((0.5, 0.3), (4.0, 1.0), (64.0, 2.0)):
+        reference = machine_bytes(svm_train(dataset(X, y), C=C, gamma=gamma))
+        for _ in range(5):
+            perm = rng.permutation(len(y))
+            assert machine_bytes(svm_train(dataset(X[perm], y[perm]), C=C, gamma=gamma)) == reference
+
+
+def test_svm_pair_rows_follow_their_own_canonical_order(rng):
+    # one order for the whole training set must give each pair exactly the
+    # order its own rows sort into, with the pair's -1 label first on ties
+    X, y = cross_class_duplicates(rng)
+    C, gamma = 4.0, 1.0
+    model = svm_train(dataset(X, y), C=C, gamma=gamma)
+    for m in model.machines:
+        rows = np.flatnonzero((y == m.pos_class) | (y == m.neg_class))
+        labels = np.where(y[rows] == m.pos_class, 1.0, -1.0)
+        order = canonical_order(X[rows], labels)
+        rows, labels = rows[order], labels[order]
+        alpha, bias, _ = smo_solve(rbf_kernel_matrix(X[rows], X[rows], gamma), labels, C)
+        sv = np.flatnonzero(alpha > 1e-12)
+        assert model.vectors[m.sv_indices].tobytes() == X[rows[sv]].tobytes()
+        assert m.coef.tobytes() == (alpha * labels)[sv].tobytes()
+        assert m.bias == bias
 
 
 def test_vote_tie_breaks_to_earliest_class():
@@ -259,13 +299,13 @@ def test_grid_search_exhaustive_oracle(rng):
     # independent re-run of every cell through the public training API
     scaler = fit_scaler(train)
     scaled_train = LabeledDataset(X=scaler.transform(train.X), y=train.y, spec=train.spec)
-    best = -1.0
-    for C in C_grid:
-        for gamma in gamma_grid:
+    expected = np.zeros((len(C_grid), len(gamma_grid)))
+    for ci, C in enumerate(C_grid):
+        for gi, gamma in enumerate(gamma_grid):
             model = svm_train(scaled_train, C, gamma, scaler=scaler)
-            acc = float(np.mean(svm_predict_batch(model, scaler.transform(val.X)) == val.y))
-            best = max(best, acc)
-    assert result.best_accuracy == pytest.approx(best, abs=1e-12)
+            expected[ci, gi] = float(np.mean(svm_predict_batch(model, scaler.transform(val.X)) == val.y))
+    assert np.array_equal(result.accuracy, expected)
+    assert result.best_accuracy == expected.max()
 
 
 def test_grid_search_empty_validation(rng):
