@@ -13,7 +13,6 @@ import numpy as np
 from landmark_emotion.evaluation import accuracy_line, confusion, per_class_text
 from landmark_emotion.learners import (
     CLASSES,
-    LabeledDataset,
     fit_scaler,
     gb_predict_batch,
     gb_train,
@@ -49,10 +48,8 @@ search = grid_search(train, val, C_grid=[2.0**e for e in range(-5, 16, 4)],
                      gamma_grid=[2.0**e for e in range(-15, 4, 4)])
 print(f"svm grid search picked C={search.C:g}, gamma={search.gamma:g}",
       f"(validation accuracy {100 * search.best_accuracy:.1f}%)")
-scaler = fit_scaler(train)
-scaled_train = LabeledDataset(X=scaler.transform(train.X), y=train.y, spec=train.spec)
-svm = svm_train(scaled_train, search.C, search.gamma, scaler=scaler)
-svm_pred = svm_predict_batch(svm, scaler.transform(test.X))
+svm = svm_train(train, search.C, search.gamma, scaler=fit_scaler(train))
+svm_pred = svm_predict_batch(svm, test.X)
 cm = confusion([CLASSES[i] for i in svm_pred], [CLASSES[i] for i in test.y])
 print(cm.to_text())
 print(accuracy_line(cm))

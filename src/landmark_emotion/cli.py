@@ -25,6 +25,7 @@ from .pipeline import (
     parse_config,
     predict_with_fallback,
     read_manifest,
+    read_utf8,
     write_feature_matrix,
 )
 from .synth import synth_dataset
@@ -67,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> PipelineConfig:
     if not args.config:
         raise ConfigError("this command needs --config")
-    config = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    config = parse_config(read_utf8(args.config))
     if getattr(args, "seed", None) is not None:
         config = replace(config, seed=args.seed)
     return config
@@ -114,9 +115,7 @@ def _train_model(config: PipelineConfig, result: LoadResult):
         fit_on = _merge(train, val, result) if config.merge_validation else train
         if config.merge_validation:
             notes.append("final fit on train+validate")
-        scaler = fit_scaler(fit_on)
-        scaled = LabeledDataset(X=scaler.transform(fit_on.X), y=fit_on.y, spec=fit_on.spec, ids=fit_on.ids)
-        model = svm_train(scaled, C, gamma, scaler=scaler)
+        model = svm_train(fit_on, C, gamma, scaler=fit_scaler(fit_on))
     model = replace(model, spec_digest=result.spec.digest())
     return model, notes
 
@@ -156,7 +155,7 @@ def _load_model_checked(args, config: PipelineConfig):
     if not args.model:
         raise ConfigError("this command needs --model (path of a trained model file)")
     expected = build_feature_spec(config).digest()
-    return load_model(Path(args.model).read_text(encoding="utf-8"), expected_spec_digest=expected)
+    return load_model(read_utf8(args.model), expected_spec_digest=expected)
 
 
 def _predictions_for_split(config: PipelineConfig, result: LoadResult, model) -> dict[str, str]:
@@ -231,7 +230,7 @@ def _cmd_synth(args) -> int:
     seed = args.seed
     per_class = args.per_class
     if args.config:
-        config = parse_config(Path(args.config).read_text(encoding="utf-8"))
+        config = parse_config(read_utf8(args.config))
         if seed is None:
             seed = config.seed
     if seed is None:

@@ -5,10 +5,8 @@ from .gb import (
     GBModel,
     Tree,
     gb_influence,
-    gb_predict,
     gb_predict_batch,
     gb_scores,
-    gb_staged_scores,
     gb_train,
     gb_truncate,
 )
@@ -25,7 +23,6 @@ from .svm import (
     rbf_kernel_matrix,
     smo_solve,
     svm_decision_votes,
-    svm_predict,
     svm_predict_batch,
     svm_train,
 )
@@ -45,10 +42,8 @@ __all__ = [
     "UNLABELED",
     "fit_scaler",
     "gb_influence",
-    "gb_predict",
     "gb_predict_batch",
     "gb_scores",
-    "gb_staged_scores",
     "gb_train",
     "gb_truncate",
     "grid_search",
@@ -58,7 +53,6 @@ __all__ = [
     "save_model",
     "smo_solve",
     "svm_decision_votes",
-    "svm_predict",
     "svm_predict_batch",
     "svm_train",
 ]

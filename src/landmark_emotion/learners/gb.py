@@ -11,13 +11,11 @@ results do not depend on how the caller shuffled the samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator
 
 import numpy as np
 
 from ..errors import DimensionMismatchError
-from ..features.spec import FeatureVector
-from .dataset import CLASSES, LabeledDataset, canonical_order
+from .dataset import LabeledDataset, canonical_order
 
 DEFAULT_SHRINKAGE = 0.1
 
@@ -299,40 +297,22 @@ def _logsumexp(F: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(F - m).sum(axis=1, keepdims=True))
 
 
-def gb_scores(model: GBModel, X: np.ndarray, tree_count: int | None = None) -> np.ndarray:
+def gb_scores(model: GBModel, X: np.ndarray) -> np.ndarray:
     """Raw additive scores per model class for each row of ``X``."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.dimension:
         raise DimensionMismatchError(f"expected {model.dimension} features, got {X.shape[1]}")
-    count = model.tree_count if tree_count is None else tree_count
     scores = np.tile(model.init_scores, (X.shape[0], 1))
     for k in range(len(model.classes)):
-        for tree in model.trees[k][:count]:
+        for tree in model.trees[k][: model.tree_count]:
             scores[:, k] += model.shrinkage * tree.predict(X)
     return scores
 
 
-def gb_predict(model: GBModel, x: FeatureVector | np.ndarray) -> tuple[str, np.ndarray]:
-    """Label and per-class scores for one sample; argmax ties pick the earliest class."""
-    values = x.values if isinstance(x, FeatureVector) else np.asarray(x, dtype=np.float64)
-    scores = gb_scores(model, values[None, :])[0]
-    return CLASSES[model.classes[int(np.argmax(scores))]], scores
-
-
 def gb_predict_batch(model: GBModel, X: np.ndarray) -> np.ndarray:
-    """Predicted global class indices for each row of ``X``."""
+    """Predicted global class indices for each row of ``X``; argmax ties pick the earliest class."""
     scores = gb_scores(model, X)
     return np.array(model.classes)[np.argmax(scores, axis=1)]
-
-
-def gb_staged_scores(model: GBModel, X: np.ndarray) -> Iterator[np.ndarray]:
-    """Scores after 1, 2, ... tree_count iterations (additivity makes this cheap)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    scores = np.tile(model.init_scores, (X.shape[0], 1))
-    for t in range(model.tree_count):
-        for k in range(len(model.classes)):
-            scores[:, k] += model.shrinkage * model.trees[k][t].predict(X)
-        yield scores.copy()
 
 
 def gb_truncate(model: GBModel, tree_count: int) -> GBModel:

@@ -7,6 +7,8 @@ against a different spec digest is an error.
 """
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from ..errors import FormatError
@@ -107,6 +109,9 @@ class _LineReader:
     def peek(self) -> str | None:
         return self.lines[self.pos] if self.pos < len(self.lines) else None
 
+    def remaining(self) -> int:
+        return len(self.lines) - self.pos
+
     def expect_key(self, key: str) -> str:
         line = self.next()
         prefix = key + ":"
@@ -143,6 +148,8 @@ def _parse_model(text: str, expected_spec_digest: str | None) -> GBModel | SVMMo
     if tuple(order) != CLASSES:
         raise FormatError(f"model class order {order} differs from {list(CLASSES)}")
     classes = tuple(int(c) for c in reader.expect_key("classes").split(","))
+    if len(set(classes)) != len(classes) or not all(0 <= c < len(CLASSES) for c in classes):
+        raise FormatError(f"classes {list(classes)} must be distinct indices into the class order")
     dimension = int(reader.expect_key("dimension"))
     if kind == "gb":
         return _load_gb(reader, digest, classes, dimension)
@@ -167,28 +174,32 @@ def _load_gb(reader: _LineReader, digest: str, classes: tuple[int, ...], dimensi
         fields = dict(p.split("=", 1) for p in parts[1:])
         cls = int(fields["class"])
         n_nodes = int(fields["nodes"])
+        if not 0 < n_nodes <= reader.remaining():
+            raise FormatError(f"tree node count {n_nodes} does not fit the file")
         feature = np.full(n_nodes, -1, dtype=np.int64)
         threshold = np.zeros(n_nodes)
         value = np.zeros(n_nodes)
         gain = np.zeros(n_nodes)
         left = np.full(n_nodes, -1, dtype=np.int64)
         right = np.full(n_nodes, -1, dtype=np.int64)
-        for _ in range(n_nodes):
+        for i in range(n_nodes):
             node_line = reader.next().split()
-            idx = int(node_line[1])
+            if int(node_line[1]) != i:
+                raise FormatError(f"expected node {i}, got {' '.join(node_line)!r}")
             node_fields = dict(p.split("=", 1) for p in node_line[3:])
             if node_line[2] == "leaf":
-                value[idx] = float(node_fields["value"])
+                value[i] = float(node_fields["value"])
             elif node_line[2] == "split":
-                feature[idx] = int(node_fields["feature"])
-                threshold[idx] = float(node_fields["threshold"])
-                gain[idx] = float(node_fields["gain"])
-                left[idx] = int(node_fields["left"])
-                right[idx] = int(node_fields["right"])
+                feature[i] = int(node_fields["feature"])
+                threshold[i] = float(node_fields["threshold"])
+                gain[i] = float(node_fields["gain"])
+                left[i] = int(node_fields["left"])
+                right[i] = int(node_fields["right"])
+                # trees are written pre-order: children after their parent, so no path loops
+                if not (0 <= feature[i] < dimension and i < left[i] < n_nodes and i < right[i] < n_nodes):
+                    raise FormatError(f"node {i} has a feature or child index out of range")
             else:
                 raise FormatError(f"unknown node type in {node_line!r}")
-        if np.any(feature >= dimension):
-            raise FormatError("tree split feature index exceeds model dimension")
         trees[cls].append(
             Tree(feature=feature, threshold=threshold, value=value, gain=gain, left=left, right=right)
         )
@@ -220,6 +231,8 @@ def _load_svm(reader: _LineReader, digest: str, classes: tuple[int, ...], dimens
     n_vec, n_dim = int(n_vec_line[0]), int(n_vec_line[1])
     if n_dim != dimension:
         raise FormatError("support vector width does not match model dimension")
+    if not 0 <= n_vec <= reader.remaining():
+        raise FormatError(f"support vector count {n_vec} does not fit the file")
     vectors = np.empty((n_vec, dimension))
     for i in range(n_vec):
         row = _parse_floats(reader.next())
@@ -236,8 +249,8 @@ def _load_svm(reader: _LineReader, digest: str, classes: tuple[int, ...], dimens
         coef = _parse_floats(reader.expect_key("coef"))
         if len(sv_indices) != int(fields["nsv"]) or len(coef) != int(fields["nsv"]):
             raise FormatError("machine support-vector counts disagree")
-        if np.any(sv_indices >= n_vec):
-            raise FormatError("machine sv index exceeds vector table")
+        if np.any((sv_indices < 0) | (sv_indices >= n_vec)):
+            raise FormatError("machine sv index outside the vector table")
         machines.append(
             BinaryMachine(
                 pos_class=int(fields["pos"]),
@@ -247,9 +260,8 @@ def _load_svm(reader: _LineReader, digest: str, classes: tuple[int, ...], dimens
                 bias=float(fields["bias"]),
             )
         )
-    expected = len(classes) * (len(classes) - 1) // 2
-    if len(machines) != expected:
-        raise FormatError(f"expected {expected} class-pair machines, found {len(machines)}")
+    if [(m.pos_class, m.neg_class) for m in machines] != list(combinations(classes, 2)):
+        raise FormatError("expected one machine per pair of model classes, in class order")
     return SVMModel(
         classes=classes,
         vectors=vectors,

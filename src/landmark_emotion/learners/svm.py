@@ -6,8 +6,8 @@ Binary subproblems solve the standard C-SVC dual
 
 with maximal-violating-pair working-set selection.  Multiclass reduction is
 one-vs-one with majority voting.  Everything is deterministic: the training
-rows are put into one canonical order per training set, each subproblem
-takes its rows in that order, and all tie-breaks are first-index.
+rows are scaled and put into one canonical order per training set, each
+subproblem takes its rows in that order, and all tie-breaks are first-index.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import DimensionMismatchError
-from ..features.spec import FeatureVector
 from .dataset import CLASSES, LabeledDataset, canonical_order
 
 DEFAULT_TOL = 1e-3
@@ -173,7 +172,7 @@ class SVMModel:
     """One-vs-one RBF SVM over the fixed class order."""
 
     classes: tuple[int, ...]
-    vectors: np.ndarray  # shared support-vector table (rows are scaled features)
+    vectors: np.ndarray  # shared support-vector table: scaled training rows in canonical order
     machines: tuple[BinaryMachine, ...]
     gamma: float
     C: float
@@ -193,62 +192,45 @@ def svm_train(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SVMModel:
-    """Train one-vs-one binary machines on pre-scaled features."""
+    """Train one-vs-one binary machines on raw features, scaled by ``scaler`` when given."""
     train.require_labeled()
     classes = train.classes_present()
     if len(classes) < 2:
         raise DimensionMismatchError("SVM training needs at least two classes present")
     if not C > 0 or not gamma > 0:
         raise DimensionMismatchError(f"C and gamma must be positive, got C={C}, gamma={gamma}")
-    X, y = train.X, train.y
+    X = train.X if scaler is None else scaler.transform(train.X)
+    # on ties the larger class sorts first: it is the -1 label of every pair it is in
+    order = canonical_order(X, -train.y)
+    X, y = X[order], train.y[order]
     sqdist = squared_distances(X, X)
-    # The sort is stable and keyed on the features first, so each pair's rows keep their
-    # own canonical order; the -y tie-break puts the larger class, the pair's -1 label, first.
-    order = canonical_order(X, -y)
 
-    machines = []
-    used_rows: list[int] = []
+    solved = []
     for ai in range(len(classes)):
         for bi in range(ai + 1, len(classes)):
             pos, neg = classes[ai], classes[bi]
-            rows = order[(y[order] == pos) | (y[order] == neg)]
+            rows = np.flatnonzero((y == pos) | (y == neg))
             labels = np.where(y[rows] == pos, 1.0, -1.0)
             K = np.exp(-gamma * sqdist[np.ix_(rows, rows)])
             alpha, bias, _ = smo_solve(K, labels, C, tol=tol, max_iter=max_iter)
             sv = np.flatnonzero(alpha > 1e-12)
-            machines.append(
-                (pos, neg, rows[sv], (alpha * labels)[sv], bias)
-            )
-            used_rows.extend(rows[sv].tolist())
+            solved.append((pos, neg, rows[sv], (alpha * labels)[sv], bias))
 
-    unique_rows = sorted(set(used_rows))
-    row_to_vector = {r: i for i, r in enumerate(unique_rows)}
-    vectors = X[unique_rows] if unique_rows else np.empty((0, X.shape[1]))
-    built = tuple(
-        BinaryMachine(
-            pos_class=pos,
-            neg_class=neg,
-            sv_indices=np.array([row_to_vector[r] for r in sv_rows], dtype=np.int64),
-            coef=np.asarray(coef, dtype=np.float64),
-            bias=float(bias),
-        )
-        for pos, neg, sv_rows, coef, bias in machines
+    used = np.unique(np.concatenate([sv_rows for _, _, sv_rows, _, _ in solved]))
+    machines = tuple(
+        BinaryMachine(pos, neg, np.searchsorted(used, sv_rows), coef, float(bias))
+        for pos, neg, sv_rows, coef, bias in solved
     )
-    return SVMModel(
-        classes=classes,
-        vectors=vectors,
-        machines=built,
-        gamma=gamma,
-        C=C,
-        scaler=scaler,
-    )
+    return SVMModel(classes=classes, vectors=X[used], machines=machines, gamma=gamma, C=C, scaler=scaler)
 
 
 def svm_decision_votes(model: SVMModel, X: np.ndarray) -> np.ndarray:
-    """Vote counts per global class for each row of pre-scaled ``X``."""
+    """Vote counts per global class for each raw row of ``X``; the model's scaler applies."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.dimension:
         raise DimensionMismatchError(f"expected {model.dimension} features, got {X.shape[1]}")
+    if model.scaler is not None:
+        X = model.scaler.transform(X)
     K = rbf_kernel_matrix(X, model.vectors, model.gamma) if len(model.vectors) else np.zeros((X.shape[0], 0))
     votes = np.zeros((X.shape[0], len(CLASSES)), dtype=np.int64)
     for m in model.machines:
@@ -258,18 +240,8 @@ def svm_decision_votes(model: SVMModel, X: np.ndarray) -> np.ndarray:
     return votes
 
 
-def svm_predict(model: SVMModel, x: FeatureVector | np.ndarray) -> tuple[str, np.ndarray]:
-    """Label and per-class vote counts for one pre-scaled sample.
-
-    Vote ties resolve to the class earliest in the fixed order.
-    """
-    values = x.values if isinstance(x, FeatureVector) else np.asarray(x, dtype=np.float64)
-    votes = svm_decision_votes(model, values[None, :])[0]
-    return CLASSES[int(np.argmax(votes))], votes
-
-
 def svm_predict_batch(model: SVMModel, X: np.ndarray) -> np.ndarray:
-    """Predicted class indices for each row of pre-scaled ``X``."""
+    """Predicted class indices for each raw row of ``X``; vote ties pick the earliest class."""
     return np.argmax(svm_decision_votes(model, X), axis=1)
 
 
@@ -324,7 +296,8 @@ def grid_search(
     accuracy = np.zeros((len(C_grid), len(gamma_grid)))
     for gi, gamma in enumerate(gamma_grid):
         for ci, C in enumerate(C_grid):
-            model = svm_train(train_scaled, C, gamma, scaler=scaler, tol=tol, max_iter=max_iter)
+            # the cell model is scored and dropped, so it is trained on the rows scaled once above
+            model = svm_train(train_scaled, C, gamma, tol=tol, max_iter=max_iter)
             pred = svm_predict_batch(model, Xval)
             accuracy[ci, gi] = float(np.mean(pred == val.y))
 

@@ -74,9 +74,16 @@ class DatasetManifest:
 MANIFEST_HEADER = ["id", "pts_path", "image_path", "label", "split"]
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; any other encoding is a FormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text") from exc
+
+
 def read_manifest(path: str | Path) -> DatasetManifest:
-    text = Path(path).read_text(encoding="utf-8")
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(read_utf8(path)))
     rows = list(reader)
     if not rows or rows[0] != MANIFEST_HEADER:
         raise FormatError(f"manifest must start with header {','.join(MANIFEST_HEADER)!r}")
@@ -169,7 +176,10 @@ def parse_config(text: str) -> PipelineConfig:
     def pop_float_tuple(key: str, default: tuple[float, ...]) -> tuple[float, ...]:
         if key not in values:
             return default
-        return tuple(float(v) for v in values.pop(key).split(",") if v.strip())
+        try:
+            return tuple(float(v) for v in values.pop(key).split(",") if v.strip())
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r} has a non-numeric value") from exc
 
     kwargs: dict = {}
     if "manifest" in values:
@@ -348,16 +358,6 @@ def load_dataset(manifest_path: str | Path, config: PipelineConfig) -> LoadResul
     )
 
 
-def model_predict_indices(model: GBModel | SVMModel, X: np.ndarray) -> np.ndarray:
-    """Global class indices for raw (unscaled) feature rows."""
-    if isinstance(model, SVMModel):
-        scaled = model.scaler.transform(X) if model.scaler is not None else X
-        return svm_predict_batch(model, scaled)
-    if isinstance(model, GBModel):
-        return gb_predict_batch(model, X)
-    raise ConfigError(f"cannot predict with object of type {type(model).__name__}")
-
-
 def predict_with_fallback(
     model: GBModel | SVMModel,
     dataset: LabeledDataset | None,
@@ -374,7 +374,12 @@ def predict_with_fallback(
         )
     out: dict[str, str] = {}
     if dataset is not None and len(dataset) > 0:
-        indices = model_predict_indices(model, dataset.X)
+        if isinstance(model, SVMModel):
+            indices = svm_predict_batch(model, dataset.X)
+        elif isinstance(model, GBModel):
+            indices = gb_predict_batch(model, dataset.X)
+        else:
+            raise ConfigError(f"cannot predict with object of type {type(model).__name__}")
         ids = dataset.ids if dataset.ids else tuple(str(i) for i in range(len(dataset)))
         for sid, idx in zip(ids, indices):
             out[sid] = CLASSES[int(idx)]

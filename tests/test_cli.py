@@ -142,6 +142,27 @@ def test_missing_inputs_fail_cleanly(tmp_path, capsys):
     assert "--model" in capsys.readouterr().err
 
 
+def test_non_utf8_inputs_fail_cleanly(synth_dir, tmp_path, capsys):
+    latin1 = "# caf\u00e9\n".encode("latin-1")
+    cfg = write_config(synth_dir, FAST_GB_CONFIG)
+    model = tmp_path / "m.model"
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(latin1)
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_bytes(latin1 + cfg.read_bytes())
+    manifest_cfg = tmp_path / "manifest.cfg"
+    manifest_cfg.write_text(f"manifest = {manifest}\nfeatures = distances\n")
+    model.write_bytes(latin1)
+    for argv in (
+        ["train", "--config", str(bad_cfg), "--model", str(model)],
+        ["train", "--config", str(manifest_cfg), "--model", str(tmp_path / "out.model")],
+        ["evaluate", "--config", str(cfg), "--model", str(model)],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "UTF-8" in err[0], err
+
+
 def test_influence_rejects_svm_model(synth_dir, tmp_path, capsys):
     cfg = write_config(synth_dir, FAST_SVM_CONFIG)
     model_path = tmp_path / "svm2.model"

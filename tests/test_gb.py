@@ -3,16 +3,8 @@ import pytest
 
 from landmark_emotion.errors import DimensionMismatchError
 from landmark_emotion.features.spec import FeatureBlock, FeatureSpec
-from landmark_emotion.learners.dataset import LabeledDataset
-from landmark_emotion.learners.gb import (
-    gb_influence,
-    gb_predict,
-    gb_predict_batch,
-    gb_scores,
-    gb_staged_scores,
-    gb_train,
-    gb_truncate,
-)
+from landmark_emotion.learners.dataset import CLASSES, LabeledDataset
+from landmark_emotion.learners.gb import gb_influence, gb_predict_batch, gb_scores, gb_train, gb_truncate
 
 
 def plain_spec(dim):
@@ -84,20 +76,19 @@ def test_zero_trees_predicts_prior():
     y = np.array([0] * 3 + [3] * 7 + [5] * 2)  # Happy is the majority class
     ds = dataset(X, y)
     model = gb_truncate(gb_train(ds, ds, max_trees=3), 0)
-    label, scores = gb_predict(model, X[0])
-    assert label == "Happy"
-    assert np.array_equal(scores, model.init_scores)
+    assert CLASSES[gb_predict_batch(model, X[:1])[0]] == "Happy"
+    assert np.array_equal(gb_scores(model, X[:1])[0], model.init_scores)
 
 
 def test_staged_equals_truncated():
     train, val = blob_fixture(n_per=20, sigma=1.6)
     model = gb_train(train, val, max_trees=8)
     probe = val.X[:10]
-    staged = list(gb_staged_scores(model, probe))
-    assert len(staged) == model.tree_count
     for t in range(1, model.tree_count + 1):
-        truncated = gb_truncate(model, t)
-        assert np.allclose(staged[t - 1], gb_scores(truncated, probe), atol=1e-12)
+        # keeping t trees instead of t - 1 adds exactly iteration t's tree per class
+        step = gb_scores(gb_truncate(model, t), probe) - gb_scores(gb_truncate(model, t - 1), probe)
+        added = np.stack([model.shrinkage * trees[t - 1].predict(probe) for trees in model.trees], axis=1)
+        assert np.allclose(step, added, atol=1e-12)
 
 
 def test_training_points_recovered_after_convergence():
@@ -132,7 +123,7 @@ def test_dimension_mismatch_rejected():
     train, val = blob_fixture(n_per=10)
     model = gb_train(train, val, max_trees=3)
     with pytest.raises(DimensionMismatchError):
-        gb_predict(model, np.zeros(5))
+        gb_predict_batch(model, np.zeros(5))
 
 
 def test_influence_unused_feature_zero_and_sums_to_one():

@@ -46,14 +46,13 @@ def test_gb_roundtrip(rng):
 def test_svm_roundtrip(rng):
     ds = three_class(rng)
     scaler = fit_scaler(ds)
-    scaled = LabeledDataset(X=scaler.transform(ds.X), y=ds.y, spec=ds.spec)
-    model = svm_train(scaled, C=4.0, gamma=0.8, scaler=scaler)
+    model = svm_train(ds, C=4.0, gamma=0.8, scaler=scaler)
     from dataclasses import replace
 
     model = replace(model, spec_digest=ds.spec.digest())
     text = save_model(model)
     loaded = load_model(text, expected_spec_digest=ds.spec.digest())
-    probe = scaler.transform(rng.random((25, 2)) * 6)
+    probe = rng.random((25, 2)) * 6
     assert np.array_equal(svm_predict_batch(loaded, probe), svm_predict_batch(model, probe))
     assert np.array_equal(svm_decision_votes(loaded, probe), svm_decision_votes(model, probe))
     assert loaded.scaler is not None
@@ -96,7 +95,12 @@ def _sub_first(pattern, new):
     return edit
 
 
-# (model kind, edit of a valid model file, raw exception the parser used to leak)
+def _both(first, second):
+    return lambda text: second(first(text))
+
+
+# (model kind, edit of a valid model file, raw exception the FormatError wraps, or None
+# when a check rejects the file before any parsing step fails)
 MALFORMED = {
     "tree_without_class": ("gb", _sub_first("tree class=", "tree klass="), KeyError),
     "tree_unknown_class": ("gb", _sub_first("tree class=0 ", "tree class=1 "), KeyError),
@@ -105,6 +109,20 @@ MALFORMED = {
     "classes_not_numbers": ("gb", _sub_first("classes: 0,3,6", "classes: a"), ValueError),
     "machine_without_nsv": ("svm", _sub_first(" nsv=", " count="), KeyError),
     "blank_line_after_vectors": ("svm", _sub_first(r"(?m)^machine ", "\nmachine "), IndexError),
+    "child_out_of_range": ("gb", _sub_first(r"left=\d+", "left=99"), None),
+    "child_cycle": ("gb", _sub_first(r"left=\d+", "left=0"), None),
+    "gb_class_out_of_range": (
+        "gb",
+        _both(_sub_first("classes: 0,3,6", "classes: 0,3,9"), _sub_first("tree class=6 ", "tree class=9 ")),
+        None,
+    ),
+    "machine_class_out_of_range": ("svm", _sub_first(r"machine pos=\d+", "machine pos=9"), None),
+    "repeated_machine_pair": ("svm", _sub_first("machine pos=0 neg=6 ", "machine pos=0 neg=3 "), None),
+    "negative_sv_index": ("svm", _sub_first(r"(?m)^sv_indices: \d+", "sv_indices: -1"), None),
+    "svm_class_out_of_range": ("svm", _sub_first("classes: 0,3,6", "classes: 0,3,9"), None),
+    "empty_last_tree": ("gb", _sub_first(r"nodes=\d+\n(?:node .*\n)+\Z", "nodes=0\n"), None),
+    "node_count_past_end": ("gb", _sub_first(r"nodes=\d+", "nodes=10000000000000"), None),
+    "vector_count_past_end": ("svm", _sub_first(r"vectors: \d+", "vectors: 10000000000000"), None),
 }
 
 
@@ -115,11 +133,9 @@ def valid_model_texts():
 
     ds = three_class(np.random.default_rng(5))
     digest = FeatureSpec.distances(68).digest()
-    scaler = fit_scaler(ds)
-    scaled = LabeledDataset(X=scaler.transform(ds.X), y=ds.y, spec=ds.spec)
     return {
         "gb": save_model(replace(gb_train(ds, ds, max_trees=2), spec_digest=digest)),
-        "svm": save_model(replace(svm_train(scaled, C=4.0, gamma=0.8, scaler=scaler), spec_digest=digest)),
+        "svm": save_model(replace(svm_train(ds, C=4.0, gamma=0.8, scaler=fit_scaler(ds)), spec_digest=digest)),
     }
 
 
@@ -129,7 +145,8 @@ def test_malformed_model_raises_only_format_error(case, valid_model_texts, tmp_p
     text = edit(valid_model_texts[kind])
     with pytest.raises(FormatError) as caught:
         load_model(text)
-    assert isinstance(caught.value.__cause__, leaked)
+    if leaked is not None:
+        assert isinstance(caught.value.__cause__, leaked)
 
     model_path = tmp_path / "bad.model"
     model_path.write_text(text, encoding="utf-8")

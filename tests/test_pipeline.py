@@ -226,6 +226,7 @@ svm_gamma_grid = 0.5
         ("neutral_fallback = maybe", "true/false"),
         ("no equals sign here", "key = value"),
         ("seed = 1\nseed = 2", "duplicate"),
+        ("svm_c_grid = 1,x", "svm_c_grid"),
     ],
 )
 def test_parse_config_rejects(text, match):

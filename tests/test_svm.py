@@ -7,6 +7,7 @@ from qp_oracle import dual_value, kkt_violation, qp_max_enumerate, rbf_kernel
 from landmark_emotion.errors import DimensionMismatchError
 from landmark_emotion.features.spec import FeatureBlock, FeatureSpec
 from landmark_emotion.learners.dataset import CLASSES, LabeledDataset, canonical_order
+from landmark_emotion.learners.persist import save_model
 from landmark_emotion.learners.svm import (
     BinaryMachine,
     SVMModel,
@@ -14,7 +15,7 @@ from landmark_emotion.learners.svm import (
     grid_search,
     rbf_kernel_matrix,
     smo_solve,
-    svm_predict,
+    svm_decision_votes,
     svm_predict_batch,
     svm_train,
 )
@@ -133,23 +134,17 @@ def separable_three_class(rng, n_per=8):
 
 def test_svm_train_predicts_training_set(rng):
     train = separable_three_class(rng)
-    scaler = fit_scaler(train)
-    scaled = LabeledDataset(X=scaler.transform(train.X), y=train.y, spec=train.spec)
-    model = svm_train(scaled, C=10.0, gamma=1.0, scaler=scaler)
+    model = svm_train(train, C=10.0, gamma=1.0, scaler=fit_scaler(train))
     assert len(model.machines) == 3  # C(3, 2) class pairs
-    pred = svm_predict_batch(model, scaled.X)
-    assert np.array_equal(pred, train.y)
-    label, votes = svm_predict(model, scaled.X[0])
-    assert label == CLASSES[train.y[0]]
-    assert votes.sum() == len(model.machines)  # one vote per machine
+    assert np.array_equal(svm_predict_batch(model, train.X), train.y)
+    votes = svm_decision_votes(model, train.X)
+    assert np.all(votes.sum(axis=1) == len(model.machines))  # one vote per machine
 
 
 def test_svm_model_invariants(rng):
     train = separable_three_class(rng)
-    scaler = fit_scaler(train)
-    scaled = LabeledDataset(X=scaler.transform(train.X), y=train.y, spec=train.spec)
     C = 5.0
-    model = svm_train(scaled, C=C, gamma=0.5, scaler=scaler)
+    model = svm_train(train, C=C, gamma=0.5, scaler=fit_scaler(train))
     for machine in model.machines:
         # coef = alpha * y, so 0 <= |coef| <= C and the machine's coefs sum to ~0
         assert np.all(np.abs(machine.coef) <= C + 1e-9)
@@ -167,29 +162,9 @@ def test_svm_sample_order_invariance(rng):
     train = separable_three_class(rng)
     perm = rng.permutation(len(train))
     shuffled = LabeledDataset(X=train.X[perm], y=train.y[perm], spec=train.spec)
-    scaler = fit_scaler(train)
-    a = svm_train(
-        LabeledDataset(X=scaler.transform(train.X), y=train.y, spec=train.spec),
-        C=2.0, gamma=1.5, scaler=scaler,
-    )
-    b = svm_train(
-        LabeledDataset(X=scaler.transform(shuffled.X), y=shuffled.y, spec=train.spec),
-        C=2.0, gamma=1.5, scaler=scaler,
-    )
-    probe = scaler.transform(rng.standard_normal((40, 2)) * 3)
-    assert np.array_equal(svm_predict_batch(a, probe), svm_predict_batch(b, probe))
-
-
-def machine_bytes(model):
-    """Each machine's support vectors, coefficients and bias, as bytes in solve order.
-
-    The shared vector table follows the caller's row order, so whole model
-    files differ under a shuffle; the machines themselves must not.
-    """
-    return [
-        (m.pos_class, m.neg_class, model.vectors[m.sv_indices].tobytes(), m.coef.tobytes(), m.bias)
-        for m in model.machines
-    ]
+    a = svm_train(train, C=2.0, gamma=1.5, scaler=fit_scaler(train))
+    b = svm_train(shuffled, C=2.0, gamma=1.5, scaler=fit_scaler(shuffled))
+    assert save_model(a) == save_model(b)
 
 
 def cross_class_duplicates(rng):
@@ -197,8 +172,7 @@ def cross_class_duplicates(rng):
 
     Only the label tie-break in the canonical order fixes the relative order
     of the duplicates.  Small integer features make every squared distance
-    exact, so the kernel matrix cannot pick up rounding that depends on
-    where a row sits in the input.
+    exact.
     """
     base = rng.integers(-3, 4, size=(6, 3)).astype(float)
     X = np.vstack([base, base, base[:4], rng.integers(-3, 4, size=(6, 3)).astype(float)])
@@ -209,10 +183,22 @@ def cross_class_duplicates(rng):
 def test_svm_machines_shuffle_invariant_with_cross_class_duplicates(rng):
     X, y = cross_class_duplicates(rng)
     for C, gamma in ((0.5, 0.3), (4.0, 1.0), (64.0, 2.0)):
-        reference = machine_bytes(svm_train(dataset(X, y), C=C, gamma=gamma))
+        reference = save_model(svm_train(dataset(X, y), C=C, gamma=gamma))
         for _ in range(5):
             perm = rng.permutation(len(y))
-            assert machine_bytes(svm_train(dataset(X[perm], y[perm]), C=C, gamma=gamma)) == reference
+            assert save_model(svm_train(dataset(X[perm], y[perm]), C=C, gamma=gamma)) == reference
+
+    # float features round differently in each row position unless the
+    # kernel and the vector table are built in canonical order
+    X = rng.standard_normal((22, 3))
+    y = np.array([0] * 6 + [3] * 6 + [5] * 4 + [6] * 6)
+    X[6] = X[0]  # the same row as an Angry and a Happy sample
+    ds = dataset(X, y)
+    reference = save_model(svm_train(ds, C=4.0, gamma=1.0, scaler=fit_scaler(ds)))
+    for seed in range(8):
+        perm = np.random.default_rng(seed).permutation(len(y))
+        shuffled = dataset(X[perm], y[perm])
+        assert save_model(svm_train(shuffled, C=4.0, gamma=1.0, scaler=fit_scaler(shuffled))) == reference
 
 
 def test_svm_pair_rows_follow_their_own_canonical_order(rng):
@@ -250,9 +236,9 @@ def test_vote_tie_breaks_to_earliest_class():
         C=1.0,
         scaler=None,
     )
-    label, votes = svm_predict(model, np.zeros(dim))
+    votes = svm_decision_votes(model, np.zeros((1, dim)))[0]
     assert votes[0] == votes[3] == votes[4] == 1
-    assert label == "Angry"
+    assert CLASSES[svm_predict_batch(model, np.zeros((1, dim)))[0]] == "Angry"
 
 
 # --- grid search ------------------------------------------------------------
@@ -297,13 +283,11 @@ def test_grid_search_exhaustive_oracle(rng):
     result = grid_search(train, val, C_grid, gamma_grid)
 
     # independent re-run of every cell through the public training API
-    scaler = fit_scaler(train)
-    scaled_train = LabeledDataset(X=scaler.transform(train.X), y=train.y, spec=train.spec)
     expected = np.zeros((len(C_grid), len(gamma_grid)))
     for ci, C in enumerate(C_grid):
         for gi, gamma in enumerate(gamma_grid):
-            model = svm_train(scaled_train, C, gamma, scaler=scaler)
-            expected[ci, gi] = float(np.mean(svm_predict_batch(model, scaler.transform(val.X)) == val.y))
+            model = svm_train(train, C, gamma, scaler=fit_scaler(train))
+            expected[ci, gi] = float(np.mean(svm_predict_batch(model, val.X) == val.y))
     assert np.array_equal(result.accuracy, expected)
     assert result.best_accuracy == expected.max()
 
