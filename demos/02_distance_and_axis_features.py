@@ -7,7 +7,7 @@ construction, which this script demonstrates numerically.
 """
 import numpy as np
 
-from landmark_emotion.features import FeatureSpec, axis_distances, concat_features, point_distances
+from landmark_emotion.features import FeatureSpec, axis_distances, merge_specs, point_distances
 from landmark_emotion.shapes import LandmarkSet, mean_shape, normalize_size, upright
 from landmark_emotion.synth import synth_shape
 
@@ -15,30 +15,32 @@ rng = np.random.default_rng(1)
 
 shape = upright(normalize_size(synth_shape("Surprise", rng)))
 spec = FeatureSpec.distances(68)
-distances = point_distances(shape, spec)
-print("distance features:", distances.dimension, "values")
+distances = point_distances(shape)
+print("distance features:", len(distances), "values")
 print("  first pairs:", [(int(i), int(j)) for i, j in spec.pair_index[:4]])
 print("  e.g. distance between mouth corners (48, 54):")
 k = [tuple(p) for p in spec.pair_index].index((48, 54))
-print("   ", round(float(distances.values[k]), 4), "(in centroid-size units)")
+print("   ", round(float(distances[k]), 4), "(in centroid-size units)")
 
 # similarity invariance: rotate, scale, translate, re-extract
 angle, scale = 0.7, 3.1
 rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
 moved = LandmarkSet(scale * synth_shape("Surprise", np.random.default_rng(1)).points @ rot.T + 40.0)
-again = point_distances(normalize_size(moved), spec)
+again = point_distances(normalize_size(moved))
 print("  after a random similarity transform, worst change:",
-      f"{np.abs(distances.values - again.values).max():.2e}")
+      f"{np.abs(distances - again).max():.2e}")
 
 # axis features need the training mean
 population = [upright(normalize_size(synth_shape("Neutral", rng))) for _ in range(30)]
 mean = mean_shape(population)
 axis = axis_distances(shape, mean)
-print("\naxis features:", axis.dimension, "values (x and y offsets, interleaved)")
-biggest = int(np.argmax(np.abs(axis.values)))
+print("\naxis features:", len(axis), "values (x and y offsets, interleaved)")
+biggest = int(np.argmax(np.abs(axis)))
 print(f"  largest offset at coordinate {biggest} -> landmark {biggest // 2},",
       "x" if biggest % 2 == 0 else "y", "axis")
 
-combined = concat_features([distances, axis])
-print("\nconcatenated feature vector:", combined.dimension, "values")
-print("  blocks:", [f"{b.extractor}({b.dimension})" for b in combined.spec.blocks])
+# the layout lives in the spec, built once; the values are plain arrays
+combined = np.concatenate([distances, axis])
+combined_spec = merge_specs([spec, FeatureSpec.axis(68)])
+print("\nconcatenated feature vector:", len(combined), "values")
+print("  blocks:", [f"{b.extractor}({b.dimension})" for b in combined_spec.blocks])

@@ -45,12 +45,12 @@ crop = align_face(image, face)
 print("\naligned crop:", f"{crop.width}x{crop.height}")
 
 pooled = bif_features(crop, bank)
-print("pooled texture descriptor:", pooled.dimension, "values",
+print("pooled texture descriptor:", len(pooled), "values",
       "(declared dimension:", bif_spec(bank).total_dimension, ")")
-print("  value range:", round(float(pooled.values.min()), 4), "to", round(float(pooled.values.max()), 4))
+print("  value range:", round(float(pooled.min()), 4), "to", round(float(pooled.max()), 4))
 
 texture = point_texture(image, face, scales=8, orientations=12)
-print("\nper-landmark responses:", texture.dimension, "values (68 points x 8 scales x 12 orientations)")
+print("\nper-landmark responses:", len(texture), "values (68 points x 8 scales x 12 orientations)")
 flat = GrayImage(np.full((90, 90), 0.5))
 zero = point_texture(flat, face, scales=2, orientations=3)
-print("on a constant image every response is zero:", float(np.abs(zero.values).max()) <= 1e-10)
+print("on a constant image every response is zero:", float(np.abs(zero).max()) <= 1e-10)

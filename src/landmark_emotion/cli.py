@@ -19,6 +19,7 @@ from .learners.persist import load_model, save_model
 from .learners.svm import fit_scaler, grid_search, svm_train
 from .pipeline import (
     LoadResult,
+    ManifestEntry,
     PipelineConfig,
     build_feature_spec,
     load_dataset,
@@ -158,33 +159,31 @@ def _load_model_checked(args, config: PipelineConfig):
     return load_model(read_utf8(args.model), expected_spec_digest=expected)
 
 
-def _predictions_for_split(config: PipelineConfig, result: LoadResult, model) -> dict[str, str]:
+def _predict_eval_split(args) -> tuple[PipelineConfig, list[tuple[ManifestEntry, str]]]:
+    """The config and each eval-split entry with its predicted label, in manifest order.
+
+    Entries skipped by a per-entry load error are left out.
+    """
+    config = _load_config(args)
+    model = _load_model_checked(args, config)
+    result = _load_data(config)
+    _report_load(result)
     split = config.eval_split
     dataset = result.datasets.get(split)
     absent = result.absent.get(split, ())
     if dataset is None and not absent:
         raise ConfigError(f"the manifest has no usable samples in the {split!r} split")
-    return predict_with_fallback(model, dataset, absent, neutral_fallback=config.neutral_fallback)
+    labels = predict_with_fallback(model, dataset, absent, neutral_fallback=config.neutral_fallback)
+    entries = read_manifest(config.manifest).for_split(split)
+    return config, [(e, labels[e.sample_id]) for e in entries if e.sample_id in labels]
 
 
 def _cmd_evaluate(args) -> int:
-    config = _load_config(args)
-    model = _load_model_checked(args, config)
-    result = _load_data(config)
-    _report_load(result)
-    labels = _predictions_for_split(config, result, model)
-
-    manifest = read_manifest(config.manifest)
-    truth = []
-    predicted = []
-    for entry in manifest.for_split(config.eval_split):
-        if entry.sample_id not in labels:
-            continue  # skipped by a per-entry load error
+    config, predictions = _predict_eval_split(args)
+    for entry, _ in predictions:
         if not entry.label:
             raise ConfigError(f"cannot evaluate: sample {entry.sample_id!r} is unlabeled")
-        truth.append(entry.label)
-        predicted.append(labels[entry.sample_id])
-    cm = confusion(predicted, truth)
+    cm = confusion([label for _, label in predictions], [entry.label for entry, _ in predictions])
     report = cm.to_text() + accuracy_line(cm, config.eval_split) + "\n" + per_class_text(cm) + "\n"
     print(report, end="")
     if args.out:
@@ -193,17 +192,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    config = _load_config(args)
-    model = _load_model_checked(args, config)
-    result = _load_data(config)
-    _report_load(result)
-    labels = _predictions_for_split(config, result, model)
-    manifest = read_manifest(config.manifest)
-    lines = [
-        f"{entry.sample_id}\t{labels[entry.sample_id]}"
-        for entry in manifest.for_split(config.eval_split)
-        if entry.sample_id in labels
-    ]
+    _, predictions = _predict_eval_split(args)
+    lines = [f"{entry.sample_id}\t{label}" for entry, label in predictions]
     text = "\n".join(lines) + ("\n" if lines else "")
     print(text, end="")
     if args.out:

@@ -14,30 +14,21 @@ from scipy.spatial.distance import pdist
 
 from ..errors import DimensionMismatchError
 from ..shapes import LandmarkSet, MeanShape, NormalizedShape
-from .gabor import FilterBank, GaborBankConfig, build_gabor_bank, gabor_magnitude
+from .gabor import FilterBank, gabor_kernel_pair, gabor_magnitude
 from .image import GrayImage
-from .spec import FeatureBlock, FeatureSpec, FeatureVector
+from .spec import FeatureBlock, FeatureSpec
 
 POINT_TEXTURE_BASE_SIZE = 7
 POINT_TEXTURE_SIZE_STEP = 4
 
 
-def point_distances(shape: NormalizedShape, spec: FeatureSpec) -> FeatureVector:
+def point_distances(shape: NormalizedShape) -> np.ndarray:
     """Euclidean distances between all unordered landmark pairs (i < j)."""
-    offset, block = spec.block_offset("distances")
-    if offset != 0 or len(spec.blocks) != 1:
-        raise DimensionMismatchError("point_distances expects a pure distance spec")
-    expected_pairs = shape.point_count * (shape.point_count - 1) // 2
-    if block.dimension != expected_pairs:
-        raise DimensionMismatchError(
-            f"spec enumerates {block.dimension} pairs but shape has "
-            f"{shape.point_count} points ({expected_pairs} pairs)"
-        )
-    # pdist enumerates pairs in the same lexicographic (i < j) order as pair_index
-    return FeatureVector(values=pdist(shape.points), spec=spec)
+    # pdist enumerates pairs in the same lexicographic (i < j) order as pair_enumeration
+    return pdist(shape.points)
 
 
-def axis_distances(shape: NormalizedShape, mean: MeanShape) -> FeatureVector:
+def axis_distances(shape: NormalizedShape, mean: MeanShape) -> np.ndarray:
     """Interleaved (x, y) offsets of each landmark from its mean location.
 
     The shape must be up-righted before calling; offsets from the training
@@ -47,8 +38,7 @@ def axis_distances(shape: NormalizedShape, mean: MeanShape) -> FeatureVector:
         raise DimensionMismatchError(
             f"shape has {shape.point_count} points, mean shape {mean.point_count}"
         )
-    values = (shape.points - mean.points).ravel()
-    return FeatureVector(values=values, spec=FeatureSpec.axis(shape.point_count))
+    return (shape.points - mean.points).ravel()
 
 
 def bif_spec(bank: FilterBank) -> FeatureSpec:
@@ -78,7 +68,7 @@ def _pool_windows(response: np.ndarray, cell: int, step: int) -> tuple[np.ndarra
     return np.array(maxes), np.array(stds)
 
 
-def bif_features(image: GrayImage, bank: FilterBank) -> FeatureVector:
+def bif_features(image: GrayImage, bank: FilterBank) -> np.ndarray:
     """Pooled texture descriptor over the aligned crop.
 
     Per (band, orientation): filter with every size in the band, take the
@@ -100,7 +90,7 @@ def bif_features(image: GrayImage, bank: FilterBank) -> FeatureVector:
             pooled_sizes = np.maximum.reduce(responses)
             maxes, stds = _pool_windows(pooled_sizes, band.cell, band.step)
             chunks.append(np.column_stack([maxes, stds]).ravel())
-    return FeatureVector(values=np.concatenate(chunks), spec=bif_spec(bank))
+    return np.concatenate(chunks)
 
 
 def point_texture_sizes(scales: int) -> tuple[int, ...]:
@@ -122,16 +112,15 @@ def point_texture_spec(point_count: int, scales: int, orientations: int) -> Feat
 
 
 @functools.lru_cache(maxsize=None)
-def _texture_bank(scales: int, orientations: int) -> FilterBank:
-    sizes = point_texture_sizes(scales)
-    config = GaborBankConfig(
-        orientations=orientations,
-        sizes=sizes,
-        bands=tuple((sz,) for sz in sizes),
-        pooling=tuple((1, 1) for _ in sizes),
-        image_size=1,
-    )
-    return build_gabor_bank(config)
+def _texture_kernels(
+    scales: int, orientations: int
+) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+    """Quadrature kernel pairs keyed by (size, orientation index)."""
+    return {
+        (size, oi): gabor_kernel_pair(size, np.pi * oi / orientations)
+        for size in point_texture_sizes(scales)
+        for oi in range(orientations)
+    }
 
 
 def point_texture(
@@ -139,7 +128,7 @@ def point_texture(
     landmarks: LandmarkSet,
     scales: int = 8,
     orientations: int = 12,
-) -> FeatureVector:
+) -> np.ndarray:
     """Quadrature filter magnitudes centered on each landmark pixel.
 
     Landmarks are rounded to the nearest pixel and clamped into the image;
@@ -148,7 +137,7 @@ def point_texture(
     """
     if scales < 1 or orientations < 1:
         raise DimensionMismatchError("scales and orientations must be positive")
-    bank = _texture_bank(scales, orientations)
+    kernels = _texture_kernels(scales, orientations)
     sizes = point_texture_sizes(scales)
 
     h, w = image.pixels.shape
@@ -167,9 +156,8 @@ def point_texture(
             ]
         )
         for oi in range(orientations):
-            even, odd = bank.kernels[(sz, oi)]
+            even, odd = kernels[(sz, oi)]
             re = np.tensordot(patches, even, axes=([1, 2], [0, 1]))
             im = np.tensordot(patches, odd, axes=([1, 2], [0, 1]))
             values[:, si, oi] = np.hypot(re, im)
-    spec = point_texture_spec(landmarks.point_count, scales, orientations)
-    return FeatureVector(values=values.ravel(), spec=spec)
+    return values.ravel()

@@ -1,4 +1,4 @@
-"""Feature vector layout: blocks, pair enumeration, digests, concatenation.
+"""Feature vector layout: blocks, pair enumeration, digests, merging.
 
 A FeatureSpec records which extractor produced each coordinate of a feature
 vector.  Distance blocks carry the lexicographic enumeration of all C(n, 2)
@@ -7,7 +7,7 @@ unordered landmark pairs so a coordinate can be mapped back to its pair.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -92,32 +92,6 @@ class FeatureSpec:
         return FeatureSpec(blocks=(block,))
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """A flat numeric vector tied to the spec that defines its layout."""
-
-    values: np.ndarray
-    spec: FeatureSpec = field(repr=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1:
-            raise DimensionMismatchError(f"feature values must be 1-D, got shape {vals.shape}")
-        if vals.shape[0] != self.spec.total_dimension:
-            raise DimensionMismatchError(
-                f"vector has {vals.shape[0]} values but spec declares {self.spec.total_dimension}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise DimensionMismatchError("feature values must be finite")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[0]
-
-
 def merge_specs(specs: Sequence[FeatureSpec]) -> FeatureSpec:
     """Concatenate block lists; the pair index of the first distance block wins."""
     blocks: list[FeatureBlock] = []
@@ -127,14 +101,3 @@ def merge_specs(specs: Sequence[FeatureSpec]) -> FeatureSpec:
         if pair_index is None and s.pair_index is not None:
             pair_index = s.pair_index
     return FeatureSpec(blocks=tuple(blocks), pair_index=pair_index)
-
-
-def concat_features(parts: Sequence[FeatureVector]) -> FeatureVector:
-    """Concatenate feature vectors into one vector with a merged spec."""
-    if not parts:
-        raise DimensionMismatchError("cannot concatenate zero feature vectors")
-    if len(parts) == 1:
-        return parts[0]
-    spec = merge_specs([p.spec for p in parts])
-    values = np.concatenate([p.values for p in parts])
-    return FeatureVector(values=values, spec=spec)

@@ -47,6 +47,8 @@ class LabeledDataset:
             raise DimensionMismatchError(
                 f"X has {X.shape[1]} columns but spec declares {self.spec.total_dimension}"
             )
+        if not np.all(np.isfinite(X)):
+            raise DimensionMismatchError("feature values must be finite")
         bad = (y != UNLABELED) & ((y < 0) | (y >= len(CLASSES)))
         if np.any(bad):
             raise DimensionMismatchError(f"labels out of range: {np.unique(y[bad])}")

@@ -197,8 +197,11 @@ def svm_train(
     classes = train.classes_present()
     if len(classes) < 2:
         raise DimensionMismatchError("SVM training needs at least two classes present")
-    if not C > 0 or not gamma > 0:
-        raise DimensionMismatchError(f"C and gamma must be positive, got C={C}, gamma={gamma}")
+    # C = inf is a valid hard margin; gamma = inf puts inf * 0 = NaN on the kernel diagonal
+    if not C > 0 or not 0 < gamma < np.inf:
+        raise DimensionMismatchError(
+            f"C must be positive and gamma positive and finite, got C={C}, gamma={gamma}"
+        )
     X = train.X if scaler is None else scaler.transform(train.X)
     # on ties the larger class sorts first: it is the -1 label of every pair it is in
     order = canonical_order(X, -train.y)

@@ -26,7 +26,7 @@ from .features.extract import (
 )
 from .features.gabor import FilterBank, GaborBankConfig, build_gabor_bank
 from .features.image import GrayImage, align_face, aspect_correct, aspect_correct_points, read_pgm
-from .features.spec import FeatureSpec, FeatureVector, concat_features, merge_specs
+from .features.spec import FeatureSpec, merge_specs
 from .learners.dataset import CLASSES, UNLABELED, LabeledDataset, label_index
 from .learners.gb import GBModel, gb_predict_batch
 from .learners.svm import SVMModel, svm_predict_batch
@@ -278,10 +278,10 @@ def _extract_features(
     config: PipelineConfig,
     mean: MeanShape | None,
     bank: FilterBank | None,
-) -> FeatureVector:
+) -> np.ndarray:
     parts = []
     if "distances" in config.features:
-        parts.append(point_distances(parsed.uprighted, FeatureSpec.distances(POINT_COUNT)))
+        parts.append(point_distances(parsed.uprighted))
     if "axis" in config.features:
         assert mean is not None
         parts.append(axis_distances(parsed.uprighted, mean))
@@ -299,7 +299,7 @@ def _extract_features(
                 orientations=config.texture_orientations,
             )
         )
-    return concat_features(parts)
+    return np.concatenate(parts)
 
 
 def load_dataset(manifest_path: str | Path, config: PipelineConfig) -> LoadResult:
@@ -341,7 +341,7 @@ def load_dataset(manifest_path: str | Path, config: PipelineConfig) -> LoadResul
         if not items:
             datasets[split] = None
             continue
-        X = np.stack([_extract_features(p, config, mean, bank).values for p in items])
+        X = np.stack([_extract_features(p, config, mean, bank) for p in items])
         y = np.array(
             [label_index(p.entry.label) if p.entry.label else UNLABELED for p in items],
             dtype=np.int64,

@@ -54,18 +54,18 @@ def test_criterion_1_table3_fixture_arithmetic():
 def test_criterion_2_dimension_contracts(rng):
     started = time.perf_counter()
     shape = upright(normalize_size(make_face(rng, jitter=1.0)))
-    distances = point_distances(shape, FeatureSpec.distances(68))
-    assert distances.dimension == 2278
+    distances = point_distances(shape)
+    assert distances.shape == (2278,)
 
     from landmark_emotion.features.extract import axis_distances
     from landmark_emotion.shapes import mean_shape
 
     axis = axis_distances(shape, mean_shape([shape]))
-    assert axis.dimension == 136
+    assert axis.shape == (136,)
 
     img = GrayImage(rng.random((120, 120)))
     texture = point_texture(img, make_face(rng, jitter=1.0), scales=8, orientations=12)
-    assert texture.dimension == 6528
+    assert texture.shape == (6528,)
     assert time.perf_counter() - started < 1.0
     report(2, started, "dimensions 2278 / 136 / 6528 for the 68-point configuration")
 
@@ -73,14 +73,13 @@ def test_criterion_2_dimension_contracts(rng):
 def test_criterion_3_similarity_invariance():
     started = time.perf_counter()
     rng = np.random.default_rng(2024)
-    spec = FeatureSpec.distances(68)
     worst = 0.0
     for _ in range(1000):
         face = make_face(rng, jitter=2.0)
-        base = point_distances(normalize_size(face), spec)
+        base = point_distances(normalize_size(face))
         moved = apply_similarity(face.points, *random_similarity(rng))
-        other = point_distances(normalize_size(LandmarkSet(moved)), spec)
-        worst = max(worst, float(np.max(np.abs(base.values - other.values))))
+        other = point_distances(normalize_size(LandmarkSet(moved)))
+        worst = max(worst, float(np.max(np.abs(base - other))))
     assert worst < 1e-6
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
@@ -222,17 +221,17 @@ def test_criterion_8_texture_zero_and_convolution_oracle(rng):
     bank = build_gabor_bank()
     flat = GrayImage(np.full((60, 60), 0.37))
     bif = bif_features(flat, bank)
-    assert np.max(np.abs(bif.values)) <= 1e-10
+    assert np.max(np.abs(bif)) <= 1e-10
 
     face = make_face(rng, jitter=1.0)
     texture = point_texture(GrayImage(np.full((220, 220), 0.8)), face, scales=3, orientations=4)
-    assert np.max(np.abs(texture.values)) <= 1e-10
+    assert np.max(np.abs(texture)) <= 1e-10
 
     toy_bank = build_gabor_bank(TOY_SINGLE)
     toy_img = GrayImage(rng.random((4, 4)))
     fv = bif_features(toy_img, toy_bank)
     expected = brute_force_bif(toy_img.pixels, toy_bank)
-    gap = float(np.max(np.abs(fv.values - expected)))
+    gap = float(np.max(np.abs(fv - expected)))
     assert gap <= 1e-9
     report(8, started, f"constant images give all-zero features; brute-force oracle gap {gap:.2e}")
 

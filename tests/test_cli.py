@@ -188,6 +188,17 @@ def test_fixed_svm_and_merge_validation(synth_dir, tmp_path, capsys):
     assert "test accuracy" in capsys.readouterr().out
 
 
+def test_infinite_svm_gamma_fails_cleanly(synth_dir, tmp_path, capsys):
+    manifest = synth_dir / "data" / "manifest.csv"
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(f"manifest = {manifest}\nfeatures = distances\nmodel = svm\nsvm_c = 1\nsvm_gamma = inf\n")
+    model_path = tmp_path / "inf.model"
+    assert main(["train", "--config", str(cfg), "--model", str(model_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "gamma" in err[0], err
+    assert not model_path.exists()
+
+
 def test_absent_landmarks_get_neutral_fallback(synth_dir, tmp_path, capsys):
     # copy the synthetic data and blank out one test entry's landmarks
     import shutil

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from landmark_emotion.errors import DimensionMismatchError
-from landmark_emotion.features.spec import (
-    FeatureBlock,
-    FeatureSpec,
-    FeatureVector,
-    concat_features,
-    merge_specs,
-    pair_enumeration,
-)
+from landmark_emotion.features.spec import FeatureSpec, merge_specs, pair_enumeration
+from landmark_emotion.learners.dataset import LabeledDataset
 
 
 def test_pair_enumeration_count_and_order():
@@ -38,36 +32,20 @@ def test_spec_dimensions():
     assert FeatureSpec.distances(4).total_dimension == 6
 
 
-def test_feature_vector_validation():
+@pytest.mark.parametrize(
+    "X, match",
+    [
+        (np.array([[1.0, np.nan, 0, 0, 0, 0]]), "finite"),
+        (np.array([[1.0, 0, 0, 0, 0, np.inf]]), "finite"),
+        (np.zeros((1, 5)), "columns"),
+    ],
+    ids=["nan", "inf", "width"],
+)
+def test_labeled_dataset_rejects_bad_rows(X, match):
     spec = FeatureSpec.distances(4)
-    fv = FeatureVector(values=np.arange(6, dtype=float), spec=spec)
-    assert fv.dimension == 6
-    with pytest.raises(DimensionMismatchError):
-        FeatureVector(values=np.arange(5, dtype=float), spec=spec)
-    with pytest.raises(DimensionMismatchError):
-        FeatureVector(values=np.array([1.0, np.nan, 0, 0, 0, 0]), spec=spec)
-
-
-def test_concat_dimensions():
-    d = FeatureVector(np.zeros(2278), FeatureSpec.distances(68))
-    a = FeatureVector(np.ones(136), FeatureSpec.axis(68))
-    merged = concat_features([d, a])
-    assert merged.dimension == 2414
-    assert merged.spec.total_dimension == 2414
-    assert np.array_equal(merged.values[2278:], np.ones(136))
-
-    big = FeatureVector(np.zeros(8640), FeatureSpec(blocks=(FeatureBlock("bif", 8640),)))
-    assert concat_features([d, big]).dimension == 10918
-
-
-def test_concat_single_block_identity():
-    d = FeatureVector(np.arange(6, dtype=float), FeatureSpec.distances(4))
-    assert concat_features([d]) is d
-
-
-def test_concat_empty_errors():
-    with pytest.raises(DimensionMismatchError):
-        concat_features([])
+    assert len(LabeledDataset(X=np.zeros((1, 6)), y=[0], spec=spec)) == 1
+    with pytest.raises(DimensionMismatchError, match=match):
+        LabeledDataset(X=X, y=[0], spec=spec)
 
 
 def test_merged_spec_block_offsets():

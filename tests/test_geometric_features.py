@@ -21,14 +21,14 @@ def brute_force_distances(points):
 
 def test_distance_dimension_68(rng):
     shape = upright(normalize_size(make_face(rng, jitter=1.0)))
-    fv = point_distances(shape, FeatureSpec.distances(68))
-    assert fv.dimension == 2278
+    fv = point_distances(shape)
+    assert fv.shape == (2278,)
 
 
 def test_distances_match_brute_force(rng):
     shape = normalize_size(LandmarkSet(rng.standard_normal((9, 2))))
-    fv = point_distances(shape, FeatureSpec.distances(9))
-    assert np.allclose(fv.values, brute_force_distances(shape.points), atol=1e-12)
+    fv = point_distances(shape)
+    assert np.allclose(fv, brute_force_distances(shape.points), atol=1e-12)
 
 
 def test_unit_square_distances():
@@ -38,31 +38,25 @@ def test_unit_square_distances():
     raw = brute_force_distances(corners)
     assert sorted(raw) == pytest.approx(sorted([1, 1, 1, 1, math.sqrt(2), math.sqrt(2)]))
     shape = normalize_size(LandmarkSet(corners))
-    fv = point_distances(shape, FeatureSpec.distances(4))
-    assert np.allclose(np.sort(fv.values), np.sort(raw) / math.sqrt(0.5), atol=1e-12)
+    fv = point_distances(shape)
+    assert np.allclose(np.sort(fv), np.sort(raw) / math.sqrt(0.5), atol=1e-12)
 
 
 def test_distances_pair_order(rng):
     shape = normalize_size(LandmarkSet(rng.standard_normal((6, 2))))
     spec = FeatureSpec.distances(6)
-    fv = point_distances(shape, spec)
+    fv = point_distances(shape)
     for k, (i, j) in enumerate(spec.pair_index):
-        assert fv.values[k] == pytest.approx(math.dist(shape.points[i], shape.points[j]), abs=1e-12)
-
-
-def test_distances_spec_mismatch(rng):
-    shape = normalize_size(LandmarkSet(rng.standard_normal((6, 2))))
-    with pytest.raises(DimensionMismatchError):
-        point_distances(shape, FeatureSpec.distances(68))
+        assert fv[k] == pytest.approx(math.dist(shape.points[i], shape.points[j]), abs=1e-12)
 
 
 def test_distances_similarity_invariance(rng):
     for _ in range(25):
         face = make_face(rng, jitter=2.0)
-        base = point_distances(normalize_size(face), FeatureSpec.distances(68))
+        base = point_distances(normalize_size(face))
         moved = apply_similarity(face.points, *random_similarity(rng))
-        other = point_distances(normalize_size(LandmarkSet(moved)), FeatureSpec.distances(68))
-        assert np.allclose(base.values, other.values, atol=1e-6)
+        other = point_distances(normalize_size(LandmarkSet(moved)))
+        assert np.allclose(base, other, atol=1e-6)
 
 
 def _mean_of(*shapes):
@@ -73,8 +67,8 @@ def test_axis_dimension_and_zero(rng):
     shape = upright(normalize_size(make_face(rng, jitter=1.0)))
     mean = _mean_of(shape)
     fv = axis_distances(shape, mean)
-    assert fv.dimension == 136
-    assert np.allclose(fv.values, 0.0, atol=1e-9)
+    assert fv.shape == (136,)
+    assert np.allclose(fv, 0.0, atol=1e-9)
 
 
 def test_axis_locality(rng):
@@ -85,9 +79,9 @@ def test_axis_locality(rng):
     mean_points = shape.points.copy()
     mean_points[30, 0] -= delta
     fv = axis_distances(shape, MeanShape(points=mean_points, sample_count=1))
-    nonzero = np.flatnonzero(fv.values)
+    nonzero = np.flatnonzero(fv)
     assert list(nonzero) == [60]
-    assert fv.values[60] == pytest.approx(delta, abs=1e-12)
+    assert fv[60] == pytest.approx(delta, abs=1e-12)
 
 
 def test_axis_interleaving(rng):
@@ -96,9 +90,9 @@ def test_axis_interleaving(rng):
     mean = _mean_of(other)
     fv = axis_distances(shape, mean)
     expected = (shape.points - mean.points).ravel()
-    assert np.array_equal(fv.values, expected)
-    assert fv.values[0] == shape.points[0, 0] - mean.points[0, 0]
-    assert fv.values[1] == shape.points[0, 1] - mean.points[0, 1]
+    assert np.array_equal(fv, expected)
+    assert fv[0] == shape.points[0, 0] - mean.points[0, 0]
+    assert fv[1] == shape.points[0, 1] - mean.points[0, 1]
 
 
 def test_axis_point_count_mismatch(rng):

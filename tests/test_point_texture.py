@@ -13,15 +13,15 @@ def test_dimension_6528(rng):
     img = GrayImage(rng.random((200, 200)))
     face = make_face(rng, jitter=1.0)
     fv = point_texture(img, face, scales=8, orientations=12)
-    assert fv.dimension == 6528  # 68 points x 8 scales x 12 orientations
-    assert fv.spec.total_dimension == 6528
+    assert fv.shape == (6528,)  # 68 points x 8 scales x 12 orientations
+    assert point_texture_spec(68, 8, 12).total_dimension == 6528
 
 
 def test_constant_image_zero(rng):
     img = GrayImage(np.full((200, 200), 0.5))
     face = make_face(rng, jitter=1.0)
     fv = point_texture(img, face, scales=2, orientations=3)
-    assert np.all(np.abs(fv.values) <= 1e-10)
+    assert np.all(np.abs(fv) <= 1e-10)
 
 
 def direct_response(pixels, x, y, even, odd):
@@ -43,10 +43,10 @@ def test_single_landmark_direct_oracle(rng):
     pixels = rng.random((31, 29))
     landmark = LandmarkSet(np.array([[14.0, 15.0]]))
     fv = point_texture(GrayImage(pixels), landmark, scales=1, orientations=1)
-    assert fv.dimension == 1
+    assert fv.shape == (1,)
     even, odd = gabor_kernel_pair(7, 0.0)
     expected = direct_response(pixels, 14, 15, even, odd)
-    assert fv.values[0] == pytest.approx(expected, abs=1e-9)
+    assert fv[0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_layout_point_scale_orientation(rng):
@@ -54,7 +54,7 @@ def test_layout_point_scale_orientation(rng):
     pts = LandmarkSet(np.array([[20.0, 20.0], [40.0, 36.0]]))
     scales, orientations = 2, 3
     fv = point_texture(GrayImage(pixels), pts, scales=scales, orientations=orientations)
-    assert fv.dimension == 2 * scales * orientations
+    assert fv.shape == (2 * scales * orientations,)
     sizes = point_texture_sizes(scales)
     assert sizes == (7, 11)
     # entry (point=1, scale=1, orientation=2) sits at the row-major position
@@ -62,14 +62,14 @@ def test_layout_point_scale_orientation(rng):
     theta = np.pi * 2 / orientations
     even, odd = gabor_kernel_pair(sizes[1], theta)
     expected = direct_response(pixels, 40, 36, even, odd)
-    assert fv.values[idx] == pytest.approx(expected, abs=1e-9)
+    assert fv[idx] == pytest.approx(expected, abs=1e-9)
 
 
 def test_out_of_bounds_landmark_clamped(rng):
     pixels = rng.random((20, 20))
     inside = point_texture(GrayImage(pixels), LandmarkSet(np.array([[0.0, 0.0]])), 1, 1)
     outside = point_texture(GrayImage(pixels), LandmarkSet(np.array([[-7.0, -3.0]])), 1, 1)
-    assert inside.values[0] == outside.values[0]
+    assert inside[0] == outside[0]
 
 
 def test_bad_arguments(rng):

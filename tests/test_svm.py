@@ -158,6 +158,13 @@ def test_svm_single_class_rejected(rng):
         svm_train(ds, C=1.0, gamma=1.0)
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_svm_gamma_must_be_positive_and_finite(rng, gamma):
+    ds = dataset(rng.standard_normal((6, 2)), [0, 1] * 3)
+    with pytest.raises(DimensionMismatchError, match="gamma"):
+        svm_train(ds, C=1.0, gamma=gamma)
+
+
 def test_svm_sample_order_invariance(rng):
     train = separable_three_class(rng)
     perm = rng.permutation(len(train))
