@@ -22,7 +22,7 @@ from landmark_emotion.synth import synth_shape
 rng = np.random.default_rng(2)
 
 bank = build_gabor_bank()
-print("filter bank:", bank.kernel_count(), "kernels",
+print("filter bank:", 2 * len(bank.kernels), "kernels",
       f"({len(bank.bands)} bands x 2 sizes x {bank.orientations} orientations x 2 quadrature)")
 print("band sizes:", [b.sizes for b in bank.bands])
 print("pooling cells per band:", bank.cells_per_band())

@@ -27,7 +27,6 @@ from .pipeline import (
     predict_with_fallback,
     read_manifest,
     read_utf8,
-    write_feature_matrix,
 )
 from .synth import synth_dataset
 
@@ -59,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common_flags(p)
         if name == "synth":
             p.add_argument("--per-class", type=int, default=10, help="samples per class (default 10)")
-        if name == "train":
-            p.add_argument("--dump-features", help="also write the training feature matrix here")
         if name == "influence":
             p.add_argument("--top", type=int, default=20, help="number of pairs to report")
     return parser
@@ -139,11 +136,6 @@ def _cmd_train(args) -> int:
     for note in notes:
         print(note)
     print(f"model written to {args.model}")
-    if getattr(args, "dump_features", None):
-        train = _require_split(result, "train")
-        Path(args.dump_features).write_text(write_feature_matrix(train), encoding="utf-8")
-        Path(args.dump_features + ".spec.txt").write_text(result.spec.to_text(), encoding="utf-8")
-        print(f"feature matrix written to {args.dump_features}")
     return 0
 
 

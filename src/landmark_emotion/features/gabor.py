@@ -137,9 +137,6 @@ class FilterBank:
     def image_size(self) -> int:
         return self.config.image_size
 
-    def kernel_count(self) -> int:
-        return 2 * len(self.kernels)
-
     def cells_per_band(self) -> tuple[int, ...]:
         """Number of full pooling cells per band over the image grid."""
         counts = []

@@ -21,75 +21,43 @@ DEFAULT_SHRINKAGE = 0.1
 
 
 @dataclass(frozen=True)
-class Tree:
-    """A tiny regression tree stored as flat node arrays (node 0 is the root).
+class Split:
+    """One test ``x[feature] <= threshold`` (true goes left) and its squared-error improvement."""
 
-    ``feature[i] == -1`` marks a leaf; internal nodes carry the split
-    feature, threshold, squared-error improvement, and child indices.
+    feature: int
+    threshold: float
+    gain: float
+
+
+@dataclass(frozen=True)
+class Tree:
+    """A regression tree with at most two splits.
+
+    ``root`` is None for a single-leaf tree.  ``inner``, when present, splits
+    the root's left child (``inner_right`` false) or its right child.
+    ``values`` holds the leaf values left to right: 1, 2 or 3 of them.
     """
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    value: np.ndarray
-    gain: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    values: tuple[float, ...]
+    root: Split | None = None
+    inner: Split | None = None
+    inner_right: bool = False
 
     @property
-    def split_count(self) -> int:
-        return int(np.sum(self.feature >= 0))
-
-    @property
-    def leaf_count(self) -> int:
-        return int(np.sum(self.feature < 0))
+    def splits(self) -> tuple[Split, ...]:
+        """The splits present, root first."""
+        return tuple(s for s in (self.root, self.inner) if s is not None)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
-        out = np.empty(X.shape[0])
-        self._fill(0, np.arange(X.shape[0]), X, out)
-        return out
-
-    def _fill(self, node: int, rows: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
-        if self.feature[node] < 0:
-            out[rows] = self.value[node]
-            return
-        goes_left = X[rows, self.feature[node]] <= self.threshold[node]
-        self._fill(self.left[node], rows[goes_left], X, out)
-        self._fill(self.right[node], rows[~goes_left], X, out)
-
-
-class _TreeBuilder:
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.value: list[float] = []
-        self.gain: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-
-    def add(self, feature=-1, threshold=0.0, value=0.0, gain=0.0, left=-1, right=-1) -> int:
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.value.append(value)
-        self.gain.append(gain)
-        self.left.append(left)
-        self.right.append(right)
-        return len(self.feature) - 1
-
-    def freeze(self) -> Tree:
-        def arr(x, dtype):
-            a = np.array(x, dtype=dtype)
-            a.flags.writeable = False
-            return a
-
-        return Tree(
-            feature=arr(self.feature, np.int64),
-            threshold=arr(self.threshold, np.float64),
-            value=arr(self.value, np.float64),
-            gain=arr(self.gain, np.float64),
-            left=arr(self.left, np.int64),
-            right=arr(self.right, np.int64),
-        )
+        leaf = np.zeros(X.shape[0], dtype=np.intp)
+        if self.root is not None:
+            right = ~(X[:, self.root.feature] <= self.root.threshold)
+            leaf = right.astype(np.intp)
+            if self.inner is not None:
+                deeper = ~(X[:, self.inner.feature] <= self.inner.threshold)
+                leaf = np.where(right, 1 + deeper, 0) if self.inner_right else np.where(right, 2, deeper)
+        return np.asarray(self.values)[leaf]
 
 
 @dataclass(frozen=True)
@@ -168,63 +136,46 @@ def _newton_value(rows: np.ndarray, residual: np.ndarray, weight: np.ndarray, k_
 
 def _fit_two_split_tree(
     search: _SplitSearch,
-    rows: np.ndarray,
     residual: np.ndarray,
     weight: np.ndarray,
     k_classes: int,
-) -> tuple[Tree, np.ndarray]:
-    """Grow a best-first tree with up to two splits; returns (tree, per-row prediction)."""
+) -> Tree:
+    """Grow a best-first tree with up to two splits over all rows."""
     X = search.X
-    builder = _TreeBuilder()
-    prediction = np.zeros(search.n)
+    rows = np.arange(search.n)
 
     def leaf_value(node_rows):
         return _newton_value(node_rows, residual, weight, k_classes)
 
     root_split = search.best_split(rows, residual)
     if root_split is None:
-        root = builder.add(value=leaf_value(rows))
-        prediction[rows] = builder.value[root]
-        return builder.freeze(), prediction
+        return Tree(values=(leaf_value(rows),))
 
     gain0, f0, t0 = root_split
-    left_rows = rows[X[rows, f0] <= t0]
-    right_rows = rows[X[rows, f0] > t0]
+    root = Split(feature=f0, threshold=t0, gain=gain0)
+    children = [rows[X[rows, f0] <= t0], rows[X[rows, f0] > t0]]
 
-    candidates = [search.best_split(left_rows, residual), search.best_split(right_rows, residual)]
+    candidates = [search.best_split(node_rows, residual) for node_rows in children]
     # expand the child whose best split improves more; ties expand the left child
     if candidates[0] is None and candidates[1] is None:
-        expand = None
-    elif candidates[1] is None:
-        expand = 0
+        return Tree(values=tuple(leaf_value(node_rows) for node_rows in children), root=root)
+    if candidates[1] is None:
+        side = 0
     elif candidates[0] is None:
-        expand = 1
+        side = 1
     else:
-        expand = 0 if candidates[0][0] >= candidates[1][0] else 1
+        side = 0 if candidates[0][0] >= candidates[1][0] else 1
 
-    root = builder.add(feature=f0, threshold=t0, gain=gain0)
-    children = [left_rows, right_rows]
-    child_ids = []
-    for side, node_rows in enumerate(children):
-        if expand == side:
-            g1, f1, t1 = candidates[side]
-            inner = builder.add(feature=f1, threshold=t1, gain=g1)
-            sub_left = node_rows[X[node_rows, f1] <= t1]
-            sub_right = node_rows[X[node_rows, f1] > t1]
-            ll = builder.add(value=leaf_value(sub_left))
-            rr = builder.add(value=leaf_value(sub_right))
-            builder.left[inner] = ll
-            builder.right[inner] = rr
-            prediction[sub_left] = builder.value[ll]
-            prediction[sub_right] = builder.value[rr]
-            child_ids.append(inner)
-        else:
-            leaf = builder.add(value=leaf_value(node_rows))
-            prediction[node_rows] = builder.value[leaf]
-            child_ids.append(leaf)
-    builder.left[root] = child_ids[0]
-    builder.right[root] = child_ids[1]
-    return builder.freeze(), prediction
+    g1, f1, t1 = candidates[side]
+    node_rows = children[side]
+    refined = [node_rows[X[node_rows, f1] <= t1], node_rows[X[node_rows, f1] > t1]]
+    leaves = [children[0]] + refined if side else refined + [children[1]]
+    return Tree(
+        values=tuple(leaf_value(leaf_rows) for leaf_rows in leaves),
+        root=root,
+        inner=Split(feature=f1, threshold=t1, gain=g1),
+        inner_right=bool(side),
+    )
 
 
 def gb_train(
@@ -259,7 +210,6 @@ def gb_train(
     class_lookup = np.array(classes)
 
     search = _SplitSearch(X)
-    all_rows = np.arange(n)
     trees: list[list[Tree]] = [[] for _ in range(kc)]
     train_deviance: list[float] = []
     val_accuracy: list[float] = []
@@ -269,9 +219,9 @@ def gb_train(
         residual_all = Y - P
         weight_all = P * (1.0 - P)
         for k in range(kc):
-            tree, pred = _fit_two_split_tree(search, all_rows, residual_all[:, k], weight_all[:, k], kc)
+            tree = _fit_two_split_tree(search, residual_all[:, k], weight_all[:, k], kc)
             trees[k].append(tree)
-            F[:, k] += shrinkage * pred
+            F[:, k] += shrinkage * tree.predict(X)
             Fv[:, k] += shrinkage * tree.predict(val.X)
         logp = F - _logsumexp(F)
         train_deviance.append(float(-np.mean(logp[np.arange(n), np.argmax(Y, axis=1)])))
@@ -326,10 +276,8 @@ def gb_influence(model: GBModel) -> np.ndarray:
     influence = np.zeros(model.dimension)
     for per_class in model.trees:
         for tree in per_class[: model.tree_count]:
-            for node in range(len(tree.feature)):
-                f = tree.feature[node]
-                if f >= 0:
-                    influence[f] += tree.gain[node]
+            for split in tree.splits:
+                influence[split.feature] += split.gain
     total = influence.sum()
     if total > 0:
         influence /= total

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import FormatError
 from .dataset import CLASSES
-from .gb import GBModel, Tree
+from .gb import GBModel, Split, Tree
 from .svm import BinaryMachine, Scaler, SVMModel
 
 FORMAT_HEADER = "landmark-emotion-model v1"
@@ -33,6 +33,26 @@ def _parse_ints(text: str) -> np.ndarray:
     if not text.strip():
         return np.array([], dtype=np.int64)
     return np.array([int(t) for t in text.split()], dtype=np.int64)
+
+
+# Every node layout a tree can have, in pre-order: a leaf is None, a split
+# holds its (left, right) child node numbers.  Splits come root first and
+# leaves left to right, as in Tree.splits and Tree.values.
+_TREE_LAYOUTS = {
+    "leaf": (None,),
+    "stump": ((1, 2), None, None),
+    "inner_left": ((1, 4), (2, 3), None, None, None),
+    "inner_right": ((1, 2), None, (3, 4), None, None),
+}
+_LAYOUT_KEYS = {layout: key for key, layout in _TREE_LAYOUTS.items()}
+
+
+def _layout_key(tree: Tree) -> str:
+    if tree.root is None:
+        return "leaf"
+    if tree.inner is None:
+        return "stump"
+    return "inner_right" if tree.inner_right else "inner_left"
 
 
 def save_model(model: GBModel | SVMModel) -> str:
@@ -57,15 +77,17 @@ def _save_gb(model: GBModel) -> str:
     ]
     for k in range(len(model.classes)):
         for t, tree in enumerate(model.trees[k][: model.tree_count]):
-            lines.append(f"tree class={model.classes[k]} iter={t} nodes={len(tree.feature)}")
-            for i in range(len(tree.feature)):
-                if tree.feature[i] < 0:
-                    lines.append(f"node {i} leaf value={float(tree.value[i])!r}")
+            layout = _TREE_LAYOUTS[_layout_key(tree)]
+            lines.append(f"tree class={model.classes[k]} iter={t} nodes={len(layout)}")
+            splits, values = iter(tree.splits), iter(tree.values)
+            for i, children in enumerate(layout):
+                if children is None:
+                    lines.append(f"node {i} leaf value={next(values)!r}")
                 else:
+                    s = next(splits)
                     lines.append(
-                        f"node {i} split feature={int(tree.feature[i])} "
-                        f"threshold={float(tree.threshold[i])!r} gain={float(tree.gain[i])!r} "
-                        f"left={int(tree.left[i])} right={int(tree.right[i])}"
+                        f"node {i} split feature={s.feature} threshold={s.threshold!r} gain={s.gain!r} "
+                        f"left={children[0]} right={children[1]}"
                     )
     return "\n".join(lines) + "\n"
 
@@ -176,32 +198,35 @@ def _load_gb(reader: _LineReader, digest: str, classes: tuple[int, ...], dimensi
         n_nodes = int(fields["nodes"])
         if not 0 < n_nodes <= reader.remaining():
             raise FormatError(f"tree node count {n_nodes} does not fit the file")
-        feature = np.full(n_nodes, -1, dtype=np.int64)
-        threshold = np.zeros(n_nodes)
-        value = np.zeros(n_nodes)
-        gain = np.zeros(n_nodes)
-        left = np.full(n_nodes, -1, dtype=np.int64)
-        right = np.full(n_nodes, -1, dtype=np.int64)
+        layout, splits, values = [], [], []
         for i in range(n_nodes):
             node_line = reader.next().split()
             if int(node_line[1]) != i:
                 raise FormatError(f"expected node {i}, got {' '.join(node_line)!r}")
             node_fields = dict(p.split("=", 1) for p in node_line[3:])
             if node_line[2] == "leaf":
-                value[i] = float(node_fields["value"])
+                layout.append(None)
+                values.append(float(node_fields["value"]))
             elif node_line[2] == "split":
-                feature[i] = int(node_fields["feature"])
-                threshold[i] = float(node_fields["threshold"])
-                gain[i] = float(node_fields["gain"])
-                left[i] = int(node_fields["left"])
-                right[i] = int(node_fields["right"])
-                # trees are written pre-order: children after their parent, so no path loops
-                if not (0 <= feature[i] < dimension and i < left[i] < n_nodes and i < right[i] < n_nodes):
-                    raise FormatError(f"node {i} has a feature or child index out of range")
+                layout.append((int(node_fields["left"]), int(node_fields["right"])))
+                feature = int(node_fields["feature"])
+                if not 0 <= feature < dimension:
+                    raise FormatError(f"node {i} has feature index {feature} out of range")
+                splits.append(
+                    Split(feature=feature, threshold=float(node_fields["threshold"]), gain=float(node_fields["gain"]))
+                )
             else:
                 raise FormatError(f"unknown node type in {node_line!r}")
+        key = _LAYOUT_KEYS.get(tuple(layout))
+        if key is None:
+            raise FormatError(f"tree {header!r} is not a leaf or a root split with at most one inner split")
         trees[cls].append(
-            Tree(feature=feature, threshold=threshold, value=value, gain=gain, left=left, right=right)
+            Tree(
+                values=tuple(values),
+                root=splits[0] if splits else None,
+                inner=splits[1] if len(splits) > 1 else None,
+                inner_right=key == "inner_right",
+            )
         )
     counts = {len(ts) for ts in trees.values()}
     if counts != {tree_count}:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -141,8 +142,8 @@ class PipelineConfig:
             raise ConfigError(f"model must be 'gb' or 'svm', got {self.model!r}")
         if self.eval_split not in SPLITS:
             raise ConfigError(f"eval_split must be one of {SPLITS}")
-        if not self.aspect_factor > 0:
-            raise ConfigError("aspect_factor must be positive")
+        if not (self.aspect_factor > 0 and math.isfinite(self.aspect_factor)):
+            raise ConfigError(f"aspect_factor must be positive and finite, got {self.aspect_factor}")
 
     def needs_images(self) -> bool:
         return "bif" in self.features or "point_texture" in self.features
@@ -386,13 +387,3 @@ def predict_with_fallback(
     for sid in absent_ids:
         out[sid] = "Neutral"
     return out
-
-
-def write_feature_matrix(dataset: LabeledDataset) -> str:
-    """Tab-separated dump: label (or '?') then full-precision feature values."""
-    lines = []
-    for i in range(len(dataset)):
-        label = CLASSES[dataset.y[i]] if dataset.y[i] != UNLABELED else "?"
-        values = "\t".join(repr(float(v)) for v in dataset.X[i])
-        lines.append(f"{label}\t{values}")
-    return "\n".join(lines) + "\n"

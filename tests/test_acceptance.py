@@ -138,7 +138,7 @@ def test_criterion_5_gb_contract():
         assert np.all(np.diff(deviance) <= 1e-12), "training deviance increased"
         for per_class in model.trees:
             for tree in per_class:
-                assert tree.split_count == 2 and tree.leaf_count == 3
+                assert tree.root is not None and tree.inner is not None and len(tree.values) == 3
     report(
         5,
         started,

@@ -250,23 +250,6 @@ def test_every_command_takes_common_flags():
         assert {"--config", "--model", "--out", "--seed"} <= flags, name
 
 
-def test_dump_features_writes_matrix_and_spec(synth_dir, tmp_path, capsys):
-    cfg = write_config(synth_dir, FAST_GB_CONFIG)
-    model_path = tmp_path / "m.model"
-    dump = tmp_path / "features.tsv"
-    assert main([
-        "train", "--config", str(cfg), "--model", str(model_path),
-        "--dump-features", str(dump),
-    ]) == 0
-    lines = dump.read_text().strip().split("\n")
-    manifest = read_manifest(synth_dir / "data" / "manifest.csv")
-    assert len(lines) == len(manifest.for_split("train"))
-    label, *values = lines[0].split("\t")
-    assert label in CLASSES
-    assert len(values) == 2278
-    spec_text = (tmp_path / "features.tsv.spec.txt").read_text()
-    assert "distances" in spec_text and "2278" in spec_text
-
 
 def test_out_flag_writes_reports(synth_dir, tmp_path, capsys):
     cfg = write_config(synth_dir, FAST_GB_CONFIG)

@@ -51,7 +51,7 @@ def test_kernel_matches_reference_formula():
 def test_default_bank_counts():
     bank = build_gabor_bank()
     # 8 bands x 2 sizes x 8 orientations x 2 quadrature components
-    assert bank.kernel_count() == 256
+    assert 2 * len(bank.kernels) == 256
     assert len(bank.bands) == 8
     assert bank.bands[0].sizes == (7, 9)
     assert bank.bands[-1].sizes == (35, 37)

@@ -67,8 +67,8 @@ def test_every_tree_two_splits_three_leaves():
     model = gb_train(train, val, max_trees=25)
     for per_class in model.trees:
         for tree in per_class:
-            assert tree.split_count == 2
-            assert tree.leaf_count == 3
+            assert tree.root is not None and tree.inner is not None
+            assert len(tree.values) == 3
 
 
 def test_zero_trees_predicts_prior():
@@ -135,7 +135,7 @@ def test_influence_unused_feature_zero_and_sums_to_one():
     influence = gb_influence(model)
     assert influence.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(influence >= 0)
-    used = {int(f) for per_class in model.trees for t in per_class[: model.tree_count] for f in t.feature if f >= 0}
+    used = {s.feature for per_class in model.trees for t in per_class[: model.tree_count] for s in t.splits}
     for f in range(6):
         if f not in used:
             assert influence[f] == 0.0

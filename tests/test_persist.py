@@ -86,6 +86,40 @@ def test_malformed_model_files(rng):
         load_model(truncated)
 
 
+# (1-feature X, labels, probe rows that reach the first tree's leaves left to right):
+# boosting from these fits a first tree of the named layout with distinct leaf values
+TREE_LAYOUTS = {
+    "leaf": ([0, 0, 0, 0], [0, 3, 0, 3], [0]),
+    "stump": ([0, 0, 1, 1, 1], [0, 0, 0, 0, 3], [0, 1]),
+    "inner_left": ([0, 1, 2, 3, 4], [0, 3, 0, 0, 3], [1, 2, 4]),
+    "inner_right": ([0, 1, 2, 3, 4], [0, 0, 3, 0, 3], [0, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(TREE_LAYOUTS))
+def test_every_tree_layout_round_trips(layout):
+    values, labels, probes = TREE_LAYOUTS[layout]
+    X = np.array(values, dtype=float)[:, None]
+    ds = LabeledDataset(X=X, y=np.array(labels), spec=plain_spec(1))
+    model = gb_train(ds, ds, max_trees=3)
+    tree = model.trees[0][0]
+    assert (tree.root is None, tree.inner is None, tree.inner_right) == {
+        "leaf": (True, True, False),
+        "stump": (False, True, False),
+        "inner_left": (False, False, False),
+        "inner_right": (False, False, True),
+    }[layout]
+    assert len(tree.values) == len(tree.splits) + 1 == len(probes)
+
+    text = save_model(model)
+    loaded = load_model(text)
+    assert save_model(loaded) == text
+    probe = np.linspace(-1.0, 5.0, 25)[:, None]
+    assert np.allclose(gb_scores(loaded, probe), gb_scores(model, probe), atol=0)
+    leaf_rows = np.array(probes, dtype=float)[:, None]
+    assert np.array_equal(tree.predict(leaf_rows), np.array(tree.values))
+
+
 def _sub_first(pattern, new):
     def edit(text):
         edited, count = re.subn(pattern, new, text, count=1)
@@ -123,6 +157,18 @@ MALFORMED = {
     "empty_last_tree": ("gb", _sub_first(r"nodes=\d+\n(?:node .*\n)+\Z", "nodes=0\n"), None),
     "node_count_past_end": ("gb", _sub_first(r"nodes=\d+", "nodes=10000000000000"), None),
     "vector_count_past_end": ("svm", _sub_first(r"vectors: \d+", "vectors: 10000000000000"), None),
+    # the first tree of the GB fixture has its inner split on the root's left child
+    "root_right_skips_inner": ("gb", _sub_first("left=1 right=4", "left=1 right=3"), None),
+    "unreachable_split": ("gb", _sub_first("left=1 right=4", "left=1 right=2"), None),
+    "three_split_tree": (
+        "gb",
+        _sub_first(
+            r"nodes=5\n((?:node .*\n){4})node 4 leaf (value=\S+)\n",
+            r"nodes=7\n\1node 4 split feature=0 threshold=0.5 gain=0.0 left=5 right=6\n"
+            r"node 5 leaf \2\nnode 6 leaf \2\n",
+        ),
+        None,
+    ),
 }
 
 

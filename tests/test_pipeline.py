@@ -14,7 +14,6 @@ from landmark_emotion.pipeline import (
     parse_config,
     predict_with_fallback,
     read_manifest,
-    write_feature_matrix,
     write_manifest,
 )
 from landmark_emotion.shapes import write_pts
@@ -227,6 +226,7 @@ svm_gamma_grid = 0.5
         ("no equals sign here", "key = value"),
         ("seed = 1\nseed = 2", "duplicate"),
         ("svm_c_grid = 1,x", "svm_c_grid"),
+        ("aspect_factor = inf", "aspect_factor"),
     ],
 )
 def test_parse_config_rejects(text, match):
@@ -282,14 +282,3 @@ def test_fallback_disabled_errors(rng):
     model, ds = trained_toy_model(rng)
     with pytest.raises(ConfigError):
         predict_with_fallback(model, ds, ("missing",), neutral_fallback=False)
-
-
-def test_feature_matrix_dump(rng):
-    _, ds = trained_toy_model(rng)
-    text = write_feature_matrix(ds)
-    lines = text.strip().split("\n")
-    assert len(lines) == 16
-    first = lines[0].split("\t")
-    assert first[0] == "Angry"
-    assert len(first) == 3
-    assert float(first[1]) == ds.X[0, 0]
