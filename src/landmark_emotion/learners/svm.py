@@ -8,6 +8,13 @@ with maximal-violating-pair working-set selection.  Multiclass reduction is
 one-vs-one with majority voting.  Everything is deterministic: the training
 rows are scaled and put into one canonical order per training set, each
 subproblem takes its rows in that order, and all tie-breaks are first-index.
+
+Training is two steps.  The data step scales and orders the rows, computes
+their squared distances and indexes each class pair's rows; the solve step
+takes a kernel over all rows and C and runs one SMO per pair.  ``svm_train``
+runs each once.  ``grid_search`` runs the data step once per grid, builds the
+training and validation kernels once per gamma, and runs only the solve step
+per cell, so the cells of one gamma share its kernels.
 """
 from __future__ import annotations
 
@@ -83,11 +90,13 @@ def smo_solve(
     grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
 
     neg_yg = np.empty(n)
+    # index sets of the maximal-violating-pair rule; a step changes only
+    # alpha[i] and alpha[j], so only those two entries are refreshed after it
+    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+    low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
     iterations = 0
     for iterations in range(1, max_iter + 1):
         np.multiply(-y, grad, out=neg_yg)
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
         if not up.any() or not low.any():
             break
         i = int(np.argmax(np.where(up, neg_yg, -np.inf)))
@@ -138,6 +147,9 @@ def smo_solve(
                     alpha[j] = total
 
         grad += Q[:, i] * (alpha[i] - old_i) + Q[:, j] * (alpha[j] - old_j)
+        for k in (i, j):
+            up[k] = (y[k] > 0 and alpha[k] < C) or (y[k] < 0 and alpha[k] > 0)
+            low[k] = (y[k] < 0 and alpha[k] < C) or (y[k] > 0 and alpha[k] > 0)
 
     bias = _compute_bias(y, alpha, grad, C)
     return alpha, bias, iterations
@@ -184,6 +196,65 @@ class SVMModel:
         return self.vectors.shape[1]
 
 
+def _check_hyperparameters(C: float, gamma: float) -> None:
+    # C = inf is a valid hard margin; gamma = inf puts inf * 0 = NaN on the kernel diagonal
+    if not C > 0 or not 0 < gamma < np.inf:
+        raise DimensionMismatchError(
+            f"C must be positive and gamma positive and finite, got C={C}, gamma={gamma}"
+        )
+
+
+@dataclass(frozen=True)
+class _TrainingData:
+    """What training needs from the rows alone, whatever C and gamma are."""
+
+    classes: tuple[int, ...]
+    X: np.ndarray  # scaled training rows in canonical order
+    sqdist: np.ndarray  # squared_distances(X, X)
+    pairs: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]  # (pos, neg, rows of X, +-1 labels)
+
+
+def _prepare(train: LabeledDataset, scaler: Scaler | None) -> _TrainingData:
+    """The data step: scale, order canonically, and index each class pair's rows."""
+    train.require_labeled()
+    classes = train.classes_present()
+    if len(classes) < 2:
+        raise DimensionMismatchError("SVM training needs at least two classes present")
+    X = train.X if scaler is None else scaler.transform(train.X)
+    # on ties the larger class sorts first: it is the -1 label of every pair it is in
+    order = canonical_order(X, -train.y)
+    X, y = X[order], train.y[order]
+    pairs = []
+    for ai in range(len(classes)):
+        for bi in range(ai + 1, len(classes)):
+            pos, neg = classes[ai], classes[bi]
+            rows = np.flatnonzero((y == pos) | (y == neg))
+            pairs.append((pos, neg, rows, np.where(y[rows] == pos, 1.0, -1.0)))
+    return _TrainingData(classes=classes, X=X, sqdist=squared_distances(X, X), pairs=tuple(pairs))
+
+
+def _solve(
+    data: _TrainingData, K: np.ndarray, C: float, tol: float, max_iter: int
+) -> tuple[np.ndarray, tuple[BinaryMachine, ...]]:
+    """The solve step: one SMO per class pair on the kernel ``K`` over all of ``data.X``.
+
+    Returns the rows of ``data.X`` that are support vectors of some machine,
+    ascending, and the machines, whose ``sv_indices`` point into those rows.
+    """
+    solved = []
+    for pos, neg, rows, labels in data.pairs:
+        alpha, bias, _ = smo_solve(K[np.ix_(rows, rows)], labels, C, tol=tol, max_iter=max_iter)
+        sv = np.flatnonzero(alpha > 1e-12)
+        solved.append((pos, neg, rows[sv], (alpha * labels)[sv], bias))
+
+    used = np.unique(np.concatenate([sv_rows for _, _, sv_rows, _, _ in solved]))
+    machines = tuple(
+        BinaryMachine(pos, neg, np.searchsorted(used, sv_rows), coef, float(bias))
+        for pos, neg, sv_rows, coef, bias in solved
+    )
+    return used, machines
+
+
 def svm_train(
     train: LabeledDataset,
     C: float,
@@ -193,38 +264,22 @@ def svm_train(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SVMModel:
     """Train one-vs-one binary machines on raw features, scaled by ``scaler`` when given."""
-    train.require_labeled()
-    classes = train.classes_present()
-    if len(classes) < 2:
-        raise DimensionMismatchError("SVM training needs at least two classes present")
-    # C = inf is a valid hard margin; gamma = inf puts inf * 0 = NaN on the kernel diagonal
-    if not C > 0 or not 0 < gamma < np.inf:
-        raise DimensionMismatchError(
-            f"C must be positive and gamma positive and finite, got C={C}, gamma={gamma}"
-        )
-    X = train.X if scaler is None else scaler.transform(train.X)
-    # on ties the larger class sorts first: it is the -1 label of every pair it is in
-    order = canonical_order(X, -train.y)
-    X, y = X[order], train.y[order]
-    sqdist = squared_distances(X, X)
-
-    solved = []
-    for ai in range(len(classes)):
-        for bi in range(ai + 1, len(classes)):
-            pos, neg = classes[ai], classes[bi]
-            rows = np.flatnonzero((y == pos) | (y == neg))
-            labels = np.where(y[rows] == pos, 1.0, -1.0)
-            K = np.exp(-gamma * sqdist[np.ix_(rows, rows)])
-            alpha, bias, _ = smo_solve(K, labels, C, tol=tol, max_iter=max_iter)
-            sv = np.flatnonzero(alpha > 1e-12)
-            solved.append((pos, neg, rows[sv], (alpha * labels)[sv], bias))
-
-    used = np.unique(np.concatenate([sv_rows for _, _, sv_rows, _, _ in solved]))
-    machines = tuple(
-        BinaryMachine(pos, neg, np.searchsorted(used, sv_rows), coef, float(bias))
-        for pos, neg, sv_rows, coef, bias in solved
+    _check_hyperparameters(C, gamma)
+    data = _prepare(train, scaler)
+    used, machines = _solve(data, np.exp(-gamma * data.sqdist), C, tol, max_iter)
+    return SVMModel(
+        classes=data.classes, vectors=data.X[used], machines=machines, gamma=gamma, C=C, scaler=scaler
     )
-    return SVMModel(classes=classes, vectors=X[used], machines=machines, gamma=gamma, C=C, scaler=scaler)
+
+
+def _count_votes(K: np.ndarray, machines: Sequence[BinaryMachine]) -> np.ndarray:
+    """Vote counts per global class, from the kernel between rows and the support-vector table."""
+    votes = np.zeros((K.shape[0], len(CLASSES)), dtype=np.int64)
+    for m in machines:
+        dec = K[:, m.sv_indices] @ m.coef + m.bias
+        votes[:, m.pos_class] += dec > 0
+        votes[:, m.neg_class] += ~(dec > 0)
+    return votes
 
 
 def svm_decision_votes(model: SVMModel, X: np.ndarray) -> np.ndarray:
@@ -235,12 +290,7 @@ def svm_decision_votes(model: SVMModel, X: np.ndarray) -> np.ndarray:
     if model.scaler is not None:
         X = model.scaler.transform(X)
     K = rbf_kernel_matrix(X, model.vectors, model.gamma) if len(model.vectors) else np.zeros((X.shape[0], 0))
-    votes = np.zeros((X.shape[0], len(CLASSES)), dtype=np.int64)
-    for m in model.machines:
-        dec = K[:, m.sv_indices] @ m.coef + m.bias
-        votes[:, m.pos_class] += dec > 0
-        votes[:, m.neg_class] += ~(dec > 0)
-    return votes
+    return _count_votes(K, model.machines)
 
 
 def svm_predict_batch(model: SVMModel, X: np.ndarray) -> np.ndarray:
@@ -281,27 +331,37 @@ def grid_search(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> GridSearchResult:
-    """Train on ``train`` per cell, score on ``val``; ties prefer small C then small gamma."""
+    """Train on ``train`` per cell, score on ``val``; ties prefer small C then small gamma.
+
+    Every cell trains what ``svm_train`` with ``fit_scaler(train)`` would, and
+    scores it as ``svm_predict_batch`` would.  The data step runs once, the
+    kernels once per gamma, and each cell runs only the solve step.
+    """
     if len(val) == 0:
         raise DimensionMismatchError("grid search needs a non-empty validation set")
     if not C_grid or not gamma_grid:
         raise DimensionMismatchError("grids must be non-empty")
-    train.require_labeled()
+    if val.dimension != train.dimension:
+        raise DimensionMismatchError(
+            f"validation rows have {val.dimension} features, training rows {train.dimension}"
+        )
+    C_grid = tuple(float(c) for c in C_grid)
+    gamma_grid = tuple(float(g) for g in gamma_grid)
+    for C in C_grid:
+        for gamma in gamma_grid:
+            _check_hyperparameters(C, gamma)
     val.require_labeled()
 
     scaler = fit_scaler(train)
-    Xtr = scaler.transform(train.X)
-    Xval = scaler.transform(val.X)
-    train_scaled = LabeledDataset(X=Xtr, y=train.y, spec=train.spec, ids=train.ids)
-
-    C_grid = tuple(float(c) for c in C_grid)
-    gamma_grid = tuple(float(g) for g in gamma_grid)
+    data = _prepare(train, scaler)
+    val_sqdist = squared_distances(scaler.transform(val.X), data.X)
     accuracy = np.zeros((len(C_grid), len(gamma_grid)))
     for gi, gamma in enumerate(gamma_grid):
+        K = np.exp(-gamma * data.sqdist)
+        K_val = np.exp(-gamma * val_sqdist)
         for ci, C in enumerate(C_grid):
-            # the cell model is scored and dropped, so it is trained on the rows scaled once above
-            model = svm_train(train_scaled, C, gamma, tol=tol, max_iter=max_iter)
-            pred = svm_predict_batch(model, Xval)
+            used, machines = _solve(data, K, C, tol, max_iter)
+            pred = np.argmax(_count_votes(K_val[:, used], machines), axis=1)
             accuracy[ci, gi] = float(np.mean(pred == val.y))
 
     best_acc = float(accuracy.max())

@@ -268,7 +268,14 @@ def _ingest_entry(entry: ManifestEntry, base: Path, config: PipelineConfig) -> _
     elif config.aspect_factor != 1.0:
         # no image to stay aligned with; plain horizontal rescale of the shape
         points = points.copy()
-        points[:, 0] *= config.aspect_factor
+        with np.errstate(over="ignore"):
+            points[:, 0] *= config.aspect_factor
+        if not np.all(np.isfinite(points)):
+            # the file's points are finite, so the factor alone overflowed them
+            raise ConfigError(
+                f"aspect_factor {config.aspect_factor:g} makes the landmark coordinates "
+                f"of {entry.sample_id!r} overflow"
+            )
         landmarks = LandmarkSet(points)
     uprighted = upright(normalize_size(landmarks))
     return _ParsedEntry(entry=entry, landmarks=landmarks, uprighted=uprighted, image=image)

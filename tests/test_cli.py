@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,35 @@ def test_infinite_svm_gamma_fails_cleanly(synth_dir, tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--model", str(model_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "gamma" in err[0], err
+    assert not model_path.exists()
+
+
+
+def test_infinite_gamma_in_grid_fails_cleanly(synth_dir, tmp_path, capsys):
+    # only the last grid value is bad, so a check of the grid's minimum misses it
+    manifest = synth_dir / "data" / "manifest.csv"
+    cfg = tmp_path / "grid_inf.cfg"
+    cfg.write_text(
+        f"manifest = {manifest}\nfeatures = distances\nmodel = svm\n"
+        "svm_c_grid = 1\nsvm_gamma_grid = 0.01,inf\n"
+    )
+    model_path = tmp_path / "grid_inf.model"
+    assert main(["train", "--config", str(cfg), "--model", str(model_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "gamma" in err[0], err
+    assert not model_path.exists()
+
+
+def test_overflowing_aspect_factor_fails_cleanly(synth_dir, tmp_path, capsys):
+    manifest = synth_dir / "data" / "manifest.csv"
+    cfg = tmp_path / "aspect.cfg"
+    cfg.write_text(f"manifest = {manifest}\nfeatures = distances\nmodel = gb\naspect_factor = 1e308\n")
+    model_path = tmp_path / "aspect.model"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", str(cfg), "--model", str(model_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "aspect_factor" in err[0], err
     assert not model_path.exists()
 
 

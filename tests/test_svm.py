@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from qp_oracle import dual_value, kkt_violation, qp_max_enumerate, rbf_kernel
 from landmark_emotion.errors import DimensionMismatchError
 from landmark_emotion.features.spec import FeatureBlock, FeatureSpec
 from landmark_emotion.learners.dataset import CLASSES, LabeledDataset, canonical_order
+from landmark_emotion.learners import svm as svm_module
 from landmark_emotion.learners.persist import save_model
 from landmark_emotion.learners.svm import (
     BinaryMachine,
@@ -304,3 +306,79 @@ def test_grid_search_empty_validation(rng):
     empty = LabeledDataset(X=np.empty((0, 2)), y=np.empty(0, dtype=int), spec=train.spec)
     with pytest.raises(DimensionMismatchError):
         grid_search(train, empty)
+
+
+
+def never_solve(*args, **kwargs):
+    raise AssertionError("smo_solve ran before the grid was checked")
+
+
+@pytest.mark.parametrize(
+    "C_grid, gamma_grid",
+    [
+        ((1.0, 0.0), (0.5,)),
+        ((1.0, -1.0), (0.5,)),
+        ((1.0, math.nan), (0.5,)),
+        ((1.0,), (0.5, 0.0)),
+        ((1.0,), (0.5, math.nan)),
+        ((1.0,), (0.5, math.inf)),
+    ],
+    ids=["C=0", "C=-1", "C=nan", "gamma=0", "gamma=nan", "gamma=inf"],
+)
+def test_grid_search_checks_every_value_before_solving(rng, monkeypatch, C_grid, gamma_grid):
+    # the bad value sits last, after a cell that could be trained
+    monkeypatch.setattr(svm_module, "smo_solve", never_solve)
+    train = separable_three_class(rng)
+    with pytest.raises(DimensionMismatchError, match="gamma"):
+        grid_search(train, train, C_grid, gamma_grid)
+
+
+def test_grid_search_rejects_validation_width_mismatch(rng, monkeypatch):
+    monkeypatch.setattr(svm_module, "smo_solve", never_solve)
+    train = separable_three_class(rng)
+    val = dataset(rng.standard_normal((4, 3)), [0, 1, 2, 0])
+    with pytest.raises(DimensionMismatchError, match="features"):
+        grid_search(train, val, [1.0], [0.5])
+
+
+# --- determinism pins -------------------------------------------------------
+#
+# Recorded with the code as it was before grid search shared one data step
+# across its cells and one kernel across each gamma's cells.  Any change here
+# means the SMO iterates, the scaling, the row order or the model text moved.
+
+PINNED_MODEL_SHA256 = "f72db49f2afecf2499d718c9241b207fe5dd07bc764add4b7c9ff925d4203555"
+PINNED_GRID = ((0.25, 4.0, 64.0), (0.01, 0.2, 4.0))
+PINNED_GRID_ACCURACY = [[0.475, 0.475, 0.3], [0.475, 0.525, 0.425], [0.525, 0.575, 0.425]]
+PINNED_GRID_SMO_ITERATIONS = 1613
+PINNED_GRID_SMO_CALLS = 54
+
+
+def overlapping_four_class(seed):
+    """Four overlapping 5-D blobs of 10 rows each, in classes 0, 2, 3, 6."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0, 1.5, size=(4, 5))
+    X = np.vstack([rng.normal(0, 1.0, size=(10, 5)) + c for c in centers])
+    return dataset(X, np.repeat([0, 2, 3, 6], 10))
+
+
+def test_svm_model_bytes_pinned():
+    train = overlapping_four_class(20240)
+    model = svm_train(train, 2.0, 0.1, scaler=fit_scaler(train))
+    assert hashlib.sha256(save_model(model).encode("utf-8")).hexdigest() == PINNED_MODEL_SHA256
+
+
+def test_grid_search_table_and_smo_iterations_pinned(monkeypatch):
+    iterations = []
+    solve = svm_module.smo_solve
+
+    def counting_solve(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        iterations.append(result[2])
+        return result
+
+    monkeypatch.setattr(svm_module, "smo_solve", counting_solve)
+    result = grid_search(overlapping_four_class(20240), overlapping_four_class(20241), *PINNED_GRID)
+    assert result.accuracy.tolist() == PINNED_GRID_ACCURACY
+    assert (result.C, result.gamma) == (64.0, 0.2)
+    assert (sum(iterations), len(iterations)) == (PINNED_GRID_SMO_ITERATIONS, PINNED_GRID_SMO_CALLS)
