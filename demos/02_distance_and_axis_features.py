@@ -7,19 +7,20 @@ construction, which this script demonstrates numerically.
 """
 import numpy as np
 
-from landmark_emotion.features import FeatureSpec, axis_distances, merge_specs, point_distances
+from landmark_emotion.features import axis_distances, pair_enumeration, point_distances
+from landmark_emotion.pipeline import PipelineConfig, build_feature_spec
 from landmark_emotion.shapes import LandmarkSet, mean_shape, normalize_size, upright
 from landmark_emotion.synth import synth_shape
 
 rng = np.random.default_rng(1)
 
 shape = upright(normalize_size(synth_shape("Surprise", rng)))
-spec = FeatureSpec.distances(68)
+pairs = pair_enumeration(68)
 distances = point_distances(shape)
 print("distance features:", len(distances), "values")
-print("  first pairs:", [(int(i), int(j)) for i, j in spec.pair_index[:4]])
+print("  first pairs:", [(int(i), int(j)) for i, j in pairs[:4]])
 print("  e.g. distance between mouth corners (48, 54):")
-k = [tuple(p) for p in spec.pair_index].index((48, 54))
+k = [tuple(p) for p in pairs].index((48, 54))
 print("   ", round(float(distances[k]), 4), "(in centroid-size units)")
 
 # similarity invariance: rotate, scale, translate, re-extract
@@ -39,8 +40,8 @@ biggest = int(np.argmax(np.abs(axis)))
 print(f"  largest offset at coordinate {biggest} -> landmark {biggest // 2},",
       "x" if biggest % 2 == 0 else "y", "axis")
 
-# the layout lives in the spec, built once; the values are plain arrays
+# build_feature_spec alone assembles the layout; the values are plain arrays
 combined = np.concatenate([distances, axis])
-combined_spec = merge_specs([spec, FeatureSpec.axis(68)])
+combined_spec = build_feature_spec(PipelineConfig(features=("distances", "axis")))
 print("\nconcatenated feature vector:", len(combined), "values")
 print("  blocks:", [f"{b.extractor}({b.dimension})" for b in combined_spec.blocks])

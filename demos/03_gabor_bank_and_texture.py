@@ -12,8 +12,8 @@ import numpy as np
 from landmark_emotion.features import (
     GrayImage,
     align_face,
+    bif_block,
     bif_features,
-    bif_spec,
     build_gabor_bank,
     point_texture,
 )
@@ -46,7 +46,7 @@ print("\naligned crop:", f"{crop.width}x{crop.height}")
 
 pooled = bif_features(crop, bank)
 print("pooled texture descriptor:", len(pooled), "values",
-      "(declared dimension:", bif_spec(bank).total_dimension, ")")
+      "(declared dimension:", bif_block(bank).dimension, ")")
 print("  value range:", round(float(pooled.min()), 4), "to", round(float(pooled.max()), 4))
 
 texture = point_texture(image, face, scales=8, orientations=12)

@@ -2,10 +2,10 @@
 
 Gradient-boosted trees expose per-feature influence: the squared-error
 improvement of every split, summed per feature and normalized.  Mapping
-distance-feature influence back through the pair index ranks landmark pairs
-by how much the model relies on them.  With the synthetic emotion patterns
-the top pairs connect the mouth, brows and eyes, the regions the generator
-actually moves.
+distance-feature influence back through the landmark-pair enumeration ranks
+landmark pairs by how much the model relies on them.  With the synthetic
+emotion patterns the top pairs connect the mouth, brows and eyes, the regions
+the generator actually moves.
 """
 import tempfile
 from pathlib import Path

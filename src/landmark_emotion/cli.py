@@ -95,7 +95,7 @@ def _train_model(config: PipelineConfig, result: LoadResult):
         model = gb_train(train, val, shrinkage=config.shrinkage, max_trees=config.max_trees)
         notes.append(f"gb trees per class: {model.tree_count} (of {config.max_trees})")
         if config.merge_validation:
-            merged = _merge(train, val, result)
+            merged = _merge(train, val)
             refit = gb_train(merged, val, shrinkage=config.shrinkage, max_trees=model.tree_count)
             model = gb_truncate(refit, model.tree_count)
             notes.append("refit on train+validate at the selected tree count")
@@ -110,7 +110,7 @@ def _train_model(config: PipelineConfig, result: LoadResult):
                 f"svm grid search: C={C:g} gamma={gamma:g} "
                 f"validation accuracy {100 * search.best_accuracy:.1f}%"
             )
-        fit_on = _merge(train, val, result) if config.merge_validation else train
+        fit_on = _merge(train, val) if config.merge_validation else train
         if config.merge_validation:
             notes.append("final fit on train+validate")
         model = svm_train(fit_on, C, gamma, scaler=fit_scaler(fit_on))
@@ -118,11 +118,11 @@ def _train_model(config: PipelineConfig, result: LoadResult):
     return model, notes
 
 
-def _merge(train: LabeledDataset, val: LabeledDataset, result: LoadResult) -> LabeledDataset:
+def _merge(train: LabeledDataset, val: LabeledDataset) -> LabeledDataset:
     X = np.vstack([train.X, val.X])
     y = np.concatenate([train.y, val.y])
     ids = tuple(train.ids) + tuple(val.ids)
-    return LabeledDataset(X=X, y=y, spec=result.spec, ids=ids)
+    return LabeledDataset(X=X, y=y, ids=ids)
 
 
 def _cmd_train(args) -> int:

@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .features.spec import FeatureSpec
+from .features.spec import FeatureSpec, pair_enumeration
 from .learners.dataset import CLASSES, label_index
 from .learners.gb import GBModel, gb_influence
 
@@ -127,24 +127,23 @@ class InfluenceReport:
 
 def influence_report(model: GBModel, spec: FeatureSpec, top_k: int = 20) -> InfluenceReport:
     """Rank landmark pairs by the boosted model's split-gain influence."""
-    if not spec.has_block("distances"):
-        raise DimensionMismatchError("influence report needs a distance block in the feature spec")
+    try:
+        offset, block = spec.block_offset("distances")
+    except KeyError:
+        raise DimensionMismatchError("influence report needs a distance block in the feature spec") from None
     if spec.total_dimension != model.dimension:
         raise DimensionMismatchError(
             f"spec dimension {spec.total_dimension} does not match model dimension {model.dimension}"
         )
-    offset, block = spec.block_offset("distances")
+    landmark_pairs = pair_enumeration(dict(block.params)["point_count"])
     influence = gb_influence(model)
     dist = influence[offset : offset + block.dimension]
     other = float(influence.sum() - dist.sum())
 
-    pair_index = spec.pair_index
-    if pair_index is None or len(pair_index) != block.dimension:
-        raise DimensionMismatchError("spec distance block lacks a matching pair index")
     # sort by share descending; ties resolve to the lexicographically first pair
-    order = np.lexsort((pair_index[:, 1], pair_index[:, 0], -dist))
+    order = np.lexsort((landmark_pairs[:, 1], landmark_pairs[:, 0], -dist))
     order = order[: max(0, top_k)]
-    pairs = tuple((int(pair_index[i, 0]), int(pair_index[i, 1])) for i in order)
+    pairs = tuple((int(landmark_pairs[i, 0]), int(landmark_pairs[i, 1])) for i in order)
     shares = tuple(float(dist[i]) for i in order)
     return InfluenceReport(
         pairs=pairs,

@@ -16,7 +16,7 @@ from ..errors import DimensionMismatchError
 from ..shapes import LandmarkSet, MeanShape, NormalizedShape
 from .gabor import FilterBank, gabor_kernel_pair, gabor_magnitude
 from .image import GrayImage
-from .spec import FeatureBlock, FeatureSpec
+from .spec import FeatureBlock
 
 POINT_TEXTURE_BASE_SIZE = 7
 POINT_TEXTURE_SIZE_STEP = 4
@@ -41,8 +41,8 @@ def axis_distances(shape: NormalizedShape, mean: MeanShape) -> np.ndarray:
     return (shape.points - mean.points).ravel()
 
 
-def bif_spec(bank: FilterBank) -> FeatureSpec:
-    """Feature layout produced by ``bif_features`` for this bank."""
+def bif_block(bank: FilterBank) -> FeatureBlock:
+    """The block ``bif_features`` fills for this bank."""
     cells = bank.cells_per_band()
     dimension = 2 * bank.orientations * sum(cells)
     params = (
@@ -51,7 +51,7 @@ def bif_spec(bank: FilterBank) -> FeatureSpec:
         ("pooling", tuple((b.cell, b.step) for b in bank.bands)),
         ("image_size", bank.image_size),
     )
-    return FeatureSpec(blocks=(FeatureBlock("bif", dimension, params=params),))
+    return FeatureBlock("bif", dimension, params=params)
 
 
 def _pool_windows(response: np.ndarray, cell: int, step: int) -> tuple[np.ndarray, np.ndarray]:
@@ -98,8 +98,9 @@ def point_texture_sizes(scales: int) -> tuple[int, ...]:
     return tuple(POINT_TEXTURE_BASE_SIZE + POINT_TEXTURE_SIZE_STEP * k for k in range(scales))
 
 
-def point_texture_spec(point_count: int, scales: int, orientations: int) -> FeatureSpec:
-    block = FeatureBlock(
+def point_texture_block(point_count: int, scales: int, orientations: int) -> FeatureBlock:
+    """The block ``point_texture`` fills for this many points, scales and orientations."""
+    return FeatureBlock(
         "point_texture",
         point_count * scales * orientations,
         params=(
@@ -108,7 +109,6 @@ def point_texture_spec(point_count: int, scales: int, orientations: int) -> Feat
             ("orientations", orientations),
         ),
     )
-    return FeatureSpec(blocks=(block,))
 
 
 @functools.lru_cache(maxsize=None)

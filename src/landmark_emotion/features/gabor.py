@@ -31,13 +31,7 @@ def lambda_for_size(size: int) -> float:
     return sigma_for_size(size) / 0.8
 
 
-def gabor_kernel_pair(
-    size: int,
-    theta: float,
-    sigma: float | None = None,
-    wavelength: float | None = None,
-    gamma: float = DEFAULT_GAMMA,
-) -> tuple[np.ndarray, np.ndarray]:
+def gabor_kernel_pair(size: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Even (cosine) and odd (sine) Gabor kernels of an odd pixel size.
 
     Both kernels are zeroed outside the inscribed circle, shifted to zero
@@ -45,15 +39,13 @@ def gabor_kernel_pair(
     """
     if size % 2 == 0 or size < 1:
         raise ConfigError(f"filter size must be odd and positive, got {size}")
-    if sigma is None:
-        sigma = sigma_for_size(size)
-    if wavelength is None:
-        wavelength = lambda_for_size(size)
+    sigma = sigma_for_size(size)
+    wavelength = lambda_for_size(size)
     half = size // 2
     y, x = np.mgrid[-half : half + 1, -half : half + 1].astype(np.float64)
     xr = x * np.cos(theta) + y * np.sin(theta)
     yr = -x * np.sin(theta) + y * np.cos(theta)
-    envelope = np.exp(-(xr**2 + (gamma * yr) ** 2) / (2.0 * sigma**2))
+    envelope = np.exp(-(xr**2 + (DEFAULT_GAMMA * yr) ** 2) / (2.0 * sigma**2))
     mask = x**2 + y**2 <= (size / 2.0) ** 2
     phase = 2.0 * np.pi * xr / wavelength
     even = np.where(mask, envelope * np.cos(phase), 0.0)
@@ -94,7 +86,6 @@ class GaborBankConfig:
     bands: tuple[tuple[int, ...], ...] | None = None
     pooling: tuple[tuple[int, int], ...] | None = None
     image_size: int = 60
-    gamma: float = DEFAULT_GAMMA
 
     def resolved_bands(self) -> tuple[Band, ...]:
         if self.bands is not None:
@@ -125,7 +116,6 @@ class FilterBank:
 
     config: GaborBankConfig
     bands: tuple[Band, ...]
-    thetas: tuple[float, ...]
     # kernels[(size, orientation_index)] = (even, odd)
     kernels: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
@@ -154,12 +144,12 @@ def build_gabor_bank(config: GaborBankConfig = GaborBankConfig()) -> FilterBank:
         raise ConfigError("need at least one orientation")
     bands = config.resolved_bands()
     sizes = sorted({sz for band in bands for sz in band.sizes})
-    thetas = tuple(np.pi * k / config.orientations for k in range(config.orientations))
-    kernels = {}
-    for sz in sizes:
-        for oi, theta in enumerate(thetas):
-            kernels[(sz, oi)] = gabor_kernel_pair(sz, theta, gamma=config.gamma)
-    return FilterBank(config=config, bands=bands, thetas=thetas, kernels=kernels)
+    kernels = {
+        (sz, oi): gabor_kernel_pair(sz, np.pi * oi / config.orientations)
+        for sz in sizes
+        for oi in range(config.orientations)
+    }
+    return FilterBank(config=config, bands=bands, kernels=kernels)
 
 
 def correlate_clamp(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:

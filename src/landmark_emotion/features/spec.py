@@ -1,14 +1,15 @@
-"""Feature vector layout: blocks, pair enumeration, digests, merging.
+"""Feature vector layout: blocks, pair enumeration, digests.
 
 A FeatureSpec records which extractor produced each coordinate of a feature
-vector.  Distance blocks carry the lexicographic enumeration of all C(n, 2)
-unordered landmark pairs so a coordinate can be mapped back to its pair.
+vector.  Coordinate k of a distances block is the k-th pair of
+``pair_enumeration(point_count)``, the lexicographic order of all C(n, 2)
+unordered landmark pairs.  ``pipeline.build_feature_spec`` assembles the
+spec of a run.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -41,14 +42,9 @@ class FeatureBlock:
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Ordered feature blocks plus the landmark-pair index for distance blocks."""
+    """Ordered feature blocks; each block is one contiguous slice of the vector."""
 
     blocks: tuple[FeatureBlock, ...]
-    pair_index: np.ndarray | None = None  # (C(n,2), 2) pairs for the distance block
-
-    def __post_init__(self):
-        if not self.blocks:
-            raise DimensionMismatchError("a FeatureSpec needs at least one block")
 
     @property
     def total_dimension(self) -> int:
@@ -63,9 +59,6 @@ class FeatureSpec:
             offset += b.dimension
         raise KeyError(f"no {extractor!r} block in this spec")
 
-    def has_block(self, extractor: str) -> bool:
-        return any(b.extractor == extractor for b in self.blocks)
-
     def to_text(self) -> str:
         """Canonical structured-text serialization (also the digest input)."""
         lines = [f"feature-spec v1 total={self.total_dimension}"]
@@ -75,29 +68,3 @@ class FeatureSpec:
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
-
-    @staticmethod
-    def distances(point_count: int) -> "FeatureSpec":
-        pairs = pair_enumeration(point_count)
-        block = FeatureBlock(
-            "distances", len(pairs), params=(("point_count", point_count),)
-        )
-        return FeatureSpec(blocks=(block,), pair_index=pairs)
-
-    @staticmethod
-    def axis(point_count: int) -> "FeatureSpec":
-        block = FeatureBlock(
-            "axis", 2 * point_count, params=(("point_count", point_count),)
-        )
-        return FeatureSpec(blocks=(block,))
-
-
-def merge_specs(specs: Sequence[FeatureSpec]) -> FeatureSpec:
-    """Concatenate block lists; the pair index of the first distance block wins."""
-    blocks: list[FeatureBlock] = []
-    pair_index = None
-    for s in specs:
-        blocks.extend(s.blocks)
-        if pair_index is None and s.pair_index is not None:
-            pair_index = s.pair_index
-    return FeatureSpec(blocks=tuple(blocks), pair_index=pair_index)

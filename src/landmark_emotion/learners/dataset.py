@@ -1,12 +1,11 @@
 """Labeled feature datasets over the fixed 7-emotion class order."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import DimensionMismatchError
-from ..features.spec import FeatureSpec
 
 # Fixed class order used everywhere: confusion-matrix axes, tie-breaking,
 # reports.  Index into this tuple is the integer label.
@@ -24,7 +23,7 @@ def label_index(label: str) -> int:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Feature matrix, integer labels, and the spec all rows share.
+    """Feature matrix and integer labels, one row per sample.
 
     ``y`` entries are indices into CLASSES, or UNLABELED (-1) for samples
     awaiting prediction.  ``ids`` keeps manifest sample identifiers so split
@@ -33,7 +32,6 @@ class LabeledDataset:
 
     X: np.ndarray
     y: np.ndarray
-    spec: FeatureSpec = field(repr=False)
     ids: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -43,10 +41,6 @@ class LabeledDataset:
             raise DimensionMismatchError(f"X must be 2-D, got shape {X.shape}")
         if y.shape != (X.shape[0],):
             raise DimensionMismatchError(f"y shape {y.shape} does not match {X.shape[0]} rows")
-        if X.shape[1] != self.spec.total_dimension:
-            raise DimensionMismatchError(
-                f"X has {X.shape[1]} columns but spec declares {self.spec.total_dimension}"
-            )
         if not np.all(np.isfinite(X)):
             raise DimensionMismatchError("feature values must be finite")
         bad = (y != UNLABELED) & ((y < 0) | (y >= len(CLASSES)))
@@ -80,7 +74,7 @@ class LabeledDataset:
 def canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row order independent of how the caller shuffled the samples.
 
-    A stable sort keyed on the features, first column first, then on ``y``.
+    A stable sort keyed on the columns of ``X``, first column first, then on ``y``.
     """
     keys = np.vstack([y[None, :].astype(np.float64), X.T[::-1]])
     return np.lexsort(keys)

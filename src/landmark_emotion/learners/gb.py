@@ -98,7 +98,7 @@ class _SplitSearch:
         return self.sort_idx.T[picked.T].reshape(self.d, len(rows))
 
     def best_split(self, rows: np.ndarray, residual: np.ndarray):
-        """Best (gain, feature, threshold) over all features, or None.
+        """Best (gain, feature, threshold) over all columns, or None.
 
         ``residual`` is indexed by full-matrix row number.  Ties resolve to
         the lowest feature index, then the lowest threshold.
@@ -251,7 +251,7 @@ def gb_scores(model: GBModel, X: np.ndarray) -> np.ndarray:
     """Raw additive scores per model class for each row of ``X``."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.dimension:
-        raise DimensionMismatchError(f"expected {model.dimension} features, got {X.shape[1]}")
+        raise DimensionMismatchError(f"expected {model.dimension} columns, got {X.shape[1]}")
     scores = np.tile(model.init_scores, (X.shape[0], 1))
     for k in range(len(model.classes)):
         for tree in model.trees[k][: model.tree_count]:

@@ -7,6 +7,7 @@ against a different spec digest is an error.
 """
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -23,10 +24,18 @@ def _fmt_floats(values) -> str:
     return " ".join(repr(float(v)) for v in np.asarray(values).ravel())
 
 
-def _parse_floats(text: str) -> np.ndarray:
-    if not text.strip():
-        return np.array([], dtype=np.float64)
-    return np.array([float(t) for t in text.split()], dtype=np.float64)
+def _parse_float(text: str, what: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise FormatError(f"{what} must be finite, got {text!r}")
+    return value
+
+
+def _parse_floats(text: str, what: str) -> np.ndarray:
+    values = np.array([float(t) for t in text.split()], dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{what} must be finite")
+    return values
 
 
 def _parse_ints(text: str) -> np.ndarray:
@@ -182,8 +191,10 @@ def _parse_model(text: str, expected_spec_digest: str | None) -> GBModel | SVMMo
 
 def _load_gb(reader: _LineReader, digest: str, classes: tuple[int, ...], dimension: int) -> GBModel:
     shrinkage = float(reader.expect_key("shrinkage"))
+    if not 0 < shrinkage <= 1:
+        raise FormatError(f"shrinkage must be in (0, 1], got {shrinkage!r}")
     tree_count = int(reader.expect_key("tree_count"))
-    init_scores = _parse_floats(reader.expect_key("init_scores"))
+    init_scores = _parse_floats(reader.expect_key("init_scores"), "init_scores")
     if init_scores.shape != (len(classes),):
         raise FormatError("init_scores length does not match class count")
 
@@ -206,15 +217,15 @@ def _load_gb(reader: _LineReader, digest: str, classes: tuple[int, ...], dimensi
             node_fields = dict(p.split("=", 1) for p in node_line[3:])
             if node_line[2] == "leaf":
                 layout.append(None)
-                values.append(float(node_fields["value"]))
+                values.append(_parse_float(node_fields["value"], f"node {i} value"))
             elif node_line[2] == "split":
                 layout.append((int(node_fields["left"]), int(node_fields["right"])))
                 feature = int(node_fields["feature"])
                 if not 0 <= feature < dimension:
                     raise FormatError(f"node {i} has feature index {feature} out of range")
-                splits.append(
-                    Split(feature=feature, threshold=float(node_fields["threshold"]), gain=float(node_fields["gain"]))
-                )
+                threshold = _parse_float(node_fields["threshold"], f"node {i} threshold")
+                gain = _parse_float(node_fields["gain"], f"node {i} gain")
+                splits.append(Split(feature=feature, threshold=threshold, gain=gain))
             else:
                 raise FormatError(f"unknown node type in {node_line!r}")
         key = _LAYOUT_KEYS.get(tuple(layout))
@@ -245,10 +256,15 @@ def _load_gb(reader: _LineReader, digest: str, classes: tuple[int, ...], dimensi
 def _load_svm(reader: _LineReader, digest: str, classes: tuple[int, ...], dimension: int) -> SVMModel:
     C = float(reader.expect_key("C"))
     gamma = float(reader.expect_key("gamma"))
+    # C = inf is a hard margin, as svm_train allows
+    if not C > 0:
+        raise FormatError(f"C must be positive, got {C!r}")
+    if not 0 < gamma < math.inf:
+        raise FormatError(f"gamma must be positive and finite, got {gamma!r}")
     scaler = None
     if reader.peek() is not None and reader.peek().startswith("scaler_lo:"):
-        lo = _parse_floats(reader.expect_key("scaler_lo"))
-        hi = _parse_floats(reader.expect_key("scaler_hi"))
+        lo = _parse_floats(reader.expect_key("scaler_lo"), "scaler_lo")
+        hi = _parse_floats(reader.expect_key("scaler_hi"), "scaler_hi")
         if lo.shape != (dimension,) or hi.shape != (dimension,):
             raise FormatError("scaler vectors do not match model dimension")
         scaler = Scaler(lo=lo, hi=hi)
@@ -260,7 +276,7 @@ def _load_svm(reader: _LineReader, digest: str, classes: tuple[int, ...], dimens
         raise FormatError(f"support vector count {n_vec} does not fit the file")
     vectors = np.empty((n_vec, dimension))
     for i in range(n_vec):
-        row = _parse_floats(reader.next())
+        row = _parse_floats(reader.next(), f"support vector {i}")
         if row.shape != (dimension,):
             raise FormatError(f"support vector {i} has {row.shape[0]} values, expected {dimension}")
         vectors[i] = row
@@ -271,7 +287,7 @@ def _load_svm(reader: _LineReader, digest: str, classes: tuple[int, ...], dimens
             raise FormatError(f"expected a machine header, got {' '.join(header)!r}")
         fields = dict(p.split("=", 1) for p in header[1:])
         sv_indices = _parse_ints(reader.expect_key("sv_indices"))
-        coef = _parse_floats(reader.expect_key("coef"))
+        coef = _parse_floats(reader.expect_key("coef"), "coef")
         if len(sv_indices) != int(fields["nsv"]) or len(coef) != int(fields["nsv"]):
             raise FormatError("machine support-vector counts disagree")
         if np.any((sv_indices < 0) | (sv_indices >= n_vec)):
@@ -282,7 +298,7 @@ def _load_svm(reader: _LineReader, digest: str, classes: tuple[int, ...], dimens
                 neg_class=int(fields["neg"]),
                 sv_indices=sv_indices,
                 coef=coef,
-                bias=float(fields["bias"]),
+                bias=_parse_float(fields["bias"], "bias"),
             )
         )
     if [(m.pos_class, m.neg_class) for m in machines] != list(combinations(classes, 2)):

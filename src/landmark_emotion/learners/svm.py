@@ -263,7 +263,7 @@ def svm_train(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SVMModel:
-    """Train one-vs-one binary machines on raw features, scaled by ``scaler`` when given."""
+    """Train one-vs-one binary machines on raw rows, scaled by ``scaler`` when given."""
     _check_hyperparameters(C, gamma)
     data = _prepare(train, scaler)
     used, machines = _solve(data, np.exp(-gamma * data.sqdist), C, tol, max_iter)
@@ -286,7 +286,7 @@ def svm_decision_votes(model: SVMModel, X: np.ndarray) -> np.ndarray:
     """Vote counts per global class for each raw row of ``X``; the model's scaler applies."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.dimension:
-        raise DimensionMismatchError(f"expected {model.dimension} features, got {X.shape[1]}")
+        raise DimensionMismatchError(f"expected {model.dimension} columns, got {X.shape[1]}")
     if model.scaler is not None:
         X = model.scaler.transform(X)
     K = rbf_kernel_matrix(X, model.vectors, model.gamma) if len(model.vectors) else np.zeros((X.shape[0], 0))
@@ -343,7 +343,7 @@ def grid_search(
         raise DimensionMismatchError("grids must be non-empty")
     if val.dimension != train.dimension:
         raise DimensionMismatchError(
-            f"validation rows have {val.dimension} features, training rows {train.dimension}"
+            f"validation rows have {val.dimension} columns, training rows {train.dimension}"
         )
     C_grid = tuple(float(c) for c in C_grid)
     gamma_grid = tuple(float(g) for g in gamma_grid)

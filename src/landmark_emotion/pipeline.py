@@ -16,21 +16,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DimensionMismatchError, FormatError
 from .features.extract import (
     axis_distances,
+    bif_block,
     bif_features,
-    bif_spec,
     point_distances,
     point_texture,
-    point_texture_spec,
+    point_texture_block,
 )
 from .features.gabor import FilterBank, GaborBankConfig, build_gabor_bank
 from .features.image import GrayImage, align_face, aspect_correct, aspect_correct_points, read_pgm
-from .features.spec import FeatureSpec, merge_specs
+from .features.spec import FeatureBlock, FeatureSpec
 from .learners.dataset import CLASSES, UNLABELED, LabeledDataset, label_index
-from .learners.gb import GBModel, gb_predict_batch
-from .learners.svm import SVMModel, svm_predict_batch
+from .learners.gb import DEFAULT_SHRINKAGE, GBModel, gb_predict_batch
+from .learners.svm import DEFAULT_C_GRID, DEFAULT_GAMMA_GRID, SVMModel, svm_predict_batch
 from .shapes import LandmarkSet, MeanShape, NormalizedShape, mean_shape, normalize_size, parse_pts, upright
 
 SPLITS = ("train", "validate", "test")
@@ -115,13 +115,13 @@ class PipelineConfig:
     features: tuple[str, ...] = ("distances",)
     model: str = "svm"
     # gradient boosting
-    shrinkage: float = 0.1
+    shrinkage: float = DEFAULT_SHRINKAGE
     max_trees: int = 100
-    # SVM: fixed (C, gamma) when given, otherwise grid search
+    # SVM: fixed (C, gamma) when both are given, grid search when neither is
     svm_c: float | None = None
     svm_gamma: float | None = None
-    svm_c_grid: tuple[float, ...] = tuple(2.0**e for e in range(-5, 16, 2))
-    svm_gamma_grid: tuple[float, ...] = tuple(2.0**e for e in range(-15, 4, 2))
+    svm_c_grid: tuple[float, ...] = DEFAULT_C_GRID
+    svm_gamma_grid: tuple[float, ...] = DEFAULT_GAMMA_GRID
     # texture extraction
     texture_scales: int = 8
     texture_orientations: int = 12
@@ -144,6 +144,8 @@ class PipelineConfig:
             raise ConfigError(f"eval_split must be one of {SPLITS}")
         if not (self.aspect_factor > 0 and math.isfinite(self.aspect_factor)):
             raise ConfigError(f"aspect_factor must be positive and finite, got {self.aspect_factor}")
+        if (self.svm_c is None) != (self.svm_gamma is None):
+            raise ConfigError("set both svm_c and svm_gamma for a fixed SVM, or neither for a grid search")
 
     def needs_images(self) -> bool:
         return "bif" in self.features or "point_texture" in self.features
@@ -216,21 +218,22 @@ def parse_config(text: str) -> PipelineConfig:
 
 
 def build_feature_spec(config: PipelineConfig) -> FeatureSpec:
-    """The merged FeatureSpec the configured pipeline produces, data-free.
+    """The FeatureSpec the configured pipeline produces, data-free.
 
     Families always concatenate in the fixed order distances, axis, bif,
     point_texture regardless of how the config lists them.
     """
-    specs = []
+    shape_params = (("point_count", POINT_COUNT),)
+    blocks = []
     if "distances" in config.features:
-        specs.append(FeatureSpec.distances(POINT_COUNT))
+        blocks.append(FeatureBlock("distances", POINT_COUNT * (POINT_COUNT - 1) // 2, shape_params))
     if "axis" in config.features:
-        specs.append(FeatureSpec.axis(POINT_COUNT))
+        blocks.append(FeatureBlock("axis", 2 * POINT_COUNT, shape_params))
     if "bif" in config.features:
-        specs.append(bif_spec(build_gabor_bank(GaborBankConfig())))
+        blocks.append(bif_block(build_gabor_bank(GaborBankConfig())))
     if "point_texture" in config.features:
-        specs.append(point_texture_spec(POINT_COUNT, config.texture_scales, config.texture_orientations))
-    return merge_specs(specs)
+        blocks.append(point_texture_block(POINT_COUNT, config.texture_scales, config.texture_orientations))
+    return FeatureSpec(blocks=tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -350,12 +353,16 @@ def load_dataset(manifest_path: str | Path, config: PipelineConfig) -> LoadResul
             datasets[split] = None
             continue
         X = np.stack([_extract_features(p, config, mean, bank) for p in items])
+        if X.shape[1] != spec.total_dimension:
+            raise DimensionMismatchError(
+                f"X has {X.shape[1]} columns but spec declares {spec.total_dimension}"
+            )
         y = np.array(
             [label_index(p.entry.label) if p.entry.label else UNLABELED for p in items],
             dtype=np.int64,
         )
         ids = tuple(p.entry.sample_id for p in items)
-        datasets[split] = LabeledDataset(X=X, y=y, spec=spec, ids=ids)
+        datasets[split] = LabeledDataset(X=X, y=y, ids=ids)
 
     return LoadResult(
         datasets=datasets,

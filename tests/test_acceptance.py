@@ -21,11 +21,11 @@ from landmark_emotion.evaluation import (
 from landmark_emotion.features.extract import bif_features, point_distances, point_texture
 from landmark_emotion.features.gabor import build_gabor_bank
 from landmark_emotion.features.image import GrayImage
-from landmark_emotion.features.spec import FeatureSpec
+from landmark_emotion.features.spec import pair_enumeration
 from landmark_emotion.learners.dataset import LabeledDataset
 from landmark_emotion.learners.gb import gb_influence, gb_train
 from landmark_emotion.learners.svm import rbf_kernel_matrix, smo_solve
-from landmark_emotion.pipeline import read_manifest
+from landmark_emotion.pipeline import PipelineConfig, build_feature_spec, read_manifest
 from landmark_emotion.shapes import LandmarkSet, normalize_size, upright
 
 from test_bif import TOY_SINGLE, brute_force_bif
@@ -150,13 +150,13 @@ def test_criterion_5_gb_contract():
 def test_criterion_6_influence_oracle():
     started = time.perf_counter()
     rng = np.random.default_rng(17)
-    spec = FeatureSpec.distances(68)
-    pairs = [tuple(p) for p in spec.pair_index]
+    spec = build_feature_spec(PipelineConfig(features=("distances",)))
+    pairs = [tuple(p) for p in pair_enumeration(68)]
     designated = (36, 48)  # eye corner to mouth corner
     k_star = pairs.index(designated)
     X = rng.uniform(0.5, 2.0, size=(90, spec.total_dimension))
     y = np.array([0, 3, 4])[np.digitize(X[:, k_star], [1.0, 1.5])]
-    ds = LabeledDataset(X=X, y=y, spec=spec)
+    ds = LabeledDataset(X=X, y=y)
     model = gb_train(ds, ds, max_trees=12)
 
     influence = gb_influence(model)

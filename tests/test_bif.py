@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from landmark_emotion.errors import DimensionMismatchError
-from landmark_emotion.features.extract import bif_features, bif_spec
+from landmark_emotion.features.extract import bif_block, bif_features
 from landmark_emotion.features.gabor import GaborBankConfig, build_gabor_bank
 from landmark_emotion.features.image import GrayImage
 
@@ -62,12 +62,12 @@ def test_constant_image_all_zero():
 
 def test_dimension_matches_spec_and_is_input_independent(rng):
     bank = build_gabor_bank()
-    spec = bif_spec(bank)
+    block = bif_block(bank)
     a = bif_features(GrayImage(rng.random((60, 60))), bank)
     b = bif_features(GrayImage(rng.random((60, 60))), bank)
-    assert a.shape == b.shape == (spec.total_dimension,)
+    assert a.shape == b.shape == (block.dimension,)
     # 8 orientations x 2 stats x sum of per-band cell grids
-    assert spec.total_dimension == 2 * 8 * sum(bank.cells_per_band())
+    assert block.dimension == 2 * 8 * sum(bank.cells_per_band())
 
 
 def test_repeat_bit_identical(rng):

@@ -11,7 +11,7 @@ from landmark_emotion.evaluation import (
     per_class_accuracy,
     per_class_text,
 )
-from landmark_emotion.features.spec import FeatureSpec, merge_specs
+from landmark_emotion.features.spec import FeatureBlock, FeatureSpec, pair_enumeration
 from landmark_emotion.learners.dataset import CLASSES, LabeledDataset
 from landmark_emotion.learners.gb import gb_train
 
@@ -121,16 +121,24 @@ def test_matrix_rendering():
 # --- influence report ---------------------------------------------------------
 
 
+def landmark_block(extractor, dimension, point_count):
+    return FeatureBlock(extractor, dimension, (("point_count", point_count),))
+
+
+def distance_block(point_count):
+    return landmark_block("distances", point_count * (point_count - 1) // 2, point_count)
+
+
 def distance_feature_dataset(rng, n=90, point_count=10, signal_pair=(2, 7)):
     """Feature-space construction: every coordinate is noise except the
     designated pair's distance, which the label is a function of."""
-    spec = FeatureSpec.distances(point_count)
-    pairs = [tuple(p) for p in spec.pair_index]
+    spec = FeatureSpec(blocks=(distance_block(point_count),))
+    pairs = [tuple(p) for p in pair_enumeration(point_count)]
     k_star = pairs.index(signal_pair)
     X = rng.uniform(0.5, 2.0, size=(n, spec.total_dimension))
     bins = np.digitize(X[:, k_star], [1.0, 1.5])
     y = np.array([0, 3, 4])[bins]
-    return LabeledDataset(X=X, y=y, spec=spec), spec, k_star
+    return LabeledDataset(X=X, y=y), spec, k_star
 
 
 def test_influence_report_ranks_signal_pair_first(rng):
@@ -161,7 +169,7 @@ def test_influence_single_used_pair(rng):
     keep = X[:, k_star]
     X = np.full_like(X, 1.0)
     X[:, k_star] = keep
-    ds2 = LabeledDataset(X=X, y=ds.y, spec=spec)
+    ds2 = LabeledDataset(X=X, y=ds.y)
     model = gb_train(ds2, ds2, max_trees=4)
     report = influence_report(model, spec, top_k=3)
     assert report.pairs[0] == (2, 7)
@@ -169,22 +177,22 @@ def test_influence_single_used_pair(rng):
 
 
 def test_influence_requires_distance_block(rng):
-    spec = FeatureSpec.axis(10)
-    ds = LabeledDataset(X=rng.random((20, 20)), y=np.array([0, 3] * 10), spec=spec)
+    spec = FeatureSpec(blocks=(landmark_block("axis", 20, 10),))
+    ds = LabeledDataset(X=rng.random((20, 20)), y=np.array([0, 3] * 10))
     model = gb_train(ds, ds, max_trees=2)
     with pytest.raises(DimensionMismatchError):
         influence_report(model, spec, top_k=3)
 
 
 def test_influence_with_merged_spec(rng):
-    # distance block offset inside a merged spec must be honored
-    spec = merge_specs([FeatureSpec.axis(4), FeatureSpec.distances(4)])
+    # distance block offset inside a multi-block spec must be honored
+    spec = FeatureSpec(blocks=(landmark_block("axis", 8, 4), distance_block(4)))
     n = 50
     X = rng.uniform(0.5, 2.0, size=(n, spec.total_dimension))
     k_star = 8 + 3  # axis block is 8 wide; pair (0,3)... index 2 -> choose pair (1,2)
     y = np.where(X[:, k_star] > 1.2, 3, 0)
-    ds = LabeledDataset(X=X, y=y, spec=spec)
+    ds = LabeledDataset(X=X, y=y)
     model = gb_train(ds, ds, max_trees=6)
     report = influence_report(model, spec, top_k=2)
-    pairs = [tuple(p) for p in spec.pair_index]
+    pairs = [tuple(p) for p in pair_enumeration(4)]
     assert report.pairs[0] == pairs[3]

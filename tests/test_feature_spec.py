@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from landmark_emotion.errors import DimensionMismatchError
-from landmark_emotion.features.spec import FeatureSpec, merge_specs, pair_enumeration
+from landmark_emotion.features.spec import pair_enumeration
 from landmark_emotion.learners.dataset import LabeledDataset
+from landmark_emotion.pipeline import PipelineConfig, build_feature_spec
+
+
+def spec_of(*families, **config):
+    return build_feature_spec(PipelineConfig(features=families, **config))
 
 
 def test_pair_enumeration_count_and_order():
@@ -27,41 +32,38 @@ def test_pair_enumeration_small():
 
 
 def test_spec_dimensions():
-    assert FeatureSpec.distances(68).total_dimension == 2278
-    assert FeatureSpec.axis(68).total_dimension == 136
-    assert FeatureSpec.distances(4).total_dimension == 6
+    assert spec_of("distances").total_dimension == 2278
+    assert spec_of("axis").total_dimension == 136
+    assert spec_of("point_texture").total_dimension == 6528
 
 
 @pytest.mark.parametrize(
-    "X, match",
-    [
-        (np.array([[1.0, np.nan, 0, 0, 0, 0]]), "finite"),
-        (np.array([[1.0, 0, 0, 0, 0, np.inf]]), "finite"),
-        (np.zeros((1, 5)), "columns"),
-    ],
-    ids=["nan", "inf", "width"],
+    "X",
+    [np.array([[1.0, np.nan, 0, 0, 0, 0]]), np.array([[1.0, 0, 0, 0, 0, np.inf]])],
+    ids=["nan", "inf"],
 )
-def test_labeled_dataset_rejects_bad_rows(X, match):
-    spec = FeatureSpec.distances(4)
-    assert len(LabeledDataset(X=np.zeros((1, 6)), y=[0], spec=spec)) == 1
-    with pytest.raises(DimensionMismatchError, match=match):
-        LabeledDataset(X=X, y=[0], spec=spec)
+def test_labeled_dataset_rejects_bad_rows(X):
+    assert len(LabeledDataset(X=np.zeros((1, 6)), y=[0])) == 1
+    with pytest.raises(DimensionMismatchError, match="finite"):
+        LabeledDataset(X=X, y=[0])
 
 
 def test_merged_spec_block_offsets():
-    spec = merge_specs([FeatureSpec.axis(68), FeatureSpec.distances(68)])
-    offset, block = spec.block_offset("distances")
-    assert offset == 136
-    assert block.dimension == 2278
-    assert spec.pair_index is not None and len(spec.pair_index) == 2278
-    assert spec.has_block("axis") and not spec.has_block("bif")
+    spec = spec_of("point_texture", "axis", "distances")
+    assert spec.block_offset("distances") == (0, spec.blocks[0])
+    offset, block = spec.block_offset("axis")
+    assert offset == 2278
+    assert block.dimension == 136
+    assert spec.block_offset("point_texture")[0] == 2278 + 136
+    with pytest.raises(KeyError):
+        spec.block_offset("bif")
 
 
 def test_digest_tracks_layout():
-    a = FeatureSpec.distances(68)
-    b = FeatureSpec.distances(68)
-    c = FeatureSpec.distances(67)
+    a = spec_of("distances")
+    b = spec_of("distances")
     assert a.digest() == b.digest()
-    assert a.digest() != c.digest()
-    assert a.digest() != FeatureSpec.axis(68).digest()
+    assert a.digest() != spec_of("axis").digest()
+    assert a.digest() != spec_of("distances", "axis").digest()
+    assert spec_of("point_texture").digest() != spec_of("point_texture", texture_scales=7).digest()
     assert "distances" in a.to_text()

@@ -58,8 +58,8 @@ def plain_spec(dim):
 def _valid_models() -> dict[str, str]:
     rng = np.random.default_rng(3)
     X = np.vstack([rng.normal(0, 0.4, size=(6, 2)) + c for c in ((0, 0), (5, 0), (0, 5))])
-    ds = LabeledDataset(X=X, y=np.repeat([0, 3, 6], 6), spec=plain_spec(2))
-    digest = ds.spec.digest()
+    ds = LabeledDataset(X=X, y=np.repeat([0, 3, 6], 6))
+    digest = plain_spec(2).digest()
     return {
         "gb": save_model(replace(gb_train(ds, ds, max_trees=2), spec_digest=digest)),
         "svm": save_model(replace(svm_train(ds, C=4.0, gamma=0.8, scaler=fit_scaler(ds)), spec_digest=digest)),
@@ -81,6 +81,7 @@ VALID_CONFIG = (
     "features = distances, axis, point_texture\n"
     "model = svm\n"
     "svm_c = 4\n"
+    "svm_gamma = 0.5\n"
     "svm_c_grid = 1, 4\n"
     "svm_gamma_grid = 0.5\n"
     "shrinkage = 0.1\n"
@@ -155,7 +156,7 @@ def test_fuzz_model(kind, data):
         model = load_model(text)
     except LandmarkEmotionError:
         return
-    zero = LabeledDataset(X=np.zeros((1, model.dimension)), y=[UNLABELED], spec=plain_spec(model.dimension))
+    zero = LabeledDataset(X=np.zeros((1, model.dimension)), y=[UNLABELED])
     try:
         predict_with_fallback(model, zero)
     except LandmarkEmotionError:

@@ -2,18 +2,13 @@ import numpy as np
 import pytest
 
 from landmark_emotion.errors import DimensionMismatchError
-from landmark_emotion.features.spec import FeatureBlock, FeatureSpec
 from landmark_emotion.learners.dataset import CLASSES, LabeledDataset
 from landmark_emotion.learners.gb import gb_influence, gb_predict_batch, gb_scores, gb_train, gb_truncate
 
 
-def plain_spec(dim):
-    return FeatureSpec(blocks=(FeatureBlock("raw", dim),))
-
-
 def dataset(X, y):
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return LabeledDataset(X=X, y=np.asarray(y), spec=plain_spec(X.shape[1]))
+    return LabeledDataset(X=X, y=np.asarray(y))
 
 
 def blob_fixture(seed=42, n_per=50, sigma=0.5):
@@ -102,7 +97,7 @@ def test_sample_order_invariance():
     train, val = blob_fixture(n_per=12)
     rng = np.random.default_rng(9)
     perm = rng.permutation(len(train))
-    shuffled = LabeledDataset(X=train.X[perm], y=train.y[perm], spec=train.spec)
+    shuffled = LabeledDataset(X=train.X[perm], y=train.y[perm])
     a = gb_train(train, val, max_trees=10)
     b = gb_train(shuffled, val, max_trees=10)
     probe = rng.random((50, 2)) * 5

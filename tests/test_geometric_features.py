@@ -6,7 +6,7 @@ import pytest
 from conftest import apply_similarity, make_face, random_similarity
 from landmark_emotion.errors import DimensionMismatchError
 from landmark_emotion.features.extract import axis_distances, point_distances
-from landmark_emotion.features.spec import FeatureSpec
+from landmark_emotion.features.spec import pair_enumeration
 from landmark_emotion.shapes import LandmarkSet, MeanShape, mean_shape, normalize_size, upright
 
 
@@ -44,9 +44,8 @@ def test_unit_square_distances():
 
 def test_distances_pair_order(rng):
     shape = normalize_size(LandmarkSet(rng.standard_normal((6, 2))))
-    spec = FeatureSpec.distances(6)
     fv = point_distances(shape)
-    for k, (i, j) in enumerate(spec.pair_index):
+    for k, (i, j) in enumerate(pair_enumeration(6)):
         assert fv[k] == pytest.approx(math.dist(shape.points[i], shape.points[j]), abs=1e-12)
 
 

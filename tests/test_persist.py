@@ -10,6 +10,7 @@ from landmark_emotion.learners.dataset import LabeledDataset
 from landmark_emotion.learners.gb import gb_predict_batch, gb_scores, gb_train
 from landmark_emotion.learners.persist import load_model, save_model
 from landmark_emotion.learners.svm import fit_scaler, svm_decision_votes, svm_predict_batch, svm_train
+from landmark_emotion.pipeline import PipelineConfig, build_feature_spec
 
 
 def plain_spec(dim):
@@ -23,7 +24,7 @@ def three_class(rng, n_per=10):
         X.append(rng.normal(0, 0.4, size=(n_per, 2)) + c)
         y.extend([cls] * n_per)
     X = np.vstack(X)
-    return LabeledDataset(X=X, y=np.array(y), spec=plain_spec(2))
+    return LabeledDataset(X=X, y=np.array(y))
 
 
 def test_gb_roundtrip(rng):
@@ -31,10 +32,10 @@ def test_gb_roundtrip(rng):
     model = gb_train(ds, ds, max_trees=6)
     from dataclasses import replace
 
-    model = replace(model, spec_digest=ds.spec.digest())
+    model = replace(model, spec_digest=plain_spec(2).digest())
     text = save_model(model)
     loaded = load_model(text)
-    assert loaded.spec_digest == ds.spec.digest()
+    assert loaded.spec_digest == plain_spec(2).digest()
     assert loaded.classes == model.classes
     assert loaded.tree_count == model.tree_count
     probe = rng.random((30, 2)) * 6
@@ -49,9 +50,9 @@ def test_svm_roundtrip(rng):
     model = svm_train(ds, C=4.0, gamma=0.8, scaler=scaler)
     from dataclasses import replace
 
-    model = replace(model, spec_digest=ds.spec.digest())
+    model = replace(model, spec_digest=plain_spec(2).digest())
     text = save_model(model)
-    loaded = load_model(text, expected_spec_digest=ds.spec.digest())
+    loaded = load_model(text, expected_spec_digest=plain_spec(2).digest())
     probe = rng.random((25, 2)) * 6
     assert np.array_equal(svm_predict_batch(loaded, probe), svm_predict_batch(model, probe))
     assert np.array_equal(svm_decision_votes(loaded, probe), svm_decision_votes(model, probe))
@@ -65,9 +66,9 @@ def test_digest_mismatch_rejected(rng):
     model = gb_train(ds, ds, max_trees=2)
     from dataclasses import replace
 
-    model = replace(model, spec_digest=ds.spec.digest())
+    model = replace(model, spec_digest=plain_spec(2).digest())
     text = save_model(model)
-    other = FeatureSpec.distances(68).digest()
+    other = build_feature_spec(PipelineConfig(features=("distances",))).digest()
     with pytest.raises(FormatError, match="digest"):
         load_model(text, expected_spec_digest=other)
 
@@ -100,7 +101,7 @@ TREE_LAYOUTS = {
 def test_every_tree_layout_round_trips(layout):
     values, labels, probes = TREE_LAYOUTS[layout]
     X = np.array(values, dtype=float)[:, None]
-    ds = LabeledDataset(X=X, y=np.array(labels), spec=plain_spec(1))
+    ds = LabeledDataset(X=X, y=np.array(labels))
     model = gb_train(ds, ds, max_trees=3)
     tree = model.trees[0][0]
     assert (tree.root is None, tree.inner is None, tree.inner_right) == {
@@ -169,6 +170,23 @@ MALFORMED = {
         ),
         None,
     ),
+    # parameter ranges, and finiteness of every other stored float
+    "shrinkage_nan": ("gb", _sub_first(r"shrinkage: \S+", "shrinkage: nan"), None),
+    "shrinkage_zero": ("gb", _sub_first(r"shrinkage: \S+", "shrinkage: 0.0"), None),
+    "shrinkage_above_one": ("gb", _sub_first(r"shrinkage: \S+", "shrinkage: 1.5"), None),
+    "init_score_inf": ("gb", _sub_first(r"init_scores: \S+", "init_scores: inf"), None),
+    "threshold_nan": ("gb", _sub_first(r"threshold=\S+", "threshold=nan"), None),
+    "gain_inf": ("gb", _sub_first(r"gain=\S+", "gain=inf"), None),
+    "leaf_value_nan": ("gb", _sub_first(r"value=\S+", "value=nan"), None),
+    "gamma_inf": ("svm", _sub_first(r"gamma: \S+", "gamma: inf"), None),
+    "gamma_nan": ("svm", _sub_first(r"gamma: \S+", "gamma: nan"), None),
+    "gamma_zero": ("svm", _sub_first(r"gamma: \S+", "gamma: 0.0"), None),
+    "C_zero": ("svm", _sub_first(r"(?m)^C: \S+", "C: 0.0"), None),
+    "C_nan": ("svm", _sub_first(r"(?m)^C: \S+", "C: nan"), None),
+    "scaler_inf": ("svm", _sub_first(r"scaler_lo: \S+", "scaler_lo: -inf"), None),
+    "vector_nan": ("svm", _sub_first(r"(vectors: .*\n)\S+", r"\1nan"), None),
+    "coef_inf": ("svm", _sub_first(r"coef: \S+", "coef: inf"), None),
+    "bias_nan": ("svm", _sub_first(r"bias=\S+", "bias=nan"), None),
 }
 
 
@@ -178,7 +196,7 @@ def valid_model_texts():
     from dataclasses import replace
 
     ds = three_class(np.random.default_rng(5))
-    digest = FeatureSpec.distances(68).digest()
+    digest = build_feature_spec(PipelineConfig(features=("distances",))).digest()
     return {
         "gb": save_model(replace(gb_train(ds, ds, max_trees=2), spec_digest=digest)),
         "svm": save_model(replace(svm_train(ds, C=4.0, gamma=0.8, scaler=fit_scaler(ds)), spec_digest=digest)),

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from landmark_emotion.errors import ConfigError, FormatError
+from landmark_emotion import pipeline
+from landmark_emotion.errors import ConfigError, DimensionMismatchError, FormatError
 from landmark_emotion.features.image import GrayImage, write_pgm
 from landmark_emotion.learners.dataset import CLASSES, UNLABELED, LabeledDataset
 from landmark_emotion.learners.gb import gb_train
@@ -100,6 +101,19 @@ def test_load_dataset_absent_and_errors(tmp_path, rng):
     assert result.absent["test"] == ("s01",)
     assert result.datasets["test"] is None  # the only parsable test entry failed
     assert len(result.errors) == 1 and result.errors[0][0] == "s02"
+
+
+def test_load_dataset_checks_feature_width(tmp_path, rng, monkeypatch):
+    path = write_fixture_dataset(tmp_path, rng, [("Happy", "train"), ("Sad", "test")])
+    real = pipeline.point_distances
+    monkeypatch.setattr(pipeline, "point_distances", lambda shape: real(shape)[:-1])
+
+    def never_built(*args, **kwargs):
+        raise AssertionError("a dataset was built before its width was checked")
+
+    monkeypatch.setattr(pipeline, "LabeledDataset", never_built)
+    with pytest.raises(DimensionMismatchError, match="2277 columns"):
+        load_dataset(path, PipelineConfig(manifest=str(path)))
 
 
 def test_load_dataset_mixed_splits_counts(tmp_path, rng):
@@ -227,6 +241,8 @@ svm_gamma_grid = 0.5
         ("seed = 1\nseed = 2", "duplicate"),
         ("svm_c_grid = 1,x", "svm_c_grid"),
         ("aspect_factor = inf", "aspect_factor"),
+        ("svm_c = 8", "svm_gamma"),
+        ("svm_gamma = 0.5", "svm_c"),
     ],
 )
 def test_parse_config_rejects(text, match):
@@ -249,10 +265,7 @@ def test_build_feature_spec_dimensions():
 def trained_toy_model(rng):
     X = np.vstack([rng.normal(0, 0.3, (8, 2)), rng.normal(5, 0.3, (8, 2))])
     y = np.array([0] * 8 + [3] * 8)
-    from landmark_emotion.features.spec import FeatureBlock, FeatureSpec
-
-    spec = FeatureSpec(blocks=(FeatureBlock("raw", 2),))
-    ds = LabeledDataset(X=X, y=y, spec=spec, ids=tuple(f"t{i}" for i in range(16)))
+    ds = LabeledDataset(X=X, y=y, ids=tuple(f"t{i}" for i in range(16)))
     return gb_train(ds, ds, max_trees=4), ds
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_face
 from landmark_emotion.errors import DimensionMismatchError
-from landmark_emotion.features.extract import point_texture, point_texture_sizes, point_texture_spec
+from landmark_emotion.features.extract import point_texture, point_texture_block, point_texture_sizes
 from landmark_emotion.features.gabor import gabor_kernel_pair
 from landmark_emotion.features.image import GrayImage
 from landmark_emotion.shapes import LandmarkSet
@@ -14,7 +14,7 @@ def test_dimension_6528(rng):
     face = make_face(rng, jitter=1.0)
     fv = point_texture(img, face, scales=8, orientations=12)
     assert fv.shape == (6528,)  # 68 points x 8 scales x 12 orientations
-    assert point_texture_spec(68, 8, 12).total_dimension == 6528
+    assert point_texture_block(68, 8, 12).dimension == 6528
 
 
 def test_constant_image_zero(rng):
@@ -76,5 +76,4 @@ def test_bad_arguments(rng):
     img = GrayImage(rng.random((10, 10)))
     with pytest.raises(DimensionMismatchError):
         point_texture(img, LandmarkSet(np.array([[1.0, 1.0]])), scales=0, orientations=3)
-    spec = point_texture_spec(68, 8, 12)
-    assert spec.total_dimension == 6528
+    assert point_texture_block(68, 8, 12).dimension == 6528

@@ -6,7 +6,6 @@ import pytest
 
 from qp_oracle import dual_value, kkt_violation, qp_max_enumerate, rbf_kernel
 from landmark_emotion.errors import DimensionMismatchError
-from landmark_emotion.features.spec import FeatureBlock, FeatureSpec
 from landmark_emotion.learners.dataset import CLASSES, LabeledDataset, canonical_order
 from landmark_emotion.learners import svm as svm_module
 from landmark_emotion.learners.persist import save_model
@@ -23,13 +22,9 @@ from landmark_emotion.learners.svm import (
 )
 
 
-def plain_spec(dim):
-    return FeatureSpec(blocks=(FeatureBlock("raw", dim),))
-
-
 def dataset(X, y, ids=()):
     X = np.asarray(X, dtype=float)
-    return LabeledDataset(X=X, y=np.asarray(y), spec=plain_spec(X.shape[1]), ids=ids)
+    return LabeledDataset(X=X, y=np.asarray(y), ids=ids)
 
 
 # --- kernel -----------------------------------------------------------------
@@ -170,7 +165,7 @@ def test_svm_gamma_must_be_positive_and_finite(rng, gamma):
 def test_svm_sample_order_invariance(rng):
     train = separable_three_class(rng)
     perm = rng.permutation(len(train))
-    shuffled = LabeledDataset(X=train.X[perm], y=train.y[perm], spec=train.spec)
+    shuffled = LabeledDataset(X=train.X[perm], y=train.y[perm])
     a = svm_train(train, C=2.0, gamma=1.5, scaler=fit_scaler(train))
     b = svm_train(shuffled, C=2.0, gamma=1.5, scaler=fit_scaler(shuffled))
     assert save_model(a) == save_model(b)
@@ -303,7 +298,7 @@ def test_grid_search_exhaustive_oracle(rng):
 
 def test_grid_search_empty_validation(rng):
     train = separable_three_class(rng)
-    empty = LabeledDataset(X=np.empty((0, 2)), y=np.empty(0, dtype=int), spec=train.spec)
+    empty = LabeledDataset(X=np.empty((0, 2)), y=np.empty(0, dtype=int))
     with pytest.raises(DimensionMismatchError):
         grid_search(train, empty)
 
@@ -337,7 +332,7 @@ def test_grid_search_rejects_validation_width_mismatch(rng, monkeypatch):
     monkeypatch.setattr(svm_module, "smo_solve", never_solve)
     train = separable_three_class(rng)
     val = dataset(rng.standard_normal((4, 3)), [0, 1, 2, 0])
-    with pytest.raises(DimensionMismatchError, match="features"):
+    with pytest.raises(DimensionMismatchError, match="columns"):
         grid_search(train, val, [1.0], [0.5])
 
 
