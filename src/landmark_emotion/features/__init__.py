@@ -12,7 +12,6 @@ from .extract import (
 from .gabor import (
     Band,
     FilterBank,
-    GaborBankConfig,
     build_gabor_bank,
     correlate_clamp,
     gabor_kernel_pair,
@@ -39,7 +38,6 @@ __all__ = [
     "FeatureBlock",
     "FeatureSpec",
     "FilterBank",
-    "GaborBankConfig",
     "GrayImage",
     "SimilarityTransform",
     "align_face",

@@ -7,14 +7,12 @@ arguments return bit-identical vectors.
 """
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 from scipy.spatial.distance import pdist
 
 from ..errors import DimensionMismatchError
 from ..shapes import LandmarkSet, MeanShape, NormalizedShape
-from .gabor import FilterBank, gabor_kernel_pair, gabor_magnitude
+from .gabor import FilterBank, gabor_kernels, gabor_magnitude
 from .image import GrayImage
 from .spec import FeatureBlock
 
@@ -111,18 +109,6 @@ def point_texture_block(point_count: int, scales: int, orientations: int) -> Fea
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _texture_kernels(
-    scales: int, orientations: int
-) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-    """Quadrature kernel pairs keyed by (size, orientation index)."""
-    return {
-        (size, oi): gabor_kernel_pair(size, np.pi * oi / orientations)
-        for size in point_texture_sizes(scales)
-        for oi in range(orientations)
-    }
-
-
 def point_texture(
     image: GrayImage,
     landmarks: LandmarkSet,
@@ -137,8 +123,8 @@ def point_texture(
     """
     if scales < 1 or orientations < 1:
         raise DimensionMismatchError("scales and orientations must be positive")
-    kernels = _texture_kernels(scales, orientations)
     sizes = point_texture_sizes(scales)
+    kernels = gabor_kernels(sizes, orientations)
 
     h, w = image.pixels.shape
     max_half = sizes[-1] // 2

@@ -9,18 +9,26 @@ biologically-inspired-feature lineage:
     lambda(sz) = sigma(sz) / 0.8
 
 with spatial aspect ratio 0.3.
+
+A bank is its bands: ``DEFAULT_BANDS`` lists the eight (size pair, pooling
+cell, step) bands the pipeline uses.  Kernels come from one cached builder,
+``gabor_kernels``, so each (sizes, orientations) set is computed once per
+process and shared by every bank and by ``point_texture``.
 """
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 from scipy import signal
 
 from ..errors import ConfigError, DimensionMismatchError
+from .image import CROP_SIZE
 
 DEFAULT_GAMMA = 0.3
-DEFAULT_SIZES = tuple(range(7, 38, 2))  # 16 odd sizes, paired into 8 bands
 
 
 def sigma_for_size(size: int) -> float:
@@ -71,85 +79,49 @@ class Band:
     step: int
 
 
-@dataclass(frozen=True)
-class GaborBankConfig:
-    """Geometry of a filter bank.
+# band b pools sizes (7+4b, 9+4b) over square cells of 6+2b pixels, stepped by 3+b
+DEFAULT_BANDS = tuple(Band(sizes=(7 + 4 * b, 9 + 4 * b), cell=6 + 2 * b, step=3 + b) for b in range(8))
 
-    ``bands`` defaults to consecutive pairs of ``sizes``; ``pooling``
-    defaults to square cells of 6 + 2b pixels for band b with 50% overlap.
-    ``image_size`` is the square crop side the bank filters (60 in the
-    reference configuration).
-    """
 
-    orientations: int = 8
-    sizes: tuple[int, ...] = DEFAULT_SIZES
-    bands: tuple[tuple[int, ...], ...] | None = None
-    pooling: tuple[tuple[int, int], ...] | None = None
-    image_size: int = 60
-
-    def resolved_bands(self) -> tuple[Band, ...]:
-        if self.bands is not None:
-            groups = self.bands
-        else:
-            if len(self.sizes) % 2 != 0:
-                raise ConfigError("default banding pairs sizes; need an even count")
-            groups = tuple(
-                (self.sizes[i], self.sizes[i + 1]) for i in range(0, len(self.sizes), 2)
-            )
-        if self.pooling is not None:
-            pooling = self.pooling
-            if len(pooling) != len(groups):
-                raise ConfigError("pooling geometry count must match band count")
-        else:
-            pooling = tuple((6 + 2 * b, (6 + 2 * b) // 2) for b in range(len(groups)))
-        bands = []
-        for group, (cell, step) in zip(groups, pooling):
-            if cell < 1 or step < 1 or cell > self.image_size:
-                raise ConfigError(f"bad pooling cell geometry ({cell}, {step})")
-            bands.append(Band(sizes=tuple(group), cell=cell, step=step))
-        return tuple(bands)
+@functools.lru_cache(maxsize=None)
+def gabor_kernels(
+    sizes: tuple[int, ...], orientations: int
+) -> Mapping[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+    """Read-only quadrature pairs keyed by (size, orientation index), built once per process."""
+    return MappingProxyType(
+        {
+            (size, oi): gabor_kernel_pair(size, np.pi * oi / orientations)
+            for size in sizes
+            for oi in range(orientations)
+        }
+    )
 
 
 @dataclass(frozen=True)
 class FilterBank:
-    """Built kernels for every (size, orientation), with band/pooling layout."""
+    """Kernels for every (size, orientation) of the bands, and the crop side they pool over."""
 
-    config: GaborBankConfig
     bands: tuple[Band, ...]
-    # kernels[(size, orientation_index)] = (even, odd)
-    kernels: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(repr=False)
-
-    @property
-    def orientations(self) -> int:
-        return self.config.orientations
-
-    @property
-    def image_size(self) -> int:
-        return self.config.image_size
+    orientations: int
+    image_size: int
+    kernels: Mapping[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
     def cells_per_band(self) -> tuple[int, ...]:
         """Number of full pooling cells per band over the image grid."""
-        counts = []
-        for band in self.bands:
-            per_axis = (self.image_size - band.cell) // band.step + 1
-            if per_axis < 1:
-                raise ConfigError(f"pooling cell {band.cell} exceeds image size {self.image_size}")
-            counts.append(per_axis * per_axis)
-        return tuple(counts)
+        return tuple(((self.image_size - b.cell) // b.step + 1) ** 2 for b in self.bands)
 
 
-def build_gabor_bank(config: GaborBankConfig = GaborBankConfig()) -> FilterBank:
-    """Construct the quadrature kernel set described by ``config``."""
-    if config.orientations < 1:
+def build_gabor_bank(
+    bands: tuple[Band, ...] = DEFAULT_BANDS, orientations: int = 8, image_size: int = CROP_SIZE
+) -> FilterBank:
+    """The quadrature kernel set for ``bands`` over a square crop of ``image_size``."""
+    if orientations < 1:
         raise ConfigError("need at least one orientation")
-    bands = config.resolved_bands()
-    sizes = sorted({sz for band in bands for sz in band.sizes})
-    kernels = {
-        (sz, oi): gabor_kernel_pair(sz, np.pi * oi / config.orientations)
-        for sz in sizes
-        for oi in range(config.orientations)
-    }
-    return FilterBank(config=config, bands=bands, kernels=kernels)
+    for band in bands:
+        if band.cell < 1 or band.step < 1 or band.cell > image_size:
+            raise ConfigError(f"bad pooling cell geometry ({band.cell}, {band.step})")
+    sizes = tuple(sorted({size for band in bands for size in band.sizes}))
+    return FilterBank(bands, orientations, image_size, gabor_kernels(sizes, orientations))
 
 
 def correlate_clamp(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:

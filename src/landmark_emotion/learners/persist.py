@@ -274,12 +274,14 @@ def _load_svm(reader: _LineReader, digest: str, classes: tuple[int, ...], dimens
         raise FormatError("support vector width does not match model dimension")
     if not 0 <= n_vec <= reader.remaining():
         raise FormatError(f"support vector count {n_vec} does not fit the file")
-    vectors = np.empty((n_vec, dimension))
+    # rows are checked before they are stored, so nothing is sized by the unchecked dimension
+    rows = []
     for i in range(n_vec):
         row = _parse_floats(reader.next(), f"support vector {i}")
         if row.shape != (dimension,):
             raise FormatError(f"support vector {i} has {row.shape[0]} values, expected {dimension}")
-        vectors[i] = row
+        rows.append(row)
+    vectors = np.array(rows).reshape(n_vec, dimension)
     machines = []
     while reader.peek() is not None:
         header = reader.next().split()

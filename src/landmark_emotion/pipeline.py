@@ -25,7 +25,7 @@ from .features.extract import (
     point_texture,
     point_texture_block,
 )
-from .features.gabor import FilterBank, GaborBankConfig, build_gabor_bank
+from .features.gabor import FilterBank, build_gabor_bank
 from .features.image import GrayImage, align_face, aspect_correct, aspect_correct_points, read_pgm
 from .features.spec import FeatureBlock, FeatureSpec
 from .learners.dataset import CLASSES, UNLABELED, LabeledDataset, label_index
@@ -230,7 +230,7 @@ def build_feature_spec(config: PipelineConfig) -> FeatureSpec:
     if "axis" in config.features:
         blocks.append(FeatureBlock("axis", 2 * POINT_COUNT, shape_params))
     if "bif" in config.features:
-        blocks.append(bif_block(build_gabor_bank(GaborBankConfig())))
+        blocks.append(bif_block(build_gabor_bank()))
     if "point_texture" in config.features:
         blocks.append(point_texture_block(POINT_COUNT, config.texture_scales, config.texture_orientations))
     return FeatureSpec(blocks=tuple(blocks))
@@ -323,7 +323,7 @@ def load_dataset(manifest_path: str | Path, config: PipelineConfig) -> LoadResul
     manifest = read_manifest(manifest_path)
     base = manifest_path.parent
     spec = build_feature_spec(config)
-    bank = build_gabor_bank(GaborBankConfig()) if "bif" in config.features else None
+    bank = build_gabor_bank() if "bif" in config.features else None
 
     parsed: dict[str, list[_ParsedEntry]] = {s: [] for s in SPLITS}
     absent: dict[str, list[str]] = {s: [] for s in SPLITS}

@@ -227,7 +227,7 @@ def test_criterion_8_texture_zero_and_convolution_oracle(rng):
     texture = point_texture(GrayImage(np.full((220, 220), 0.8)), face, scales=3, orientations=4)
     assert np.max(np.abs(texture)) <= 1e-10
 
-    toy_bank = build_gabor_bank(TOY_SINGLE)
+    toy_bank = build_gabor_bank(**TOY_SINGLE)
     toy_img = GrayImage(rng.random((4, 4)))
     fv = bif_features(toy_img, toy_bank)
     expected = brute_force_bif(toy_img.pixels, toy_bank)

@@ -3,7 +3,7 @@ import pytest
 
 from landmark_emotion.errors import DimensionMismatchError
 from landmark_emotion.features.extract import bif_block, bif_features
-from landmark_emotion.features.gabor import GaborBankConfig, build_gabor_bank
+from landmark_emotion.features.gabor import Band, build_gabor_bank
 from landmark_emotion.features.image import GrayImage
 
 
@@ -45,12 +45,9 @@ def brute_force_bif(image, bank):
     return np.array(feats)
 
 
-TOY_SINGLE = GaborBankConfig(
-    orientations=1, sizes=(3,), bands=((3,),), pooling=((4, 4),), image_size=4
-)
-TOY_MULTI = GaborBankConfig(
-    orientations=2, sizes=(3, 5), bands=((3, 5),), pooling=((4, 2),), image_size=8
-)
+# build_gabor_bank arguments of the brute-force toys
+TOY_SINGLE = dict(bands=(Band(sizes=(3,), cell=4, step=4),), orientations=1, image_size=4)
+TOY_MULTI = dict(bands=(Band(sizes=(3, 5), cell=4, step=2),), orientations=2, image_size=8)
 
 
 def test_constant_image_all_zero():
@@ -71,13 +68,13 @@ def test_dimension_matches_spec_and_is_input_independent(rng):
 
 
 def test_repeat_bit_identical(rng):
-    bank = build_gabor_bank(TOY_MULTI)
+    bank = build_gabor_bank(**TOY_MULTI)
     img = GrayImage(rng.random((8, 8)))
     assert np.array_equal(bif_features(img, bank), bif_features(img, bank))
 
 
 def test_single_cell_toy_matches_brute_force(rng):
-    bank = build_gabor_bank(TOY_SINGLE)
+    bank = build_gabor_bank(**TOY_SINGLE)
     img = GrayImage(rng.random((4, 4)))
     fv = bif_features(img, bank)
     expected = brute_force_bif(img.pixels, bank)
@@ -86,7 +83,7 @@ def test_single_cell_toy_matches_brute_force(rng):
 
 
 def test_multi_band_toy_matches_brute_force(rng):
-    bank = build_gabor_bank(TOY_MULTI)
+    bank = build_gabor_bank(**TOY_MULTI)
     img = GrayImage(rng.random((8, 8)))
     fv = bif_features(img, bank)
     expected = brute_force_bif(img.pixels, bank)
@@ -99,6 +96,6 @@ def test_wrong_image_size_rejected(rng):
     bank = build_gabor_bank()
     with pytest.raises(DimensionMismatchError):
         bif_features(GrayImage(rng.random((59, 60))), bank)
-    toy = build_gabor_bank(TOY_SINGLE)
+    toy = build_gabor_bank(**TOY_SINGLE)
     with pytest.raises(DimensionMismatchError):
         bif_features(GrayImage(rng.random((60, 60))), toy)

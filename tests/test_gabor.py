@@ -3,7 +3,7 @@ import pytest
 
 from landmark_emotion.errors import ConfigError
 from landmark_emotion.features.gabor import (
-    GaborBankConfig,
+    Band,
     build_gabor_bank,
     correlate_clamp,
     gabor_kernel_pair,
@@ -80,7 +80,7 @@ def test_even_size_rejected():
     with pytest.raises(ConfigError):
         gabor_kernel_pair(8, 0.0)
     with pytest.raises(ConfigError):
-        build_gabor_bank(GaborBankConfig(sizes=(6, 8), bands=((6, 8),), pooling=((4, 2),)))
+        build_gabor_bank((Band(sizes=(6, 8), cell=4, step=2),))
 
 
 def test_sigma_lambda_schedule():
@@ -110,8 +110,6 @@ def test_correlate_clamp_matches_loops(rng):
 
 def test_bad_configs():
     with pytest.raises(ConfigError):
-        build_gabor_bank(GaborBankConfig(orientations=0))
+        build_gabor_bank(orientations=0)
     with pytest.raises(ConfigError):
-        build_gabor_bank(GaborBankConfig(sizes=(7, 9, 11)))  # odd count, default pairing
-    with pytest.raises(ConfigError):
-        build_gabor_bank(GaborBankConfig(pooling=((4, 2),)))  # 1 pooling vs 8 bands
+        build_gabor_bank((Band(sizes=(7, 9), cell=61, step=3),))  # cell wider than the crop

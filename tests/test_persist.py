@@ -158,6 +158,15 @@ MALFORMED = {
     "empty_last_tree": ("gb", _sub_first(r"nodes=\d+\n(?:node .*\n)+\Z", "nodes=0\n"), None),
     "node_count_past_end": ("gb", _sub_first(r"nodes=\d+", "nodes=10000000000000"), None),
     "vector_count_past_end": ("svm", _sub_first(r"vectors: \d+", "vectors: 10000000000000"), None),
+    # no scaler line bounds the dimension, so only the vector rows can refute it
+    "huge_dimension_without_scaler": (
+        "svm",
+        _sub_first(
+            r"dimension: \d+\n(C: .*\ngamma: .*\n)scaler_lo: .*\nscaler_hi: .*\nvectors: (\d+) \d+\n",
+            r"dimension: 10000000000000\n\1vectors: \2 10000000000000\n",
+        ),
+        None,
+    ),
     # the first tree of the GB fixture has its inner split on the root's left child
     "root_right_skips_inner": ("gb", _sub_first("left=1 right=4", "left=1 right=3"), None),
     "unreachable_split": ("gb", _sub_first("left=1 right=4", "left=1 right=2"), None),
