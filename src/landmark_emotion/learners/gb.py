@@ -7,6 +7,13 @@ greedy search over every feature, thresholds at midpoints between distinct
 sorted values.  All tie-breaks are deterministic (lowest feature index, then
 lowest threshold), and training rows are put into a canonical order first so
 results do not depend on how the caller shuffled the samples.
+
+Every column is sorted once per training run (XGBoost's exact greedy search
+over pre-sorted columns).  A root search takes the residual into that sorted
+(features × rows) layout; a child's layout is a stable partition of the
+root's, never a fresh gather from the feature matrix.  The prefix sums and
+the gain formula run in work buffers allocated once per run; a child search
+allocates only the index of its positions in the root layout.
 """
 from __future__ import annotations
 
@@ -83,47 +90,78 @@ def _softmax(F: np.ndarray) -> np.ndarray:
 
 
 class _SplitSearch:
-    """Presorted exact greedy search shared by all nodes of a training run."""
+    """Exact greedy split search over columns sorted once per training run.
+
+    The root layout is (d, n): feature f's row numbers sorted by value, ties
+    in row order, and the sorted values beside them.  A root search takes the
+    residual into that layout; a child's layout is the stable partition of
+    the root's by the child's rows, so it stays sorted with ties in row
+    order.  Every (d, n) array is allocated here and reused by each search
+    of the run; a node of m rows views the first d*m entries as (d, m).
+    """
 
     def __init__(self, X: np.ndarray):
-        self.X = X
-        self.n, self.d = X.shape
-        self.sort_idx = np.argsort(X, axis=0, kind="stable")
+        n, d = X.shape
+        self.X, self.n, self.d = X, n, d
+        self.order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+        self.values = np.take_along_axis(X.T, self.order, axis=1)
+        self.tied = self.values[:, 1:] == self.values[:, :-1]  # no threshold between equal values
+        self.residual = np.empty((d, n))  # the current tree's residual in the root layout
+        self._member = np.empty(d * n, dtype=bool)
+        self._tied = np.empty(d * n, dtype=bool)
+        self._values, self._residual, self._sums, self._gain, self._right = (np.empty(d * n) for _ in range(5))
+        self._counts = np.arange(1, n, dtype=np.float64)
 
-    def node_order(self, rows: np.ndarray) -> np.ndarray:
-        """Per-feature sorted member row indices, shape (d, len(rows))."""
-        mask = np.zeros(self.n, dtype=bool)
-        mask[rows] = True
-        picked = mask[self.sort_idx]  # (n, d)
-        return self.sort_idx.T[picked.T].reshape(self.d, len(rows))
+    def _view(self, buffer: np.ndarray, columns: int) -> np.ndarray:
+        return buffer[: self.d * columns].reshape(self.d, columns)
 
-    def best_split(self, rows: np.ndarray, residual: np.ndarray):
-        """Best (gain, feature, threshold) over all columns, or None.
+    def root_split(self, residual: np.ndarray):
+        """Best split over all rows; keeps ``residual`` for the child searches."""
+        # mode="clip" lets take write straight into ``out``; the indices are in range
+        np.take(residual, self.order, out=self.residual, mode="clip")
+        return self._best(self.values, self.residual, self.tied)
 
-        ``residual`` is indexed by full-matrix row number.  Ties resolve to
-        the lowest feature index, then the lowest threshold.
-        """
-        m = len(rows)
+    def child_split(self, member: np.ndarray):
+        """Best split over the rows where ``member`` is true, a child of the last root."""
+        m = int(np.count_nonzero(member))
         if m < 2:
             return None
-        order = self.node_order(rows)  # (d, m) row indices
-        sv = self.X[order, np.arange(self.d)[:, None]]  # sorted values per feature
-        sr = residual[order]
-        csum = np.cumsum(sr, axis=1)
-        total = csum[:, -1:]
-        k = np.arange(1, m, dtype=np.float64)
-        left_sum = csum[:, :-1]
-        right_sum = total - left_sum
-        gains = left_sum**2 / k + right_sum**2 / (m - k) - total**2 / m
-        valid = sv[:, 1:] > sv[:, :-1]
-        gains = np.where(valid, gains, -np.inf)
-        flat = int(np.argmax(gains))
-        f, pos = divmod(flat, m - 1)
-        if not np.isfinite(gains[f, pos]):
+        np.take(member, self.order.ravel(), out=self._member, mode="clip")
+        picked = np.flatnonzero(self._member)  # m positions per feature, in sorted order
+        values = self._view(self._values, m)
+        residual = self._view(self._residual, m)
+        np.take(self.values.ravel(), picked, out=values.ravel(), mode="clip")
+        np.take(self.residual.ravel(), picked, out=residual.ravel(), mode="clip")
+        tied = np.equal(values[:, 1:], values[:, :-1], out=self._view(self._tied, m - 1))
+        return self._best(values, residual, tied)
+
+    def _best(self, values: np.ndarray, residual: np.ndarray, tied: np.ndarray):
+        """Best (gain, feature, threshold) of one node's sorted layout, or None.
+
+        The node has at least two rows.  Ties resolve to the lowest feature
+        index, then the lowest threshold.
+        """
+        m = values.shape[1]
+        sums = np.cumsum(residual, axis=1, out=self._view(self._sums, m))
+        total = sums[:, -1:]
+        left = sums[:, :-1]
+        k = self._counts[: m - 1]
+        # left**2/k + right**2/(m-k) - total**2/m, step by step in that order so
+        # every float equals the plain expression's
+        gain = np.square(left, out=self._view(self._gain, m - 1))
+        gain /= k
+        right = np.subtract(total, left, out=self._view(self._right, m - 1))
+        np.square(right, out=right)
+        right /= m - k
+        gain += right
+        gain -= total**2 / m
+        np.copyto(gain, -np.inf, where=tied)
+        f, pos = divmod(int(np.argmax(gain)), m - 1)
+        if not np.isfinite(gain[f, pos]):
             return None
-        threshold = 0.5 * (sv[f, pos] + sv[f, pos + 1])
+        threshold = 0.5 * (values[f, pos] + values[f, pos + 1])
         # the improvement is non-negative in exact arithmetic; clip fp dust
-        return max(float(gains[f, pos]), 0.0), int(f), float(threshold)
+        return max(float(gain[f, pos]), 0.0), int(f), float(threshold)
 
 
 def _newton_value(rows: np.ndarray, residual: np.ndarray, weight: np.ndarray, k_classes: int) -> float:
@@ -140,25 +178,25 @@ def _fit_two_split_tree(
     weight: np.ndarray,
     k_classes: int,
 ) -> Tree:
-    """Grow a best-first tree with up to two splits over all rows."""
+    """Grow a best-first tree with up to two splits over all rows; nodes are row masks."""
     X = search.X
-    rows = np.arange(search.n)
 
-    def leaf_value(node_rows):
-        return _newton_value(node_rows, residual, weight, k_classes)
+    def leaf_value(rows):
+        return _newton_value(rows, residual, weight, k_classes)
 
-    root_split = search.best_split(rows, residual)
+    root_split = search.root_split(residual)
     if root_split is None:
-        return Tree(values=(leaf_value(rows),))
+        return Tree(values=(leaf_value(np.ones(search.n, dtype=bool)),))
 
     gain0, f0, t0 = root_split
     root = Split(feature=f0, threshold=t0, gain=gain0)
-    children = [rows[X[rows, f0] <= t0], rows[X[rows, f0] > t0]]
+    goes_left = X[:, f0] <= t0
+    children = [goes_left, ~goes_left]
 
-    candidates = [search.best_split(node_rows, residual) for node_rows in children]
+    candidates = [search.child_split(rows) for rows in children]
     # expand the child whose best split improves more; ties expand the left child
     if candidates[0] is None and candidates[1] is None:
-        return Tree(values=tuple(leaf_value(node_rows) for node_rows in children), root=root)
+        return Tree(values=tuple(leaf_value(rows) for rows in children), root=root)
     if candidates[1] is None:
         side = 0
     elif candidates[0] is None:
@@ -167,11 +205,11 @@ def _fit_two_split_tree(
         side = 0 if candidates[0][0] >= candidates[1][0] else 1
 
     g1, f1, t1 = candidates[side]
-    node_rows = children[side]
-    refined = [node_rows[X[node_rows, f1] <= t1], node_rows[X[node_rows, f1] > t1]]
+    deeper_left = X[:, f1] <= t1
+    refined = [children[side] & deeper_left, children[side] & ~deeper_left]
     leaves = [children[0]] + refined if side else refined + [children[1]]
     return Tree(
-        values=tuple(leaf_value(leaf_rows) for leaf_rows in leaves),
+        values=tuple(leaf_value(rows) for rows in leaves),
         root=root,
         inner=Split(feature=f1, threshold=t1, gain=g1),
         inner_right=bool(side),

@@ -36,6 +36,11 @@ from .shapes import LandmarkSet, MeanShape, NormalizedShape, mean_shape, normali
 SPLITS = ("train", "validate", "test")
 FEATURE_FAMILIES = ("distances", "axis", "bif", "point_texture")
 POINT_COUNT = 68
+# point_texture builds kernels of side 7 + 4k for every scale k and filters
+# each landmark with every one, so both counts bound its work (16 scales
+# reach 67 px)
+MAX_TEXTURE_SCALES = 16
+MAX_TEXTURE_ORIENTATIONS = 32
 
 
 @dataclass(frozen=True)
@@ -146,6 +151,16 @@ class PipelineConfig:
             raise ConfigError(f"aspect_factor must be positive and finite, got {self.aspect_factor}")
         if (self.svm_c is None) != (self.svm_gamma is None):
             raise ConfigError("set both svm_c and svm_gamma for a fixed SVM, or neither for a grid search")
+        if not 0 < self.shrinkage <= 1:
+            raise ConfigError(f"shrinkage must be in (0, 1], got {self.shrinkage}")
+        if self.max_trees < 1:
+            raise ConfigError(f"max_trees must be at least 1, got {self.max_trees}")
+        if not 1 <= self.texture_scales <= MAX_TEXTURE_SCALES:
+            raise ConfigError(f"texture_scales must be in 1..{MAX_TEXTURE_SCALES}, got {self.texture_scales}")
+        if not 1 <= self.texture_orientations <= MAX_TEXTURE_ORIENTATIONS:
+            raise ConfigError(
+                f"texture_orientations must be in 1..{MAX_TEXTURE_ORIENTATIONS}, got {self.texture_orientations}"
+            )
 
     def needs_images(self) -> bool:
         return "bif" in self.features or "point_texture" in self.features

@@ -148,8 +148,8 @@ def write_pts(landmarks: LandmarkSet) -> str:
     ``parse_pts(write_pts(s))`` reproduces the coordinates bit for bit.
     """
     lines = ["version: 1", f"n_points: {landmarks.point_count}", "{"]
-    for x, y in landmarks.points:
-        lines.append(f"{float(x)!r} {float(y)!r}")
+    for x, y in landmarks.points.tolist():
+        lines.append(f"{x!r} {y!r}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

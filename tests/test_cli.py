@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from landmark_emotion.cli import main
 from landmark_emotion.evaluation import ConfusionMatrix
+from landmark_emotion.features.image import GrayImage, write_pgm
 from landmark_emotion.learners.dataset import CLASSES
 from landmark_emotion.pipeline import read_manifest
 
@@ -227,6 +229,24 @@ def test_overflowing_aspect_factor_fails_cleanly(synth_dir, tmp_path, capsys):
         assert main(["train", "--config", str(cfg), "--model", str(model_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "aspect_factor" in err[0], err
+    assert not model_path.exists()
+
+
+def test_unbounded_texture_scales_fail_fast(synth_dir, tmp_path, capsys):
+    # each scale adds a larger kernel: unbounded, this config builds kernels for minutes
+    entry = read_manifest(synth_dir / "data" / "manifest.csv").entries[0]
+    (tmp_path / "a.pts").write_bytes((synth_dir / "data" / entry.pts_path).read_bytes())
+    (tmp_path / "a.pgm").write_bytes(write_pgm(GrayImage(np.full((240, 240), 0.5))))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("id,pts_path,image_path,label,split\na,a.pts,a.pgm,Happy,train\n")
+    cfg = tmp_path / "scales.cfg"
+    cfg.write_text(f"manifest = {manifest}\nfeatures = point_texture\nmodel = svm\ntexture_scales = 1000000\n")
+    model_path = tmp_path / "scales.model"
+    started = time.perf_counter()
+    assert main(["train", "--config", str(cfg), "--model", str(model_path)]) == 1
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "texture_scales" in err[0], err
     assert not model_path.exists()
 
 

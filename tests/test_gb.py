@@ -1,9 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import gb_oracle
 from landmark_emotion.errors import DimensionMismatchError
-from landmark_emotion.learners.dataset import CLASSES, LabeledDataset
-from landmark_emotion.learners.gb import gb_influence, gb_predict_batch, gb_scores, gb_train, gb_truncate
+from landmark_emotion.learners.dataset import CLASSES, LabeledDataset, canonical_order
+from landmark_emotion.learners.gb import Split, gb_influence, gb_predict_batch, gb_scores, gb_train, gb_truncate
+from landmark_emotion.learners.persist import save_model
+from landmark_emotion.pipeline import PipelineConfig, load_dataset
+from landmark_emotion.synth import synth_dataset
 
 
 def dataset(X, y):
@@ -145,3 +151,72 @@ def test_influence_concentrates_on_signal_feature():
     model = gb_train(ds, ds, max_trees=15)
     influence = gb_influence(model)
     assert int(np.argmax(influence)) == 7
+
+
+def first_residuals(ds):
+    """Training rows in canonical order and the first iteration's residuals ``Y - softmax(log priors)``."""
+    order = canonical_order(ds.X, ds.y)
+    X, y = ds.X[order], ds.y[order]
+    Y = np.stack([(y == c).astype(np.float64) for c in ds.classes_present()], axis=1)
+    F = np.tile(np.log(Y.mean(axis=0)), (len(y), 1))
+    e = np.exp(F - F.max(axis=1, keepdims=True))
+    return X, Y - e / e.sum(axis=1, keepdims=True)
+
+
+def oracle_cases():
+    """Small matrices with heavy duplicates, a constant column and tiny children."""
+    rng = np.random.default_rng(2024)
+    for _ in range(12):
+        n = int(rng.integers(5, 13))
+        X = rng.integers(0, 3, size=(n, 5)).astype(np.float64)
+        X[:, 2] = 1.5  # constant: never splittable
+        X[:, 4] = rng.choice([-0.25, 0.1, 0.7], size=n)
+        y = np.array([0, 3, 5])[rng.integers(0, 3, size=n)]
+        y[:2] = (0, 3)  # at least two classes
+        yield dataset(X, y)
+    # long runs of equal values: the order inside a run changes the prefix-sum bits
+    X = rng.integers(0, 3, size=(40, 4)).astype(np.float64)
+    yield dataset(X, np.array([0, 3, 5])[rng.integers(0, 3, size=40)])
+    # one row stands alone on feature 0, so a child holds a single row
+    X = np.array([[9.0, 1.0], [0.0, 1.0], [0.0, 2.0], [0.0, 2.0], [0.0, 1.0], [0.0, 2.0]])
+    yield dataset(X, [4, 0, 3, 3, 0, 3])
+    # both children's best splits gain the same, so the left child is expanded
+    X = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+    yield dataset(X, [0, 3, 0, 3, 0, 3])
+
+
+def as_split(found):
+    return None if found is None else Split(feature=found[1], threshold=found[2], gain=found[0])
+
+
+def test_split_search_matches_exhaustive_oracle():
+    child_sizes = set()
+    for ds in oracle_cases():
+        model = gb_train(ds, ds, max_trees=1)
+        X, R = first_residuals(ds)
+        rows = X.tolist()
+        for k, per_class in enumerate(model.trees):
+            root, inner, inner_right, sizes = gb_oracle.two_split_tree(rows, R[:, k].tolist())
+            tree = per_class[0]
+            assert tree.root == as_split(root)
+            assert tree.inner == as_split(inner)
+            if inner is not None:
+                assert tree.inner_right == inner_right
+            child_sizes.update(sizes)
+    assert 1 in child_sizes  # the cases reach a one-row child
+
+
+PINNED_DIGEST = "51340df7e7927890a940dca3c82b9cd4dfabf4b7d656edc0a60c179099852793"
+PINNED_VAL_ACCURACY = (0.7142857142857143, 0.7857142857142857, 0.8571428571428571)
+PINNED_TRAIN_DEVIANCE = (1.3962361363671731, 1.0950932850858697, 0.8816318744432964)
+
+
+def test_gb_model_bytes_pinned(tmp_path):
+    """Any drift in the split search shows here as changed model bytes."""
+    manifest = synth_dataset(tmp_path / "data", seed=5, per_class_count=10)
+    result = load_dataset(manifest, PipelineConfig(manifest=str(manifest), features=("distances", "axis")))
+    model = gb_train(result.datasets["train"], result.datasets["validate"], max_trees=3)
+    digest = hashlib.sha256(save_model(model).encode()).hexdigest()
+    assert digest == PINNED_DIGEST
+    assert model.val_accuracy == PINNED_VAL_ACCURACY
+    assert model.train_deviance == PINNED_TRAIN_DEVIANCE

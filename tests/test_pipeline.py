@@ -243,6 +243,13 @@ svm_gamma_grid = 0.5
         ("aspect_factor = inf", "aspect_factor"),
         ("svm_c = 8", "svm_gamma"),
         ("svm_gamma = 0.5", "svm_c"),
+        ("shrinkage = 0", "shrinkage"),
+        ("shrinkage = 1.5", "shrinkage"),
+        ("max_trees = 0", "max_trees"),
+        ("texture_scales = 0", "texture_scales"),
+        ("texture_scales = 17", "texture_scales"),
+        ("texture_orientations = 0", "texture_orientations"),
+        ("texture_orientations = 33", "texture_orientations"),
     ],
 )
 def test_parse_config_rejects(text, match):
