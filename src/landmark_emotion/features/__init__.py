@@ -13,9 +13,7 @@ from .gabor import (
     Band,
     FilterBank,
     build_gabor_bank,
-    correlate_clamp,
     gabor_kernel_pair,
-    gabor_magnitude,
 )
 from .image import (
     CROP_SIZE,
@@ -48,10 +46,8 @@ __all__ = [
     "bif_features",
     "bilinear_sample",
     "build_gabor_bank",
-    "correlate_clamp",
     "fit_similarity",
     "gabor_kernel_pair",
-    "gabor_magnitude",
     "pair_enumeration",
     "point_distances",
     "point_texture",

@@ -2,17 +2,23 @@
 mean shape, pooled filter-bank texture over the aligned crop, and per-landmark
 filter responses.
 
+The pooled texture filters each crop in the frequency domain: one FFT of the
+edge-padded crop, then one inverse FFT per cached complex kernel spectrum
+(``gabor_spectra``), and pools every (band, orientation) response over a
+strided window view rather than cell by cell.
+
 All extractors are pure functions of their inputs; repeated calls on the same
 arguments return bit-identical vectors.
 """
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial.distance import pdist
 
 from ..errors import DimensionMismatchError
 from ..shapes import LandmarkSet, MeanShape, NormalizedShape
-from .gabor import FilterBank, gabor_kernels, gabor_magnitude
+from .gabor import FilterBank, gabor_kernels, gabor_spectra
 from .image import GrayImage
 from .spec import FeatureBlock
 
@@ -52,20 +58,6 @@ def bif_block(bank: FilterBank) -> FeatureBlock:
     return FeatureBlock("bif", dimension, params=params)
 
 
-def _pool_windows(response: np.ndarray, cell: int, step: int) -> tuple[np.ndarray, np.ndarray]:
-    """MAX and population STDDEV over the full cells of an overlapping grid."""
-    size = response.shape[0]
-    starts = range(0, size - cell + 1, step)
-    maxes = []
-    stds = []
-    for y0 in starts:
-        for x0 in starts:
-            window = response[y0 : y0 + cell, x0 : x0 + cell]
-            maxes.append(window.max())
-            stds.append(window.std())
-    return np.array(maxes), np.array(stds)
-
-
 def bif_features(image: GrayImage, bank: FilterBank) -> np.ndarray:
     """Pooled texture descriptor over the aligned crop.
 
@@ -73,21 +65,27 @@ def bif_features(image: GrayImage, bank: FilterBank) -> np.ndarray:
     pixel-wise maximum of the quadrature magnitudes across sizes, then pool
     each grid cell with MAX and STDDEV.  Output order is (band, orientation,
     cell, {MAX, STDDEV}).
+
+    Filtering is one ``fft2`` of the edge-padded crop and, per kernel, one
+    ``ifft2`` of its product with the cached complex kernel spectrum; the
+    magnitude of the last ``n x n`` window is the quadrature response.
     """
     n = bank.image_size
     if image.height != n or image.width != n:
         raise DimensionMismatchError(
             f"bank expects a {n}x{n} crop, got {image.width}x{image.height}"
         )
+    pad, spectra = gabor_spectra(bank.bands, bank.orientations, n)
+    crop_spectrum = np.fft.fft2(np.pad(image.pixels, pad, mode="edge"))
     chunks = []
     for band in bank.bands:
         for oi in range(bank.orientations):
-            responses = [
-                gabor_magnitude(image.pixels, *bank.kernels[(sz, oi)]) for sz in band.sizes
-            ]
-            pooled_sizes = np.maximum.reduce(responses)
-            maxes, stds = _pool_windows(pooled_sizes, band.cell, band.step)
-            chunks.append(np.column_stack([maxes, stds]).ravel())
+            response = np.maximum.reduce(
+                [np.abs(np.fft.ifft2(crop_spectrum * spectra[(sz, oi)])[-n:, -n:]) for sz in band.sizes]
+            )
+            cells = sliding_window_view(response, (band.cell, band.cell))[:: band.step, :: band.step]
+            pooled = np.stack([cells.max(axis=(2, 3)), cells.std(axis=(2, 3))], axis=-1)
+            chunks.append(pooled.ravel())
     return np.concatenate(chunks)
 
 

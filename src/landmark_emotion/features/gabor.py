@@ -1,4 +1,4 @@
-"""Gabor filter bank construction and filtering primitives.
+"""Gabor filter bank construction and the kernel spectra texture filtering uses.
 
 Kernels are quadrature pairs (cosine/sine carrier under one Gaussian
 envelope) restricted to a circular aperture, DC-corrected and L2-normalized.
@@ -13,7 +13,11 @@ with spatial aspect ratio 0.3.
 A bank is its bands: ``DEFAULT_BANDS`` lists the eight (size pair, pooling
 cell, step) bands the pipeline uses.  Kernels come from one cached builder,
 ``gabor_kernels``, so each (sizes, orientations) set is computed once per
-process and shared by every bank and by ``point_texture``.
+process and shared by every bank and by ``point_texture``.  ``gabor_spectra``
+turns a bank's kernels into the 2-D spectra of the complex kernels
+``even + i*odd`` on the edge-padded crop's grid, also once per process, so
+``bif_features`` filters a crop with one forward FFT and one inverse FFT per
+kernel.
 """
 from __future__ import annotations
 
@@ -23,9 +27,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
-from scipy import signal
 
-from ..errors import ConfigError, DimensionMismatchError
+from ..errors import ConfigError
 from .image import CROP_SIZE
 
 DEFAULT_GAMMA = 0.3
@@ -120,21 +123,34 @@ def build_gabor_bank(
     for band in bands:
         if band.cell < 1 or band.step < 1 or band.cell > image_size:
             raise ConfigError(f"bad pooling cell geometry ({band.cell}, {band.step})")
-    sizes = tuple(sorted({size for band in bands for size in band.sizes}))
-    return FilterBank(bands, orientations, image_size, gabor_kernels(sizes, orientations))
+    return FilterBank(bands, orientations, image_size, gabor_kernels(_band_sizes(bands), orientations))
 
 
-def correlate_clamp(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """'Same'-size correlation with clamp-to-edge (nearest border) padding."""
-    if image.ndim != 2 or kernel.ndim != 2:
-        raise DimensionMismatchError("correlate_clamp expects 2-D arrays")
-    hy, hx = kernel.shape[0] // 2, kernel.shape[1] // 2
-    padded = np.pad(image, ((hy, hy), (hx, hx)), mode="edge")
-    return signal.fftconvolve(padded, kernel[::-1, ::-1], mode="valid")
+def _band_sizes(bands: tuple[Band, ...]) -> tuple[int, ...]:
+    return tuple(sorted({size for band in bands for size in band.sizes}))
 
 
-def gabor_magnitude(image: np.ndarray, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """Phase-insensitive response: sqrt(even_response^2 + odd_response^2)."""
-    re = correlate_clamp(image, even)
-    im = correlate_clamp(image, odd)
-    return np.sqrt(re**2 + im**2)
+@functools.lru_cache(maxsize=None)
+def gabor_spectra(
+    bands: tuple[Band, ...], orientations: int, image_size: int
+) -> tuple[int, Mapping[tuple[int, int], np.ndarray]]:
+    """Edge padding and read-only kernel spectra for filtering an ``image_size`` crop.
+
+    The crop is edge-padded by the largest kernel half-size ``pad``.  Each
+    spectrum, keyed by (size, orientation index), is the ``fft2`` of the
+    flipped complex kernel ``even + i*odd``, centred in a (2*pad+1) box and
+    zero-filled to the padded side.  The inverse FFT of the padded crop's
+    spectrum times it holds the clamp-to-edge correlations with ``even``
+    (real part) and ``odd`` (imaginary part) in its last ``image_size`` rows
+    and columns, free of circular wrap-around.
+    """
+    sizes = _band_sizes(bands)
+    pad = sizes[-1] // 2
+    side = image_size + 2 * pad
+    spectra = {}
+    for (size, oi), (even, odd) in gabor_kernels(sizes, orientations).items():
+        flipped = np.pad((even + 1j * odd)[::-1, ::-1], pad - size // 2)
+        spectrum = np.fft.fft2(flipped, s=(side, side))
+        spectrum.flags.writeable = False
+        spectra[(size, oi)] = spectrum
+    return pad, MappingProxyType(spectra)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from landmark_emotion.errors import DimensionMismatchError
 from landmark_emotion.features.extract import bif_block, bif_features
@@ -23,18 +24,29 @@ def loop_correlate_clamp(image, kernel):
     return out
 
 
-def brute_force_bif(image, bank):
-    """Independent evaluation: loop convolution, magnitudes, max, pooling."""
+def loop_magnitude(image, even, odd):
+    return np.sqrt(loop_correlate_clamp(image, even) ** 2 + loop_correlate_clamp(image, odd) ** 2)
+
+
+def ndimage_magnitude(image, even, odd):
+    return np.hypot(
+        ndimage.correlate(image, even, mode="nearest"),
+        ndimage.correlate(image, odd, mode="nearest"),
+    )
+
+
+def brute_force_bif(image, bank, magnitude=loop_magnitude):
+    """Independent evaluation: per-kernel magnitudes, max over sizes, per-window pooling.
+
+    The default loop convolution suits toy crops; ``ndimage_magnitude`` is
+    fast enough for a full 60x60 crop with the default bank.
+    """
     feats = []
     for band in bank.bands:
         for oi in range(bank.orientations):
             pooled = None
             for size in band.sizes:
-                even, odd = bank.kernels[(size, oi)]
-                mag = np.sqrt(
-                    loop_correlate_clamp(image, even) ** 2
-                    + loop_correlate_clamp(image, odd) ** 2
-                )
+                mag = magnitude(image, *bank.kernels[(size, oi)])
                 pooled = mag if pooled is None else np.maximum(pooled, mag)
             n = image.shape[0]
             for y0 in range(0, n - band.cell + 1, band.step):
@@ -48,6 +60,8 @@ def brute_force_bif(image, bank):
 # build_gabor_bank arguments of the brute-force toys
 TOY_SINGLE = dict(bands=(Band(sizes=(3,), cell=4, step=4),), orientations=1, image_size=4)
 TOY_MULTI = dict(bands=(Band(sizes=(3, 5), cell=4, step=2),), orientations=2, image_size=8)
+# a kernel wider than the crop: the edge padding (4 px) reaches past the whole image
+TOY_WIDE = dict(bands=(Band(sizes=(9,), cell=4, step=4),), orientations=3, image_size=4)
 
 
 def test_constant_image_all_zero():
@@ -89,6 +103,24 @@ def test_multi_band_toy_matches_brute_force(rng):
     expected = brute_force_bif(img.pixels, bank)
     # one band, two orientations, 3x3 overlapping cells, two stats
     assert fv.shape == (2 * 2 * 9,)
+    assert np.allclose(fv, expected, atol=1e-9)
+
+
+def test_wide_kernel_toy_matches_brute_force(rng):
+    bank = build_gabor_bank(**TOY_WIDE)
+    img = GrayImage(rng.random((4, 4)))
+    fv = bif_features(img, bank)
+    expected = brute_force_bif(img.pixels, bank)
+    assert fv.shape == (2 * 3,)
+    assert np.allclose(fv, expected, atol=1e-9)
+
+
+def test_default_bank_matches_reference(rng):
+    bank = build_gabor_bank()
+    img = GrayImage(rng.random((60, 60)))
+    fv = bif_features(img, bank)
+    expected = brute_force_bif(img.pixels, bank, ndimage_magnitude)
+    assert fv.shape == expected.shape == (bif_block(bank).dimension,)
     assert np.allclose(fv, expected, atol=1e-9)
 
 

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,3 +317,19 @@ def test_out_flag_writes_reports(synth_dir, tmp_path, capsys):
     preds = tmp_path / "preds.tsv"
     assert main(["predict", "--config", str(cfg), "--model", str(model_path), "--out", str(preds)]) == 0
     assert preds.read_text().count("\t") == len(read_manifest(synth_dir / "data" / "manifest.csv").for_split("test"))
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs about 0.9 s at start-up; no command needs it
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import landmark_emotion.cli, sys; print('scipy.signal' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -5,7 +5,6 @@ from landmark_emotion.errors import ConfigError
 from landmark_emotion.features.gabor import (
     Band,
     build_gabor_bank,
-    correlate_clamp,
     gabor_kernel_pair,
     lambda_for_size,
     sigma_for_size,
@@ -88,24 +87,6 @@ def test_sigma_lambda_schedule():
     for size, sigma, lam in [(7, 2.8, 3.5), (9, 3.6, 4.6), (11, 4.5, 5.6)]:
         assert sigma_for_size(size) == pytest.approx(sigma, abs=0.06)
         assert lambda_for_size(size) == pytest.approx(lam, abs=0.08)
-
-
-def test_correlate_clamp_matches_loops(rng):
-    image = rng.random((7, 9))
-    kernel = rng.standard_normal((3, 5))
-    result = correlate_clamp(image, kernel)
-    assert result.shape == image.shape
-    h, w = image.shape
-    kh, kw = kernel.shape
-    for y in range(h):
-        for x in range(w):
-            acc = 0.0
-            for dy in range(kh):
-                for dx in range(kw):
-                    sy = min(max(y + dy - kh // 2, 0), h - 1)
-                    sx = min(max(x + dx - kw // 2, 0), w - 1)
-                    acc += image[sy, sx] * kernel[dy, dx]
-            assert result[y, x] == pytest.approx(acc, abs=1e-10)
 
 
 def test_bad_configs():
