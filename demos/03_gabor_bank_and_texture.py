@@ -15,6 +15,7 @@ from landmark_emotion.features import (
     bif_block,
     bif_features,
     build_gabor_bank,
+    gabor_kernel_pair,
     point_texture,
 )
 from landmark_emotion.synth import synth_shape
@@ -22,11 +23,11 @@ from landmark_emotion.synth import synth_shape
 rng = np.random.default_rng(2)
 
 bank = build_gabor_bank()
-print("filter bank:", 2 * len(bank.kernels), "kernels",
+print("filter bank:", 2 * sum(len(b.sizes) for b in bank.bands) * bank.orientations, "kernels",
       f"({len(bank.bands)} bands x 2 sizes x {bank.orientations} orientations x 2 quadrature)")
 print("band sizes:", [b.sizes for b in bank.bands])
 print("pooling cells per band:", bank.cells_per_band())
-even, odd = bank.kernels[(21, 3)]
+even, odd = gabor_kernel_pair(21, np.pi * 3 / bank.orientations)
 print("every kernel is zero-mean and unit-norm:",
       abs(even.sum()) < 1e-9, round(float((even**2).sum()), 12) == 1.0)
 

@@ -1,8 +1,9 @@
-"""Batch command-line interface: train, evaluate, predict, influence, synth, gridsearch.
+"""Batch command-line interface; ``_COMMANDS`` lists the commands.
 
 Every command takes ``--config``, ``--model``, ``--out`` and ``--seed``;
-commands that do not need one simply ignore it.  Fatal errors print a
-diagnostic to stderr and exit nonzero.
+commands that do not need one simply ignore it.  Only ``synth`` reads
+``--seed``: training has no randomness.  Fatal errors print a diagnostic to
+stderr and exit nonzero.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="pipeline config file (flat key = value text)")
     sub.add_argument("--model", help="model file path (output for train, input otherwise)")
     sub.add_argument("--out", help="output path (reports, predictions, synth directory)")
-    sub.add_argument("--seed", type=int, help="override the config random seed")
+    sub.add_argument("--seed", type=int, default=0, help="random seed; only synth reads it (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,14 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Landmark-based emotion recognition: feature extraction, training, evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("train", "fit a model per the config and write a model file"),
-        ("evaluate", "load a model, predict a split, print confusion matrix and accuracy"),
-        ("predict", "emit one 'id<TAB>label' line per sample of the evaluation split"),
-        ("influence", "print the ranked landmark-pair influence report of a GB model"),
-        ("synth", "generate a seeded synthetic landmark dataset"),
-        ("gridsearch", "print the full hyperparameter search curve"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         _add_common_flags(p)
         if name == "synth":
@@ -66,10 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> PipelineConfig:
     if not args.config:
         raise ConfigError("this command needs --config")
-    config = parse_config(read_utf8(args.config))
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, seed=args.seed)
-    return config
+    return parse_config(read_utf8(args.config))
 
 
 def _load_data(config: PipelineConfig) -> LoadResult:
@@ -209,16 +200,8 @@ def _cmd_influence(args) -> int:
 
 def _cmd_synth(args) -> int:
     out_dir = args.out or "synth_data"
-    seed = args.seed
-    per_class = args.per_class
-    if args.config:
-        config = parse_config(read_utf8(args.config))
-        if seed is None:
-            seed = config.seed
-    if seed is None:
-        seed = 0
-    manifest_path = synth_dataset(out_dir, seed=seed, per_class_count=per_class)
-    print(f"synthetic dataset written: {manifest_path} ({per_class} per class, seed {seed})")
+    manifest_path = synth_dataset(out_dir, seed=args.seed, per_class_count=args.per_class)
+    print(f"synthetic dataset written: {manifest_path} ({args.per_class} per class, seed {args.seed})")
     return 0
 
 
@@ -245,12 +228,12 @@ def _cmd_gridsearch(args) -> int:
 
 
 _COMMANDS = {
-    "train": _cmd_train,
-    "evaluate": _cmd_evaluate,
-    "predict": _cmd_predict,
-    "influence": _cmd_influence,
-    "synth": _cmd_synth,
-    "gridsearch": _cmd_gridsearch,
+    "train": (_cmd_train, "fit a model per the config and write a model file"),
+    "evaluate": (_cmd_evaluate, "load a model, predict a split, print confusion matrix and accuracy"),
+    "predict": (_cmd_predict, "emit one 'id<TAB>label' line per sample of the evaluation split"),
+    "influence": (_cmd_influence, "print the ranked landmark-pair influence report of a GB model"),
+    "synth": (_cmd_synth, "generate a seeded synthetic landmark dataset"),
+    "gridsearch": (_cmd_gridsearch, "print the full hyperparameter search curve"),
 }
 
 
@@ -258,7 +241,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        handler, _ = _COMMANDS[args.command]
+        return handler(args)
     except LandmarkEmotionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

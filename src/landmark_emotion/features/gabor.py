@@ -13,7 +13,7 @@ with spatial aspect ratio 0.3.
 A bank is its bands: ``DEFAULT_BANDS`` lists the eight (size pair, pooling
 cell, step) bands the pipeline uses.  Kernels come from one cached builder,
 ``gabor_kernels``, so each (sizes, orientations) set is computed once per
-process and shared by every bank and by ``point_texture``.  ``gabor_spectra``
+process and shared by ``gabor_spectra`` and ``point_texture``.  ``gabor_spectra``
 turns a bank's kernels into the 2-D spectra of the complex kernels
 ``even + i*odd`` on the edge-padded crop's grid, also once per process, so
 ``bif_features`` filters a crop with one forward FFT and one inverse FFT per
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -42,14 +42,18 @@ def lambda_for_size(size: int) -> float:
     return sigma_for_size(size) / 0.8
 
 
+def _check_size(size: int) -> None:
+    if size % 2 == 0 or size < 1:
+        raise ConfigError(f"filter size must be odd and positive, got {size}")
+
+
 def gabor_kernel_pair(size: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Even (cosine) and odd (sine) Gabor kernels of an odd pixel size.
 
     Both kernels are zeroed outside the inscribed circle, shifted to zero
     mean inside it, and scaled to unit L2 norm.
     """
-    if size % 2 == 0 or size < 1:
-        raise ConfigError(f"filter size must be odd and positive, got {size}")
+    _check_size(size)
     sigma = sigma_for_size(size)
     wavelength = lambda_for_size(size)
     half = size // 2
@@ -102,12 +106,11 @@ def gabor_kernels(
 
 @dataclass(frozen=True)
 class FilterBank:
-    """Kernels for every (size, orientation) of the bands, and the crop side they pool over."""
+    """The bands, their orientation count, and the crop side they pool over."""
 
     bands: tuple[Band, ...]
     orientations: int
     image_size: int
-    kernels: Mapping[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
     def cells_per_band(self) -> tuple[int, ...]:
         """Number of full pooling cells per band over the image grid."""
@@ -117,13 +120,15 @@ class FilterBank:
 def build_gabor_bank(
     bands: tuple[Band, ...] = DEFAULT_BANDS, orientations: int = 8, image_size: int = CROP_SIZE
 ) -> FilterBank:
-    """The quadrature kernel set for ``bands`` over a square crop of ``image_size``."""
+    """The checked bank geometry for ``bands`` over a square crop of ``image_size``."""
     if orientations < 1:
         raise ConfigError("need at least one orientation")
     for band in bands:
         if band.cell < 1 or band.step < 1 or band.cell > image_size:
             raise ConfigError(f"bad pooling cell geometry ({band.cell}, {band.step})")
-    return FilterBank(bands, orientations, image_size, gabor_kernels(_band_sizes(bands), orientations))
+    for size in _band_sizes(bands):
+        _check_size(size)
+    return FilterBank(bands, orientations, image_size)
 
 
 def _band_sizes(bands: tuple[Band, ...]) -> tuple[int, ...]:

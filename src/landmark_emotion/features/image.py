@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import BinaryIO
 
 import numpy as np
 
@@ -50,9 +49,8 @@ class GrayImage:
         return self.pixels.shape[1]
 
 
-def read_pgm(stream: BinaryIO | bytes) -> GrayImage:
+def read_pgm(data: bytes) -> GrayImage:
     """Read a binary (P5) 8-bit PGM image and map intensities to [0, 1]."""
-    data = stream if isinstance(stream, bytes) else stream.read()
     if not data.startswith(b"P5"):
         raise FormatError("not a binary PGM (missing P5 magic)")
     # header: magic, width, height, maxval as whitespace-separated tokens,

@@ -308,7 +308,6 @@ class GridSearchResult:
     gamma_grid: tuple[float, ...]
     accuracy: np.ndarray  # shape (len(C_grid), len(gamma_grid))
     best_accuracy: float
-    ties: tuple[tuple[float, float], ...]  # all cells attaining the maximum
 
     def curve_text(self) -> str:
         header = "C\\gamma " + " ".join(f"{g:.3g}" for g in self.gamma_grid)
@@ -365,13 +364,12 @@ def grid_search(
             accuracy[ci, gi] = float(np.mean(pred == val.y))
 
     best_acc = float(accuracy.max())
-    ties = tuple(
+    best_C, best_gamma = min(
         (C_grid[ci], gamma_grid[gi])
         for ci in range(len(C_grid))
         for gi in range(len(gamma_grid))
         if accuracy[ci, gi] == best_acc
     )
-    best_C, best_gamma = min(ties)
     return GridSearchResult(
         C=best_C,
         gamma=best_gamma,
@@ -379,5 +377,4 @@ def grid_search(
         gamma_grid=gamma_grid,
         accuracy=accuracy,
         best_accuracy=best_acc,
-        ties=ties,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +36,9 @@ from .shapes import LandmarkSet, MeanShape, NormalizedShape, mean_shape, normali
 SPLITS = ("train", "validate", "test")
 FEATURE_FAMILIES = ("distances", "axis", "bif", "point_texture")
 POINT_COUNT = 68
-# point_texture builds kernels of side 7 + 4k for every scale k and filters
-# each landmark with every one, so both counts bound its work (16 scales
-# reach 67 px)
-MAX_TEXTURE_SCALES = 16
-MAX_TEXTURE_ORIENTATIONS = 32
+# point_texture's filter set is fixed, as bif's is by DEFAULT_BANDS
+TEXTURE_SCALES = 8
+TEXTURE_ORIENTATIONS = 12
 
 
 @dataclass(frozen=True)
@@ -127,15 +125,11 @@ class PipelineConfig:
     svm_gamma: float | None = None
     svm_c_grid: tuple[float, ...] = DEFAULT_C_GRID
     svm_gamma_grid: tuple[float, ...] = DEFAULT_GAMMA_GRID
-    # texture extraction
-    texture_scales: int = 8
-    texture_orientations: int = 12
     # ingestion
     aspect_factor: float = 1.0
     neutral_fallback: bool = True
     merge_validation: bool = False
     eval_split: str = "test"
-    seed: int = 0
 
     def __post_init__(self):
         if not self.features:
@@ -155,12 +149,6 @@ class PipelineConfig:
             raise ConfigError(f"shrinkage must be in (0, 1], got {self.shrinkage}")
         if self.max_trees < 1:
             raise ConfigError(f"max_trees must be at least 1, got {self.max_trees}")
-        if not 1 <= self.texture_scales <= MAX_TEXTURE_SCALES:
-            raise ConfigError(f"texture_scales must be in 1..{MAX_TEXTURE_SCALES}, got {self.texture_scales}")
-        if not 1 <= self.texture_orientations <= MAX_TEXTURE_ORIENTATIONS:
-            raise ConfigError(
-                f"texture_orientations must be in 1..{MAX_TEXTURE_ORIENTATIONS}, got {self.texture_orientations}"
-            )
 
     def needs_images(self) -> bool:
         return "bif" in self.features or "point_texture" in self.features
@@ -169,8 +157,28 @@ class PipelineConfig:
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
+def _items(raw: str) -> list[str]:
+    return [v.strip() for v in raw.split(",") if v.strip()]
+
+
+# annotation of a PipelineConfig field -> parser of its config text
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "float | None": float,
+    "bool": lambda raw: _BOOL_VALUES[raw.lower()],
+    "tuple[str, ...]": lambda raw: tuple(_items(raw)),
+    "tuple[float, ...]": lambda raw: tuple(float(v) for v in _items(raw)),
+}
+_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(PipelineConfig)}
+
+
 def parse_config(text: str) -> PipelineConfig:
-    """Parse the flat key-value config format (`key = value`, '#' comments)."""
+    """Parse the flat key-value config format (`key = value`, '#' comments).
+
+    The keys are the PipelineConfig fields, each parsed by its declared type.
+    """
     values: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -182,53 +190,17 @@ def parse_config(text: str) -> PipelineConfig:
         if key in values:
             raise ConfigError(f"duplicate config key {key!r}")
         values[key] = val
-
-    def pop_bool(key: str, default: bool) -> bool:
-        if key not in values:
-            return default
-        raw = values.pop(key).lower()
-        if raw not in _BOOL_VALUES:
-            raise ConfigError(f"config key {key!r} must be true/false, got {raw!r}")
-        return _BOOL_VALUES[raw]
-
-    def pop_float_tuple(key: str, default: tuple[float, ...]) -> tuple[float, ...]:
-        if key not in values:
-            return default
+    unknown = sorted(values.keys() - _FIELD_PARSERS.keys())
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    kwargs = {}
+    for key, raw in values.items():
         try:
-            return tuple(float(v) for v in values.pop(key).split(",") if v.strip())
-        except ValueError as exc:
+            kwargs[key] = _FIELD_PARSERS[key](raw)
+        except KeyError as exc:  # only the bool parser looks its value up
+            raise ConfigError(f"config key {key!r} must be true/false, got {raw.lower()!r}") from exc
+        except ValueError as exc:  # only the numeric parsers can fail to convert
             raise ConfigError(f"config key {key!r} has a non-numeric value") from exc
-
-    kwargs: dict = {}
-    if "manifest" in values:
-        kwargs["manifest"] = values.pop("manifest")
-    if "features" in values:
-        kwargs["features"] = tuple(f.strip() for f in values.pop("features").split(",") if f.strip())
-    if "model" in values:
-        kwargs["model"] = values.pop("model")
-    for key, cast in (
-        ("shrinkage", float),
-        ("max_trees", int),
-        ("svm_c", float),
-        ("svm_gamma", float),
-        ("texture_scales", int),
-        ("texture_orientations", int),
-        ("aspect_factor", float),
-        ("seed", int),
-    ):
-        if key in values:
-            try:
-                kwargs[key] = cast(values.pop(key))
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r} has a non-numeric value") from exc
-    kwargs["svm_c_grid"] = pop_float_tuple("svm_c_grid", PipelineConfig.svm_c_grid)
-    kwargs["svm_gamma_grid"] = pop_float_tuple("svm_gamma_grid", PipelineConfig.svm_gamma_grid)
-    kwargs["neutral_fallback"] = pop_bool("neutral_fallback", True)
-    kwargs["merge_validation"] = pop_bool("merge_validation", False)
-    if "eval_split" in values:
-        kwargs["eval_split"] = values.pop("eval_split")
-    if values:
-        raise ConfigError(f"unknown config keys: {sorted(values)}")
     return PipelineConfig(**kwargs)
 
 
@@ -247,7 +219,7 @@ def build_feature_spec(config: PipelineConfig) -> FeatureSpec:
     if "bif" in config.features:
         blocks.append(bif_block(build_gabor_bank()))
     if "point_texture" in config.features:
-        blocks.append(point_texture_block(POINT_COUNT, config.texture_scales, config.texture_orientations))
+        blocks.append(point_texture_block(POINT_COUNT, TEXTURE_SCALES, TEXTURE_ORIENTATIONS))
     return FeatureSpec(blocks=tuple(blocks))
 
 
@@ -317,14 +289,7 @@ def _extract_features(
         parts.append(bif_features(crop, bank))
     if "point_texture" in config.features:
         assert parsed.image is not None
-        parts.append(
-            point_texture(
-                parsed.image,
-                parsed.landmarks,
-                scales=config.texture_scales,
-                orientations=config.texture_orientations,
-            )
-        )
+        parts.append(point_texture(parsed.image, parsed.landmarks, TEXTURE_SCALES, TEXTURE_ORIENTATIONS))
     return np.concatenate(parts)
 
 

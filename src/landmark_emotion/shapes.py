@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -100,14 +100,12 @@ def centroid_size(points: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.sum(centered**2, axis=1))))
 
 
-def parse_pts(text: str | TextIO) -> LandmarkSet:
+def parse_pts(text: str) -> LandmarkSet:
     """Parse an iBUG 300-W ``.pts`` file (version line, ``n_points:``, braces).
 
     Raises FormatError when the declared point count disagrees with the
     number of coordinate lines or a coordinate is not numeric.
     """
-    if hasattr(text, "read"):
-        text = text.read()
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("//")]
     if not lines or not lines[0].lower().startswith("version"):

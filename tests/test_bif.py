@@ -4,7 +4,7 @@ from scipy import ndimage
 
 from landmark_emotion.errors import DimensionMismatchError
 from landmark_emotion.features.extract import bif_block, bif_features
-from landmark_emotion.features.gabor import Band, build_gabor_bank
+from landmark_emotion.features.gabor import Band, build_gabor_bank, gabor_kernel_pair
 from landmark_emotion.features.image import GrayImage
 
 
@@ -46,7 +46,7 @@ def brute_force_bif(image, bank, magnitude=loop_magnitude):
         for oi in range(bank.orientations):
             pooled = None
             for size in band.sizes:
-                mag = magnitude(image, *bank.kernels[(size, oi)])
+                mag = magnitude(image, *gabor_kernel_pair(size, np.pi * oi / bank.orientations))
                 pooled = mag if pooled is None else np.maximum(pooled, mag)
             n = image.shape[0]
             for y0 in range(0, n - band.cell + 1, band.step):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from landmark_emotion.errors import DimensionMismatchError
-from landmark_emotion.features.spec import pair_enumeration
+from landmark_emotion.features.extract import point_texture_block
+from landmark_emotion.features.spec import FeatureSpec, pair_enumeration
 from landmark_emotion.learners.dataset import LabeledDataset
 from landmark_emotion.pipeline import PipelineConfig, build_feature_spec
 
@@ -65,5 +66,8 @@ def test_digest_tracks_layout():
     assert a.digest() == b.digest()
     assert a.digest() != spec_of("axis").digest()
     assert a.digest() != spec_of("distances", "axis").digest()
-    assert spec_of("point_texture").digest() != spec_of("point_texture", texture_scales=7).digest()
+    texture = FeatureSpec(blocks=(point_texture_block(68, 8, 12),))
+    assert texture.digest() == spec_of("point_texture").digest()
+    assert texture.digest() != FeatureSpec(blocks=(point_texture_block(68, 7, 12),)).digest()
+    assert texture.digest() != FeatureSpec(blocks=(point_texture_block(68, 8, 11),)).digest()
     assert "distances" in a.to_text()

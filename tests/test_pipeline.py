@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -157,13 +161,11 @@ def test_texture_features_through_pipeline(tmp_path, rng):
     config = PipelineConfig(
         manifest=str(path),
         features=("distances", "bif", "point_texture"),
-        texture_scales=2,
-        texture_orientations=3,
     )
     result = load_dataset(path, config)
     spec = build_feature_spec(config)
     assert result.datasets["train"].dimension == spec.total_dimension
-    assert spec.total_dimension == 2278 + 14304 + 68 * 2 * 3
+    assert spec.total_dimension == 2278 + 14304 + 6528
     assert result.errors == ()
 
 
@@ -209,7 +211,6 @@ aspect_factor = 1.25
 neutral_fallback = false
 merge_validation = true
 eval_split = validate
-seed = 9
 svm_c_grid = 1, 2, 4
 svm_gamma_grid = 0.5
 """
@@ -223,9 +224,44 @@ svm_gamma_grid = 0.5
     assert config.neutral_fallback is False
     assert config.merge_validation is True
     assert config.eval_split == "validate"
-    assert config.seed == 9
     assert config.svm_c_grid == (1.0, 2.0, 4.0)
     assert config.svm_gamma_grid == (0.5,)
+
+
+# every config key with a non-default value: (config text, parsed value)
+NON_DEFAULT_VALUES = {
+    "manifest": ("data/manifest.csv", "data/manifest.csv"),
+    "features": ("axis, bif", ("axis", "bif")),
+    "model": ("gb", "gb"),
+    "shrinkage": ("0.05", 0.05),
+    "max_trees": ("40", 40),
+    "svm_c": ("8", 8.0),
+    "svm_gamma": ("0.5", 0.5),
+    "svm_c_grid": ("1, 2,4", (1.0, 2.0, 4.0)),
+    "svm_gamma_grid": ("0.5", (0.5,)),
+    "aspect_factor": ("1.25", 1.25),
+    "neutral_fallback": ("No", False),
+    "merge_validation": ("yes", True),
+    "eval_split": ("validate", "validate"),
+}
+
+
+def test_every_config_field_parses():
+    assert set(NON_DEFAULT_VALUES) == {f.name for f in dataclasses.fields(PipelineConfig)}
+    config = parse_config("".join(f"{key} = {raw}\n" for key, (raw, _) in NON_DEFAULT_VALUES.items()))
+    default = PipelineConfig()
+    for key, (_, expected) in NON_DEFAULT_VALUES.items():
+        value = getattr(config, key)
+        assert value == expected and type(value) is type(expected), key
+        assert getattr(default, key) != expected, key
+
+
+def test_readme_config_table_names_every_field():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    key_cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    named = [name for cell in key_cells for name in re.findall(r"`(\w+)`", cell)]
+    assert sorted(named) == sorted(f.name for f in dataclasses.fields(PipelineConfig))
 
 
 @pytest.mark.parametrize(

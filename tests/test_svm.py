@@ -265,9 +265,17 @@ def test_grid_search_separable_hits_100(rng):
 
 def test_grid_search_tie_break_smaller_c_then_gamma(rng):
     train = separable_three_class(rng)
-    result = grid_search(train, train, C_grid=[10.0, 1.0], gamma_grid=[1.0, 0.1])
-    ties = result.ties
-    assert (result.C, result.gamma) == min(ties)
+    C_grid, gamma_grid = [10.0, 1.0], [1.0, 0.1]
+    result = grid_search(train, train, C_grid=C_grid, gamma_grid=gamma_grid)
+    best = result.accuracy.max()
+    tied = [
+        (C, gamma)
+        for ci, C in enumerate(C_grid)
+        for gi, gamma in enumerate(gamma_grid)
+        if result.accuracy[ci, gi] == best
+    ]
+    assert len(tied) > 1
+    assert (result.C, result.gamma) == min(tied)
 
 
 def test_grid_search_exhaustive_oracle(rng):

@@ -67,8 +67,8 @@ def _assert_kernels_are_the_recipe(kernels, sizes, orientations):
 
 def test_bank_kernels_are_the_recipe():
     bank = build_gabor_bank()
-    sizes = [size for band in bank.bands for size in band.sizes]
-    _assert_kernels_are_the_recipe(bank.kernels, sizes, bank.orientations)
+    sizes = tuple(size for band in bank.bands for size in band.sizes)
+    _assert_kernels_are_the_recipe(gabor_kernels(sizes, bank.orientations), sizes, bank.orientations)
 
 
 def test_point_texture_kernels_are_the_recipe():
