@@ -249,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

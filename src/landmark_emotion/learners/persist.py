@@ -4,6 +4,10 @@ The format is line-oriented UTF-8.  Floats are written with ``repr`` so a
 round trip is bit-exact and output is byte-identical for equal models.  A
 model file records the digest of the FeatureSpec it was trained on; loading
 against a different spec digest is an error.
+
+Each fact is stored once.  A boosted tree is one line holding its leaf values
+and its splits by position (``root``, ``inner_left`` or ``inner_right``); SVM
+machines follow ``combinations(classes, 2)``, so none stores its class pair.
 """
 from __future__ import annotations
 
@@ -17,7 +21,8 @@ from .dataset import CLASSES
 from .gb import GBModel, Split, Tree
 from .svm import BinaryMachine, Scaler, SVMModel
 
-FORMAT_HEADER = "landmark-emotion-model v1"
+_FORMAT_NAME = "landmark-emotion-model"
+FORMAT_HEADER = _FORMAT_NAME + " v2"
 
 
 def _fmt_floats(values) -> str:
@@ -44,85 +49,62 @@ def _parse_ints(text: str) -> np.ndarray:
     return np.array([int(t) for t in text.split()], dtype=np.int64)
 
 
-# Every node layout a tree can have, in pre-order: a leaf is None, a split
-# holds its (left, right) child node numbers.  Splits come root first and
-# leaves left to right, as in Tree.splits and Tree.values.
-_TREE_LAYOUTS = {
-    "leaf": (None,),
-    "stump": ((1, 2), None, None),
-    "inner_left": ((1, 4), (2, 3), None, None, None),
-    "inner_right": ((1, 2), None, (3, 4), None, None),
-}
-_LAYOUT_KEYS = {layout: key for key, layout in _TREE_LAYOUTS.items()}
-
-
-def _layout_key(tree: Tree) -> str:
-    if tree.root is None:
-        return "leaf"
-    if tree.inner is None:
-        return "stump"
-    return "inner_right" if tree.inner_right else "inner_left"
-
-
 def save_model(model: GBModel | SVMModel) -> str:
     if isinstance(model, GBModel):
-        return _save_gb(model)
-    if isinstance(model, SVMModel):
-        return _save_svm(model)
-    raise FormatError(f"cannot persist object of type {type(model).__name__}")
-
-
-def _save_gb(model: GBModel) -> str:
+        kind, body = "gb", _gb_lines(model)
+    elif isinstance(model, SVMModel):
+        kind, body = "svm", _svm_lines(model)
+    else:
+        raise FormatError(f"cannot persist object of type {type(model).__name__}")
     lines = [
         FORMAT_HEADER,
-        "kind: gb",
+        f"kind: {kind}",
         f"spec_digest: {model.spec_digest}",
         "class_order: " + ",".join(CLASSES),
         "classes: " + ",".join(str(c) for c in model.classes),
         f"dimension: {model.dimension}",
+        *body,
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _fmt_split(split: Split) -> str:
+    return f"{split.feature},{split.threshold!r},{split.gain!r}"
+
+
+def _gb_lines(model: GBModel) -> list[str]:
+    lines = [
         f"shrinkage: {model.shrinkage!r}",
         f"tree_count: {model.tree_count}",
         "init_scores: " + _fmt_floats(model.init_scores),
     ]
-    for k in range(len(model.classes)):
-        for t, tree in enumerate(model.trees[k][: model.tree_count]):
-            layout = _TREE_LAYOUTS[_layout_key(tree)]
-            lines.append(f"tree class={model.classes[k]} iter={t} nodes={len(layout)}")
-            splits, values = iter(tree.splits), iter(tree.values)
-            for i, children in enumerate(layout):
-                if children is None:
-                    lines.append(f"node {i} leaf value={next(values)!r}")
-                else:
-                    s = next(splits)
-                    lines.append(
-                        f"node {i} split feature={s.feature} threshold={s.threshold!r} gain={s.gain!r} "
-                        f"left={children[0]} right={children[1]}"
-                    )
-    return "\n".join(lines) + "\n"
+    for cls, trees in zip(model.classes, model.trees):
+        for tree in trees[: model.tree_count]:
+            fields = [f"class={cls}", "values=" + ",".join(repr(v) for v in tree.values)]
+            if tree.root is not None:
+                fields.append("root=" + _fmt_split(tree.root))
+            if tree.inner is not None:
+                side = "inner_right" if tree.inner_right else "inner_left"
+                fields.append(f"{side}=" + _fmt_split(tree.inner))
+            lines.append("tree " + " ".join(fields))
+    return lines
 
 
-def _save_svm(model: SVMModel) -> str:
-    lines = [
-        FORMAT_HEADER,
-        "kind: svm",
-        f"spec_digest: {model.spec_digest}",
-        "class_order: " + ",".join(CLASSES),
-        "classes: " + ",".join(str(c) for c in model.classes),
-        f"dimension: {model.dimension}",
-        f"C: {model.C!r}",
-        f"gamma: {model.gamma!r}",
-    ]
+def _svm_lines(model: SVMModel) -> list[str]:
+    lines = [f"C: {model.C!r}", f"gamma: {model.gamma!r}"]
     if model.scaler is not None:
         lines.append("scaler_lo: " + _fmt_floats(model.scaler.lo))
         lines.append("scaler_hi: " + _fmt_floats(model.scaler.hi))
-    lines.append(f"vectors: {model.vectors.shape[0]} {model.dimension}")
-    for row in model.vectors:
-        lines.append(_fmt_floats(row))
+    lines.append(f"vectors: {model.vectors.shape[0]}")
+    lines.extend(_fmt_floats(row) for row in model.vectors)
+    # the loader gives each machine its class pair from this order
+    if [(m.pos_class, m.neg_class) for m in model.machines] != list(combinations(model.classes, 2)):
+        raise FormatError("expected one machine per pair of model classes, in class order")
     for m in model.machines:
-        lines.append(f"machine pos={m.pos_class} neg={m.neg_class} bias={m.bias!r} nsv={len(m.coef)}")
+        lines.append(f"machine bias={m.bias!r}")
         lines.append("sv_indices: " + " ".join(str(int(i)) for i in m.sv_indices))
         lines.append("coef: " + _fmt_floats(m.coef))
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 class _LineReader:
@@ -166,7 +148,10 @@ def load_model(text: str, expected_spec_digest: str | None = None) -> GBModel | 
 
 def _parse_model(text: str, expected_spec_digest: str | None) -> GBModel | SVMModel:
     reader = _LineReader(text)
-    if reader.next() != FORMAT_HEADER:
+    header = reader.next()
+    if header != FORMAT_HEADER:
+        if header.startswith(_FORMAT_NAME + " "):
+            raise FormatError(f"model file format {header.split()[-1]} is no longer read; retrain the model")
         raise FormatError(f"not a model file (missing {FORMAT_HEADER!r} header)")
     kind = reader.expect_key("kind")
     digest = reader.expect_key("spec_digest")
@@ -189,6 +174,17 @@ def _parse_model(text: str, expected_spec_digest: str | None) -> GBModel | SVMMo
     raise FormatError(f"unknown model kind {kind!r}")
 
 
+_TREE_FIELDS = {"class", "values", "root", "inner_left", "inner_right"}
+
+
+def _parse_split(text: str, dimension: int) -> Split:
+    feature, threshold, gain = text.split(",")
+    split = Split(int(feature), _parse_float(threshold, "split threshold"), _parse_float(gain, "split gain"))
+    if not 0 <= split.feature < dimension:
+        raise FormatError(f"split feature index {split.feature} out of range")
+    return split
+
+
 def _load_gb(reader: _LineReader, digest: str, classes: tuple[int, ...], dimension: int) -> GBModel:
     shrinkage = float(reader.expect_key("shrinkage"))
     if not 0 < shrinkage <= 1:
@@ -200,45 +196,22 @@ def _load_gb(reader: _LineReader, digest: str, classes: tuple[int, ...], dimensi
 
     trees: dict[int, list[Tree]] = {c: [] for c in classes}
     while reader.peek() is not None:
-        header = reader.next()
-        parts = header.split()
-        if len(parts) != 4 or parts[0] != "tree":
-            raise FormatError(f"expected a tree header, got {header!r}")
-        fields = dict(p.split("=", 1) for p in parts[1:])
-        cls = int(fields["class"])
-        n_nodes = int(fields["nodes"])
-        if not 0 < n_nodes <= reader.remaining():
-            raise FormatError(f"tree node count {n_nodes} does not fit the file")
-        layout, splits, values = [], [], []
-        for i in range(n_nodes):
-            node_line = reader.next().split()
-            if int(node_line[1]) != i:
-                raise FormatError(f"expected node {i}, got {' '.join(node_line)!r}")
-            node_fields = dict(p.split("=", 1) for p in node_line[3:])
-            if node_line[2] == "leaf":
-                layout.append(None)
-                values.append(_parse_float(node_fields["value"], f"node {i} value"))
-            elif node_line[2] == "split":
-                layout.append((int(node_fields["left"]), int(node_fields["right"])))
-                feature = int(node_fields["feature"])
-                if not 0 <= feature < dimension:
-                    raise FormatError(f"node {i} has feature index {feature} out of range")
-                threshold = _parse_float(node_fields["threshold"], f"node {i} threshold")
-                gain = _parse_float(node_fields["gain"], f"node {i} gain")
-                splits.append(Split(feature=feature, threshold=threshold, gain=gain))
-            else:
-                raise FormatError(f"unknown node type in {node_line!r}")
-        key = _LAYOUT_KEYS.get(tuple(layout))
-        if key is None:
-            raise FormatError(f"tree {header!r} is not a leaf or a root split with at most one inner split")
-        trees[cls].append(
-            Tree(
-                values=tuple(values),
-                root=splits[0] if splits else None,
-                inner=splits[1] if len(splits) > 1 else None,
-                inner_right=key == "inner_right",
-            )
-        )
+        line = reader.next()
+        tag, *parts = line.split()
+        if tag != "tree":
+            raise FormatError(f"expected a tree line, got {line!r}")
+        fields = dict(p.split("=", 1) for p in parts)
+        if len(fields) != len(parts) or not fields.keys() <= _TREE_FIELDS:
+            raise FormatError(f"tree line {line!r} has a repeated or unknown field")
+        inner_keys = fields.keys() & {"inner_left", "inner_right"}
+        if len(inner_keys) > 1 or (inner_keys and "root" not in fields):
+            raise FormatError(f"tree line {line!r} needs a root and at most one inner split")
+        root = _parse_split(fields["root"], dimension) if "root" in fields else None
+        inner = _parse_split(fields[inner_keys.pop()], dimension) if inner_keys else None
+        values = tuple(_parse_float(v, "leaf value") for v in fields["values"].split(","))
+        if len(values) != 1 + (root is not None) + (inner is not None):
+            raise FormatError(f"tree line {line!r} has {len(values)} leaf values for its splits")
+        trees[int(fields["class"])].append(Tree(values, root, inner, inner_right="inner_right" in fields))
     counts = {len(ts) for ts in trees.values()}
     if counts != {tree_count}:
         raise FormatError(f"expected {tree_count} trees per class, found counts {sorted(counts)}")
@@ -268,10 +241,7 @@ def _load_svm(reader: _LineReader, digest: str, classes: tuple[int, ...], dimens
         if lo.shape != (dimension,) or hi.shape != (dimension,):
             raise FormatError("scaler vectors do not match model dimension")
         scaler = Scaler(lo=lo, hi=hi)
-    n_vec_line = reader.expect_key("vectors").split()
-    n_vec, n_dim = int(n_vec_line[0]), int(n_vec_line[1])
-    if n_dim != dimension:
-        raise FormatError("support vector width does not match model dimension")
+    n_vec = int(reader.expect_key("vectors"))
     if not 0 <= n_vec <= reader.remaining():
         raise FormatError(f"support vector count {n_vec} does not fit the file")
     # rows are checked before they are stored, so nothing is sized by the unchecked dimension
@@ -283,28 +253,20 @@ def _load_svm(reader: _LineReader, digest: str, classes: tuple[int, ...], dimens
         rows.append(row)
     vectors = np.array(rows).reshape(n_vec, dimension)
     machines = []
-    while reader.peek() is not None:
-        header = reader.next().split()
-        if header[0] != "machine":
-            raise FormatError(f"expected a machine header, got {' '.join(header)!r}")
-        fields = dict(p.split("=", 1) for p in header[1:])
+    for pos, neg in combinations(classes, 2):
+        line = reader.next()
+        if not line.startswith("machine bias="):
+            raise FormatError(f"expected the machine for classes {pos} and {neg}, got {line!r}")
+        bias = _parse_float(line[len("machine bias=") :], "bias")
         sv_indices = _parse_ints(reader.expect_key("sv_indices"))
         coef = _parse_floats(reader.expect_key("coef"), "coef")
-        if len(sv_indices) != int(fields["nsv"]) or len(coef) != int(fields["nsv"]):
-            raise FormatError("machine support-vector counts disagree")
+        if len(sv_indices) != len(coef):
+            raise FormatError("machine sv_indices and coef lengths differ")
         if np.any((sv_indices < 0) | (sv_indices >= n_vec)):
             raise FormatError("machine sv index outside the vector table")
-        machines.append(
-            BinaryMachine(
-                pos_class=int(fields["pos"]),
-                neg_class=int(fields["neg"]),
-                sv_indices=sv_indices,
-                coef=coef,
-                bias=_parse_float(fields["bias"], "bias"),
-            )
-        )
-    if [(m.pos_class, m.neg_class) for m in machines] != list(combinations(classes, 2)):
-        raise FormatError("expected one machine per pair of model classes, in class order")
+        machines.append(BinaryMachine(pos, neg, sv_indices, coef, bias))
+    if reader.peek() is not None:
+        raise FormatError(f"unexpected line after the last machine: {reader.peek()!r}")
     return SVMModel(
         classes=classes,
         vectors=vectors,

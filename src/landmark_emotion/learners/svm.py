@@ -233,9 +233,7 @@ def _prepare(train: LabeledDataset, scaler: Scaler | None) -> _TrainingData:
     return _TrainingData(classes=classes, X=X, sqdist=squared_distances(X, X), pairs=tuple(pairs))
 
 
-def _solve(
-    data: _TrainingData, K: np.ndarray, C: float, tol: float, max_iter: int
-) -> tuple[np.ndarray, tuple[BinaryMachine, ...]]:
+def _solve(data: _TrainingData, K: np.ndarray, C: float) -> tuple[np.ndarray, tuple[BinaryMachine, ...]]:
     """The solve step: one SMO per class pair on the kernel ``K`` over all of ``data.X``.
 
     Returns the rows of ``data.X`` that are support vectors of some machine,
@@ -243,7 +241,7 @@ def _solve(
     """
     solved = []
     for pos, neg, rows, labels in data.pairs:
-        alpha, bias, _ = smo_solve(K[np.ix_(rows, rows)], labels, C, tol=tol, max_iter=max_iter)
+        alpha, bias, _ = smo_solve(K[np.ix_(rows, rows)], labels, C)
         sv = np.flatnonzero(alpha > 1e-12)
         solved.append((pos, neg, rows[sv], (alpha * labels)[sv], bias))
 
@@ -255,18 +253,11 @@ def _solve(
     return used, machines
 
 
-def svm_train(
-    train: LabeledDataset,
-    C: float,
-    gamma: float,
-    scaler: Scaler | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SVMModel:
+def svm_train(train: LabeledDataset, C: float, gamma: float, scaler: Scaler | None = None) -> SVMModel:
     """Train one-vs-one binary machines on raw rows, scaled by ``scaler`` when given."""
     _check_hyperparameters(C, gamma)
     data = _prepare(train, scaler)
-    used, machines = _solve(data, np.exp(-gamma * data.sqdist), C, tol, max_iter)
+    used, machines = _solve(data, np.exp(-gamma * data.sqdist), C)
     return SVMModel(
         classes=data.classes, vectors=data.X[used], machines=machines, gamma=gamma, C=C, scaler=scaler
     )
@@ -327,8 +318,6 @@ def grid_search(
     val: LabeledDataset,
     C_grid: Sequence[float] = DEFAULT_C_GRID,
     gamma_grid: Sequence[float] = DEFAULT_GAMMA_GRID,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> GridSearchResult:
     """Train on ``train`` per cell, score on ``val``; ties prefer small C then small gamma.
 
@@ -359,7 +348,7 @@ def grid_search(
         K = np.exp(-gamma * data.sqdist)
         K_val = np.exp(-gamma * val_sqdist)
         for ci, C in enumerate(C_grid):
-            used, machines = _solve(data, K, C, tol, max_iter)
+            used, machines = _solve(data, K, C)
             pred = np.argmax(_count_votes(K_val[:, used], machines), axis=1)
             accuracy[ci, gi] = float(np.mean(pred == val.y))
 

@@ -158,7 +158,7 @@ def normalize_size(landmarks: LandmarkSet) -> NormalizedShape:
         raise DegenerateShapeError("size normalization needs at least 2 points")
     pts = landmarks.points
     centered = pts - pts.mean(axis=0)
-    size = float(np.sqrt(np.mean(np.sum(centered**2, axis=1))))
+    size = centroid_size(pts)
     if size <= 1e-12:
         raise DegenerateShapeError("all points coincide; centroid size is zero")
     normalized = centered / size

@@ -150,6 +150,28 @@ def test_missing_inputs_fail_cleanly(tmp_path, capsys):
     assert "--model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["config", "manifest", "model_in", "model_out", "out", "synth_out"])
+def test_unusable_paths_fail_in_one_line(case, synth_dir, tmp_path, capsys):
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    fixed = write_config(synth_dir, FAST_SVM_CONFIG + "svm_c = 1\nsvm_gamma = 0.01\n")
+    dir_manifest = tmp_path / "dir_manifest.cfg"
+    dir_manifest.write_text(f"manifest = {adir}\nfeatures = distances\n")
+    argv, named = {
+        "config": (["train", "--config", str(adir), "--model", str(tmp_path / "m")], adir),
+        "manifest": (["train", "--config", str(dir_manifest), "--model", str(tmp_path / "m")], adir),
+        "model_in": (["evaluate", "--config", str(fixed), "--model", str(adir)], adir),
+        "model_out": (["train", "--config", str(fixed), "--model", str(adir)], adir),
+        "out": (["gridsearch", "--config", str(fixed), "--out", str(adir)], adir),
+        "synth_out": (["synth", "--out", str(afile), "--per-class", "1"], afile),
+    }[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(named) in err[0], err
+
+
 def test_non_utf8_inputs_fail_cleanly(synth_dir, tmp_path, capsys):
     latin1 = "# caf\u00e9\n".encode("latin-1")
     cfg = write_config(synth_dir, FAST_GB_CONFIG)

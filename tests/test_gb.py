@@ -206,7 +206,7 @@ def test_split_search_matches_exhaustive_oracle():
     assert 1 in child_sizes  # the cases reach a one-row child
 
 
-PINNED_DIGEST = "51340df7e7927890a940dca3c82b9cd4dfabf4b7d656edc0a60c179099852793"
+PINNED_DIGEST = "5f50283dc4b2571a1eab57b63832cbf6204cf763f9453f8957d5c8345d13f189"
 PINNED_VAL_ACCURACY = (0.7142857142857143, 0.7857142857142857, 0.8571428571428571)
 PINNED_TRAIN_DEVIANCE = (1.3962361363671731, 1.0950932850858697, 0.8816318744432964)
 

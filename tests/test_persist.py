@@ -137,56 +137,54 @@ def _both(first, second):
 # (model kind, edit of a valid model file, raw exception the FormatError wraps, or None
 # when a check rejects the file before any parsing step fails)
 MALFORMED = {
-    "tree_without_class": ("gb", _sub_first("tree class=", "tree klass="), KeyError),
+    "v1_header": ("gb", _sub_first("landmark-emotion-model v2", "landmark-emotion-model v1"), None),
+    "tree_without_class": ("gb", _sub_first(r"tree class=\d+ ", "tree "), KeyError),
     "tree_unknown_class": ("gb", _sub_first("tree class=0 ", "tree class=1 "), KeyError),
-    "truncated_node_line": ("gb", _sub_first(r"(?m)^node .*$", "node"), IndexError),
-    "nodes_not_a_number": ("gb", _sub_first(r"nodes=\d+", "nodes=x"), ValueError),
+    "truncated_tree_line": ("gb", _sub_first(r"(?m)^tree .*$", "tree"), KeyError),
     "classes_not_numbers": ("gb", _sub_first("classes: 0,3,6", "classes: a"), ValueError),
-    "machine_without_nsv": ("svm", _sub_first(" nsv=", " count="), KeyError),
-    "blank_line_after_vectors": ("svm", _sub_first(r"(?m)^machine ", "\nmachine "), IndexError),
-    "child_out_of_range": ("gb", _sub_first(r"left=\d+", "left=99"), None),
-    "child_cycle": ("gb", _sub_first(r"left=\d+", "left=0"), None),
+    "split_without_gain": ("gb", _sub_first(r"(root=\d+,[^,]+),\S+", r"\1"), ValueError),
+    "empty_last_tree": ("gb", _sub_first(r"values=\S+(.*\n)\Z", r"values=\1"), ValueError),
+    "blank_line_after_vectors": ("svm", _sub_first(r"(?m)^machine ", "\nmachine "), None),
     "gb_class_out_of_range": (
         "gb",
         _both(_sub_first("classes: 0,3,6", "classes: 0,3,9"), _sub_first("tree class=6 ", "tree class=9 ")),
         None,
     ),
-    "machine_class_out_of_range": ("svm", _sub_first(r"machine pos=\d+", "machine pos=9"), None),
-    "repeated_machine_pair": ("svm", _sub_first("machine pos=0 neg=6 ", "machine pos=0 neg=3 "), None),
+    # the file holds one machine more than its three classes have pairs
+    "repeated_machine_pair": ("svm", _sub_first(r"(?m)^(machine .*\nsv_indices: .*\ncoef: .*\n)", r"\1\1"), None),
+    "line_after_last_machine": ("svm", lambda text: text + "coef: 1.0\n", None),
     "negative_sv_index": ("svm", _sub_first(r"(?m)^sv_indices: \d+", "sv_indices: -1"), None),
     "svm_class_out_of_range": ("svm", _sub_first("classes: 0,3,6", "classes: 0,3,9"), None),
-    "empty_last_tree": ("gb", _sub_first(r"nodes=\d+\n(?:node .*\n)+\Z", "nodes=0\n"), None),
-    "node_count_past_end": ("gb", _sub_first(r"nodes=\d+", "nodes=10000000000000"), None),
     "vector_count_past_end": ("svm", _sub_first(r"vectors: \d+", "vectors: 10000000000000"), None),
     # no scaler line bounds the dimension, so only the vector rows can refute it
     "huge_dimension_without_scaler": (
         "svm",
         _sub_first(
-            r"dimension: \d+\n(C: .*\ngamma: .*\n)scaler_lo: .*\nscaler_hi: .*\nvectors: (\d+) \d+\n",
-            r"dimension: 10000000000000\n\1vectors: \2 10000000000000\n",
+            r"dimension: \d+\n(C: .*\ngamma: .*\n)scaler_lo: .*\nscaler_hi: .*\n",
+            r"dimension: 10000000000000\n\1",
         ),
         None,
     ),
-    # the first tree of the GB fixture has its inner split on the root's left child
-    "root_right_skips_inner": ("gb", _sub_first("left=1 right=4", "left=1 right=3"), None),
-    "unreachable_split": ("gb", _sub_first("left=1 right=4", "left=1 right=2"), None),
+    # tree lines: the first tree of the GB fixture has its inner split on the root's left child
+    "tree_unknown_field": ("gb", _sub_first(r"(?m)^(tree .*)$", r"\1 iter=0"), None),
+    "repeated_tree_field": ("gb", _sub_first(r"( root=\S+)", r"\1\1"), None),
+    # an inner split with no root above it
+    "unreachable_split": ("gb", _sub_first(r" root=\S+ inner_left=", " inner_left="), None),
+    # a root and both inner keys, with a leaf value for each of the three splits
     "three_split_tree": (
         "gb",
-        _sub_first(
-            r"nodes=5\n((?:node .*\n){4})node 4 leaf (value=\S+)\n",
-            r"nodes=7\n\1node 4 split feature=0 threshold=0.5 gain=0.0 left=5 right=6\n"
-            r"node 5 leaf \2\nnode 6 leaf \2\n",
-        ),
+        _sub_first(r"(?m)(values=\S+)( .* inner_left=(\S+))$", r"\1,1.0\2 inner_right=\3"),
         None,
     ),
+    "leaf_count_mismatch": ("gb", _sub_first(r"values=(\S+)", r"values=\1,1.0"), None),
     # parameter ranges, and finiteness of every other stored float
     "shrinkage_nan": ("gb", _sub_first(r"shrinkage: \S+", "shrinkage: nan"), None),
     "shrinkage_zero": ("gb", _sub_first(r"shrinkage: \S+", "shrinkage: 0.0"), None),
     "shrinkage_above_one": ("gb", _sub_first(r"shrinkage: \S+", "shrinkage: 1.5"), None),
     "init_score_inf": ("gb", _sub_first(r"init_scores: \S+", "init_scores: inf"), None),
-    "threshold_nan": ("gb", _sub_first(r"threshold=\S+", "threshold=nan"), None),
-    "gain_inf": ("gb", _sub_first(r"gain=\S+", "gain=inf"), None),
-    "leaf_value_nan": ("gb", _sub_first(r"value=\S+", "value=nan"), None),
+    "threshold_nan": ("gb", _sub_first(r"root=(\d+),[^,]+,", r"root=\1,nan,"), None),
+    "gain_inf": ("gb", _sub_first(r"(root=\d+,[^,]+),\S+", r"\1,inf"), None),
+    "leaf_value_nan": ("gb", _sub_first(r"values=[^,\s]+", "values=nan"), None),
     "gamma_inf": ("svm", _sub_first(r"gamma: \S+", "gamma: inf"), None),
     "gamma_nan": ("svm", _sub_first(r"gamma: \S+", "gamma: nan"), None),
     "gamma_zero": ("svm", _sub_first(r"gamma: \S+", "gamma: 0.0"), None),
@@ -197,6 +195,20 @@ MALFORMED = {
     "coef_inf": ("svm", _sub_first(r"coef: \S+", "coef: inf"), None),
     "bias_nan": ("svm", _sub_first(r"bias=\S+", "bias=nan"), None),
 }
+
+
+def test_v1_model_file_names_its_version(valid_model_texts):
+    text = valid_model_texts["gb"].replace("model v2", "model v1", 1)
+    with pytest.raises(FormatError, match="format v1 is no longer read; retrain"):
+        load_model(text)
+
+
+def test_save_rejects_machines_out_of_pair_order(valid_model_texts):
+    from dataclasses import replace
+
+    model = load_model(valid_model_texts["svm"])
+    with pytest.raises(FormatError, match="pair"):
+        save_model(replace(model, machines=model.machines[::-1]))
 
 
 @pytest.fixture(scope="module")
