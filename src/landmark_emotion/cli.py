@@ -26,9 +26,10 @@ from .pipeline import (
     load_dataset,
     parse_config,
     predict_with_fallback,
-    read_manifest,
+    read_manifest,  # unused here, but the benchmark wraps it under this module
     read_utf8,
 )
+from .shapes import MeanShape
 from .synth import synth_dataset
 
 import numpy as np
@@ -63,10 +64,14 @@ def _load_config(args) -> PipelineConfig:
     return parse_config(read_utf8(args.config))
 
 
-def _load_data(config: PipelineConfig) -> LoadResult:
+def _load_data(config: PipelineConfig, splits: tuple[str, ...], mean: MeanShape | None = None) -> LoadResult:
+    """Load only ``splits`` and print a warning for each entry skipped in them."""
     if not config.manifest:
         raise ConfigError("config must name a manifest (key 'manifest')")
-    return load_dataset(config.manifest, config)
+    result = load_dataset(config.manifest, config, splits, mean)
+    for sid, message in result.errors:
+        print(f"warning: skipped sample {sid}: {message}", file=sys.stderr)
+    return result
 
 
 def _require_split(result: LoadResult, split: str) -> LabeledDataset:
@@ -105,7 +110,8 @@ def _train_model(config: PipelineConfig, result: LoadResult):
         if config.merge_validation:
             notes.append("final fit on train+validate")
         model = svm_train(fit_on, C, gamma, scaler=fit_scaler(fit_on))
-    model = replace(model, spec_digest=result.spec.digest())
+    mean = None if result.mean is None else result.mean.points
+    model = replace(model, spec_digest=result.spec.digest(), mean_shape=mean)
     return model, notes
 
 
@@ -120,19 +126,13 @@ def _cmd_train(args) -> int:
     if not args.model:
         raise ConfigError("train needs --model (output path for the model file)")
     config = _load_config(args)
-    result = _load_data(config)
-    _report_load(result)
+    result = _load_data(config, ("train", "validate"))
     model, notes = _train_model(config, result)
     Path(args.model).write_text(save_model(model), encoding="utf-8")
     for note in notes:
         print(note)
     print(f"model written to {args.model}")
     return 0
-
-
-def _report_load(result: LoadResult) -> None:
-    for sid, message in result.errors:
-        print(f"warning: skipped sample {sid}: {message}", file=sys.stderr)
 
 
 def _load_model_checked(args, config: PipelineConfig):
@@ -149,16 +149,19 @@ def _predict_eval_split(args) -> tuple[PipelineConfig, list[tuple[ManifestEntry,
     """
     config = _load_config(args)
     model = _load_model_checked(args, config)
-    result = _load_data(config)
-    _report_load(result)
+    mean = None
+    if "axis" in config.features:
+        if model.mean_shape is None:
+            raise ConfigError("the config selects axis features but the model has no mean shape; retrain it")
+        mean = MeanShape(points=model.mean_shape, sample_count=None)
     split = config.eval_split
-    dataset = result.datasets.get(split)
-    absent = result.absent.get(split, ())
+    result = _load_data(config, (split,), mean)
+    dataset = result.datasets[split]
+    absent = result.absent[split]
     if dataset is None and not absent:
         raise ConfigError(f"the manifest has no usable samples in the {split!r} split")
     labels = predict_with_fallback(model, dataset, absent, neutral_fallback=config.neutral_fallback)
-    entries = read_manifest(config.manifest).for_split(split)
-    return config, [(e, labels[e.sample_id]) for e in entries if e.sample_id in labels]
+    return config, [(e, labels[e.sample_id]) for e in result.entries[split] if e.sample_id in labels]
 
 
 def _cmd_evaluate(args) -> int:
@@ -207,8 +210,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_gridsearch(args) -> int:
     config = _load_config(args)
-    result = _load_data(config)
-    _report_load(result)
+    result = _load_data(config, ("train", "validate"))
     train = _require_split(result, "train")
     val = _require_split(result, "validate")
     if config.model == "svm":

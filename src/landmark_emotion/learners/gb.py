@@ -78,6 +78,7 @@ class GBModel:
     trees: tuple[tuple[Tree, ...], ...]  # trees[k][t]: class k, iteration t
     dimension: int
     spec_digest: str = ""
+    mean_shape: np.ndarray | None = None  # (68, 2) training mean shape, for axis features
     # per-iteration curves over the full training run; not persisted
     train_deviance: tuple[float, ...] = field(default=(), repr=False)
     val_accuracy: tuple[float, ...] = field(default=(), repr=False)

@@ -1,32 +1,64 @@
 """Versioned structured-text persistence for trained models.
 
-The format is line-oriented UTF-8.  Floats are written with ``repr`` so a
-round trip is bit-exact and output is byte-identical for equal models.  A
-model file records the digest of the FeatureSpec it was trained on; loading
-against a different spec digest is an error.
+The format is UTF-8 text in newline-ended lines.  Every float table is one
+block line, ``b64 <rows> <cols> <data>``, where ``<data>`` is the base64 of
+the table's little-endian float64 bytes, so a round trip is bit-exact and
+output is byte-identical for equal models.  A model file records the digest
+of the FeatureSpec it was trained on; loading against a different spec
+digest is an error.  When the model was trained on ``axis`` features, the
+header also holds the training mean shape those features are measured from.
 
 Each fact is stored once.  A boosted tree is one line holding its leaf values
-and its splits by position (``root``, ``inner_left`` or ``inner_right``); SVM
-machines follow ``combinations(classes, 2)``, so none stores its class pair.
+and its splits by position (``root``, ``inner_left`` or ``inner_right``);
+trees run ``tree_count`` per class in ``classes`` order, and SVM machines
+follow ``combinations(classes, 2)``, so neither stores its classes.
 """
 from __future__ import annotations
 
+import base64
+import binascii
 import math
 from itertools import combinations
 
 import numpy as np
 
 from ..errors import FormatError
+from ..shapes import POINT_COUNT
 from .dataset import CLASSES
 from .gb import GBModel, Split, Tree
 from .svm import BinaryMachine, Scaler, SVMModel
 
 _FORMAT_NAME = "landmark-emotion-model"
-FORMAT_HEADER = _FORMAT_NAME + " v2"
+FORMAT_HEADER = _FORMAT_NAME + " v3"
+_FLOAT = np.dtype("<f8")
 
 
-def _fmt_floats(values) -> str:
-    return " ".join(repr(float(v)) for v in np.asarray(values).ravel())
+def _fmt_block(values) -> str:
+    """One float table as ``b64 <rows> <cols> <data>``; a vector is one row."""
+    table = np.asarray(values, dtype=_FLOAT)
+    rows, cols = table.shape if table.ndim == 2 else (1, table.size)
+    return f"b64 {rows} {cols} " + base64.b64encode(table.tobytes()).decode("ascii")
+
+
+def _parse_block(text: str, what: str, rows: int | None, cols: int) -> np.ndarray:
+    """The (rows, cols) table of a block line; ``rows=None`` accepts any row count."""
+    # the data field is not split again: it is most of the file, and an empty table has none
+    tag, stored_rows, stored_cols, *data = text.split(" ", 3)
+    if tag != "b64":
+        raise FormatError(f"{what} is not a 'b64 <rows> <cols> <data>' block")
+    shape = int(stored_rows), int(stored_cols)
+    if min(shape) < 0 or shape[1] != cols or rows not in (None, shape[0]):
+        raise FormatError(f"{what} has shape {shape}, expected ({'any' if rows is None else rows}, {cols})")
+    try:
+        raw = base64.b64decode("".join(data), validate=True)
+    except binascii.Error as exc:
+        raise FormatError(f"{what} is not valid base64 ({exc})") from exc
+    if len(raw) != _FLOAT.itemsize * shape[0] * shape[1]:
+        raise FormatError(f"{what} holds {len(raw)} bytes, not {shape[0]} x {shape[1]} float64 values")
+    table = np.frombuffer(raw, dtype=_FLOAT).reshape(shape)
+    if not np.all(np.isfinite(table)):
+        raise FormatError(f"{what} must be finite")
+    return table
 
 
 def _parse_float(text: str, what: str) -> float:
@@ -34,13 +66,6 @@ def _parse_float(text: str, what: str) -> float:
     if not math.isfinite(value):
         raise FormatError(f"{what} must be finite, got {text!r}")
     return value
-
-
-def _parse_floats(text: str, what: str) -> np.ndarray:
-    values = np.array([float(t) for t in text.split()], dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise FormatError(f"{what} must be finite")
-    return values
 
 
 def _parse_ints(text: str) -> np.ndarray:
@@ -63,9 +88,10 @@ def save_model(model: GBModel | SVMModel) -> str:
         "class_order: " + ",".join(CLASSES),
         "classes: " + ",".join(str(c) for c in model.classes),
         f"dimension: {model.dimension}",
-        *body,
     ]
-    return "\n".join(lines) + "\n"
+    if model.mean_shape is not None:
+        lines.append("mean_shape: " + _fmt_block(model.mean_shape))
+    return "\n".join(lines + body) + "\n"
 
 
 def _fmt_split(split: Split) -> str:
@@ -76,11 +102,11 @@ def _gb_lines(model: GBModel) -> list[str]:
     lines = [
         f"shrinkage: {model.shrinkage!r}",
         f"tree_count: {model.tree_count}",
-        "init_scores: " + _fmt_floats(model.init_scores),
+        "init_scores: " + _fmt_block(model.init_scores),
     ]
-    for cls, trees in zip(model.classes, model.trees):
+    for trees in model.trees:
         for tree in trees[: model.tree_count]:
-            fields = [f"class={cls}", "values=" + ",".join(repr(v) for v in tree.values)]
+            fields = ["values=" + ",".join(repr(v) for v in tree.values)]
             if tree.root is not None:
                 fields.append("root=" + _fmt_split(tree.root))
             if tree.inner is not None:
@@ -93,37 +119,43 @@ def _gb_lines(model: GBModel) -> list[str]:
 def _svm_lines(model: SVMModel) -> list[str]:
     lines = [f"C: {model.C!r}", f"gamma: {model.gamma!r}"]
     if model.scaler is not None:
-        lines.append("scaler_lo: " + _fmt_floats(model.scaler.lo))
-        lines.append("scaler_hi: " + _fmt_floats(model.scaler.hi))
-    lines.append(f"vectors: {model.vectors.shape[0]}")
-    lines.extend(_fmt_floats(row) for row in model.vectors)
+        lines.append("scaler_lo: " + _fmt_block(model.scaler.lo))
+        lines.append("scaler_hi: " + _fmt_block(model.scaler.hi))
+    lines.append("vectors: " + _fmt_block(model.vectors))
     # the loader gives each machine its class pair from this order
     if [(m.pos_class, m.neg_class) for m in model.machines] != list(combinations(model.classes, 2)):
         raise FormatError("expected one machine per pair of model classes, in class order")
     for m in model.machines:
         lines.append(f"machine bias={m.bias!r}")
         lines.append("sv_indices: " + " ".join(str(int(i)) for i in m.sv_indices))
-        lines.append("coef: " + _fmt_floats(m.coef))
+        lines.append("coef: " + _fmt_block(m.coef))
     return lines
 
 
 class _LineReader:
+    """The newline-separated lines of a model file, cut one at a time.
+
+    The support-vector line is most of the file; ``find`` scans it for the
+    newline alone, where ``splitlines`` checks every character against each
+    kind of line break.
+    """
+
     def __init__(self, text: str):
-        self.lines = text.splitlines()
+        self.text = text
         self.pos = 0
 
-    def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise FormatError("unexpected end of model file")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
     def peek(self) -> str | None:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
+        if self.pos >= len(self.text):
+            return None
+        end = self.text.find("\n", self.pos)
+        return self.text[self.pos : end if end >= 0 else len(self.text)]
 
-    def remaining(self) -> int:
-        return len(self.lines) - self.pos
+    def next(self) -> str:
+        line = self.peek()
+        if line is None:
+            raise FormatError("unexpected end of model file")
+        self.pos += len(line) + 1
+        return line
 
     def expect_key(self, key: str) -> str:
         line = self.next()
@@ -131,6 +163,10 @@ class _LineReader:
         if not line.startswith(prefix):
             raise FormatError(f"expected {key!r} line, got {line!r}")
         return line[len(prefix) :].strip()
+
+    def optional_key(self, key: str) -> str | None:
+        """The value of a ``key:`` line if it comes next, else None."""
+        return self.expect_key(key) if self.text.startswith(key + ":", self.pos) else None
 
 
 def load_model(text: str, expected_spec_digest: str | None = None) -> GBModel | SVMModel:
@@ -167,14 +203,20 @@ def _parse_model(text: str, expected_spec_digest: str | None) -> GBModel | SVMMo
     if len(set(classes)) != len(classes) or not all(0 <= c < len(CLASSES) for c in classes):
         raise FormatError(f"classes {list(classes)} must be distinct indices into the class order")
     dimension = int(reader.expect_key("dimension"))
+    mean = reader.optional_key("mean_shape")
+    common = {
+        "classes": classes,
+        "spec_digest": digest,
+        "mean_shape": None if mean is None else _parse_block(mean, "mean_shape", POINT_COUNT, 2),
+    }
     if kind == "gb":
-        return _load_gb(reader, digest, classes, dimension)
+        return _load_gb(reader, dimension, common)
     if kind == "svm":
-        return _load_svm(reader, digest, classes, dimension)
+        return _load_svm(reader, dimension, common)
     raise FormatError(f"unknown model kind {kind!r}")
 
 
-_TREE_FIELDS = {"class", "values", "root", "inner_left", "inner_right"}
+_TREE_FIELDS = {"values", "root", "inner_left", "inner_right"}
 
 
 def _parse_split(text: str, dimension: int) -> Split:
@@ -185,48 +227,49 @@ def _parse_split(text: str, dimension: int) -> Split:
     return split
 
 
-def _load_gb(reader: _LineReader, digest: str, classes: tuple[int, ...], dimension: int) -> GBModel:
+def _parse_tree(line: str, dimension: int) -> Tree:
+    tag, *parts = line.split()
+    if tag != "tree":
+        raise FormatError(f"expected a tree line, got {line!r}")
+    fields = dict(p.split("=", 1) for p in parts)
+    if len(fields) != len(parts) or not fields.keys() <= _TREE_FIELDS:
+        raise FormatError(f"tree line {line!r} has a repeated or unknown field")
+    inner_keys = fields.keys() & {"inner_left", "inner_right"}
+    if len(inner_keys) > 1 or (inner_keys and "root" not in fields):
+        raise FormatError(f"tree line {line!r} needs a root and at most one inner split")
+    root = _parse_split(fields["root"], dimension) if "root" in fields else None
+    inner = _parse_split(fields[inner_keys.pop()], dimension) if inner_keys else None
+    values = tuple(_parse_float(v, "leaf value") for v in fields["values"].split(","))
+    if len(values) != 1 + (root is not None) + (inner is not None):
+        raise FormatError(f"tree line {line!r} has {len(values)} leaf values for its splits")
+    return Tree(values, root, inner, inner_right="inner_right" in fields)
+
+
+def _load_gb(reader: _LineReader, dimension: int, common: dict) -> GBModel:
     shrinkage = float(reader.expect_key("shrinkage"))
     if not 0 < shrinkage <= 1:
         raise FormatError(f"shrinkage must be in (0, 1], got {shrinkage!r}")
     tree_count = int(reader.expect_key("tree_count"))
-    init_scores = _parse_floats(reader.expect_key("init_scores"), "init_scores")
-    if init_scores.shape != (len(classes),):
-        raise FormatError("init_scores length does not match class count")
-
-    trees: dict[int, list[Tree]] = {c: [] for c in classes}
+    k = len(common["classes"])
+    init_scores = _parse_block(reader.expect_key("init_scores"), "init_scores", 1, k)[0]
+    lines = []
     while reader.peek() is not None:
-        line = reader.next()
-        tag, *parts = line.split()
-        if tag != "tree":
-            raise FormatError(f"expected a tree line, got {line!r}")
-        fields = dict(p.split("=", 1) for p in parts)
-        if len(fields) != len(parts) or not fields.keys() <= _TREE_FIELDS:
-            raise FormatError(f"tree line {line!r} has a repeated or unknown field")
-        inner_keys = fields.keys() & {"inner_left", "inner_right"}
-        if len(inner_keys) > 1 or (inner_keys and "root" not in fields):
-            raise FormatError(f"tree line {line!r} needs a root and at most one inner split")
-        root = _parse_split(fields["root"], dimension) if "root" in fields else None
-        inner = _parse_split(fields[inner_keys.pop()], dimension) if inner_keys else None
-        values = tuple(_parse_float(v, "leaf value") for v in fields["values"].split(","))
-        if len(values) != 1 + (root is not None) + (inner is not None):
-            raise FormatError(f"tree line {line!r} has {len(values)} leaf values for its splits")
-        trees[int(fields["class"])].append(Tree(values, root, inner, inner_right="inner_right" in fields))
-    counts = {len(ts) for ts in trees.values()}
-    if counts != {tree_count}:
-        raise FormatError(f"expected {tree_count} trees per class, found counts {sorted(counts)}")
+        lines.append(reader.next())
+    # the trees run tree_count per class, in class order
+    if len(lines) != k * tree_count:
+        raise FormatError(f"expected {tree_count} trees for each of {k} classes, found {len(lines)} lines")
+    trees = [_parse_tree(line, dimension) for line in lines]
     return GBModel(
-        classes=classes,
         init_scores=init_scores,
         shrinkage=shrinkage,
         tree_count=tree_count,
-        trees=tuple(tuple(trees[c]) for c in classes),
+        trees=tuple(tuple(trees[i * tree_count : (i + 1) * tree_count]) for i in range(k)),
         dimension=dimension,
-        spec_digest=digest,
+        **common,
     )
 
 
-def _load_svm(reader: _LineReader, digest: str, classes: tuple[int, ...], dimension: int) -> SVMModel:
+def _load_svm(reader: _LineReader, dimension: int, common: dict) -> SVMModel:
     C = float(reader.expect_key("C"))
     gamma = float(reader.expect_key("gamma"))
     # C = inf is a hard margin, as svm_train allows
@@ -235,44 +278,25 @@ def _load_svm(reader: _LineReader, digest: str, classes: tuple[int, ...], dimens
     if not 0 < gamma < math.inf:
         raise FormatError(f"gamma must be positive and finite, got {gamma!r}")
     scaler = None
-    if reader.peek() is not None and reader.peek().startswith("scaler_lo:"):
-        lo = _parse_floats(reader.expect_key("scaler_lo"), "scaler_lo")
-        hi = _parse_floats(reader.expect_key("scaler_hi"), "scaler_hi")
-        if lo.shape != (dimension,) or hi.shape != (dimension,):
-            raise FormatError("scaler vectors do not match model dimension")
-        scaler = Scaler(lo=lo, hi=hi)
-    n_vec = int(reader.expect_key("vectors"))
-    if not 0 <= n_vec <= reader.remaining():
-        raise FormatError(f"support vector count {n_vec} does not fit the file")
-    # rows are checked before they are stored, so nothing is sized by the unchecked dimension
-    rows = []
-    for i in range(n_vec):
-        row = _parse_floats(reader.next(), f"support vector {i}")
-        if row.shape != (dimension,):
-            raise FormatError(f"support vector {i} has {row.shape[0]} values, expected {dimension}")
-        rows.append(row)
-    vectors = np.array(rows).reshape(n_vec, dimension)
+    lo = reader.optional_key("scaler_lo")
+    if lo is not None:
+        scaler = Scaler(
+            lo=_parse_block(lo, "scaler_lo", 1, dimension)[0],
+            hi=_parse_block(reader.expect_key("scaler_hi"), "scaler_hi", 1, dimension)[0],
+        )
+    # every block's shape is checked before it is decoded, so nothing is sized by the unchecked dimension
+    vectors = _parse_block(reader.expect_key("vectors"), "vectors", None, dimension)
     machines = []
-    for pos, neg in combinations(classes, 2):
+    for pos, neg in combinations(common["classes"], 2):
         line = reader.next()
         if not line.startswith("machine bias="):
             raise FormatError(f"expected the machine for classes {pos} and {neg}, got {line!r}")
         bias = _parse_float(line[len("machine bias=") :], "bias")
         sv_indices = _parse_ints(reader.expect_key("sv_indices"))
-        coef = _parse_floats(reader.expect_key("coef"), "coef")
-        if len(sv_indices) != len(coef):
-            raise FormatError("machine sv_indices and coef lengths differ")
-        if np.any((sv_indices < 0) | (sv_indices >= n_vec)):
+        coef = _parse_block(reader.expect_key("coef"), "coef", 1, len(sv_indices))[0]
+        if np.any((sv_indices < 0) | (sv_indices >= len(vectors))):
             raise FormatError("machine sv index outside the vector table")
         machines.append(BinaryMachine(pos, neg, sv_indices, coef, bias))
     if reader.peek() is not None:
         raise FormatError(f"unexpected line after the last machine: {reader.peek()!r}")
-    return SVMModel(
-        classes=classes,
-        vectors=vectors,
-        machines=tuple(machines),
-        gamma=gamma,
-        C=C,
-        scaler=scaler,
-        spec_digest=digest,
-    )
+    return SVMModel(vectors=vectors, machines=tuple(machines), gamma=gamma, C=C, scaler=scaler, **common)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from ..errors import DimensionMismatchError
 from .dataset import CLASSES, LabeledDataset, canonical_order
@@ -35,12 +36,12 @@ DEFAULT_GAMMA_GRID = tuple(2.0**e for e in range(-15, 4, 2))
 
 
 def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped to be non-negative."""
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    aa = np.sum(A**2, axis=1)[:, None]
-    bb = np.sum(B**2, axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * (A @ B.T), 0.0)
+    """Pairwise squared Euclidean distances, each a sum of squared coordinate differences.
+
+    Not ``|a|^2 + |b|^2 - 2 a.b``: the bits of a BLAS product depend on the
+    thread count, and these distances fix the model's bytes.
+    """
+    return cdist(np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64), "sqeuclidean")
 
 
 def rbf_kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -190,6 +191,7 @@ class SVMModel:
     C: float
     scaler: Scaler | None
     spec_digest: str = ""
+    mean_shape: np.ndarray | None = None  # (68, 2) training mean shape, for axis features
 
     @property
     def dimension(self) -> int:

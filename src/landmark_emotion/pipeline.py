@@ -3,8 +3,10 @@
 A manifest CSV (`id,pts_path,image_path,label,split`) names every sample.
 An empty pts_path marks a sample whose landmarks are ABSENT (the face
 detector failed); those are carried separately so prediction can apply the
-Neutral fallback.  Features are extracted per split; anything fit on data
-(the mean shape, the SVM scaler) uses the training split only.
+Neutral fallback.  Features are extracted per split, and only for the
+splits a command asks for.  Anything fit on data (the mean shape, the SVM
+scaler) uses the training split only and is stored in the model, so a
+prediction reads nothing outside the split it predicts.
 """
 from __future__ import annotations
 
@@ -31,11 +33,19 @@ from .features.spec import FeatureBlock, FeatureSpec
 from .learners.dataset import CLASSES, UNLABELED, LabeledDataset, label_index
 from .learners.gb import DEFAULT_SHRINKAGE, GBModel, gb_predict_batch
 from .learners.svm import DEFAULT_C_GRID, DEFAULT_GAMMA_GRID, SVMModel, svm_predict_batch
-from .shapes import LandmarkSet, MeanShape, NormalizedShape, mean_shape, normalize_size, parse_pts, upright
+from .shapes import (
+    POINT_COUNT,
+    LandmarkSet,
+    MeanShape,
+    NormalizedShape,
+    mean_shape,
+    normalize_size,
+    parse_pts,
+    upright,
+)
 
 SPLITS = ("train", "validate", "test")
 FEATURE_FAMILIES = ("distances", "axis", "bif", "point_texture")
-POINT_COUNT = 68
 # point_texture's filter set is fixed, as bif's is by DEFAULT_BANDS
 TEXTURE_SCALES = 8
 TEXTURE_ORIENTATIONS = 12
@@ -225,10 +235,13 @@ def build_feature_spec(config: PipelineConfig) -> FeatureSpec:
 
 @dataclass(frozen=True)
 class LoadResult:
+    """What ``load_dataset`` read; each dict has one key per loaded split."""
+
     datasets: dict  # split -> LabeledDataset | None
     absent: dict  # split -> tuple of sample ids with no landmarks
     errors: tuple[tuple[str, str], ...]  # (sample id, message) for unreadable entries
-    mean: MeanShape | None
+    entries: dict  # split -> tuple of its ManifestEntry, in manifest order
+    mean: MeanShape | None  # the mean the axis features were measured from
     spec: FeatureSpec
 
 
@@ -293,11 +306,19 @@ def _extract_features(
     return np.concatenate(parts)
 
 
-def load_dataset(manifest_path: str | Path, config: PipelineConfig) -> LoadResult:
+def load_dataset(
+    manifest_path: str | Path,
+    config: PipelineConfig,
+    splits: tuple[str, ...] = SPLITS,
+    mean: MeanShape | None = None,
+) -> LoadResult:
     """Parse landmark files, run the shape pipeline, extract configured features.
 
-    Per-entry failures (unreadable or malformed files) are collected, not
-    fatal; duplicate ids and manifest-level problems raise immediately.
+    Only the entries of ``splits`` are read.  ``axis`` features are measured
+    from ``mean`` when it is given, else from the mean of the training
+    shapes, and then ``splits`` must include ``train``.  Per-entry failures
+    (unreadable or malformed files) are collected, not fatal; duplicate ids
+    and manifest-level problems raise immediately.
     """
     manifest_path = Path(manifest_path)
     manifest = read_manifest(manifest_path)
@@ -305,10 +326,13 @@ def load_dataset(manifest_path: str | Path, config: PipelineConfig) -> LoadResul
     spec = build_feature_spec(config)
     bank = build_gabor_bank() if "bif" in config.features else None
 
-    parsed: dict[str, list[_ParsedEntry]] = {s: [] for s in SPLITS}
-    absent: dict[str, list[str]] = {s: [] for s in SPLITS}
+    entries = {s: manifest.for_split(s) for s in splits}
+    parsed: dict[str, list[_ParsedEntry]] = {s: [] for s in entries}
+    absent: dict[str, list[str]] = {s: [] for s in entries}
     errors: list[tuple[str, str]] = []
     for entry in manifest.entries:
+        if entry.split not in entries:
+            continue
         if entry.absent:
             absent[entry.split].append(entry.sample_id)
             continue
@@ -319,16 +343,16 @@ def load_dataset(manifest_path: str | Path, config: PipelineConfig) -> LoadResul
         except Exception as exc:  # per-entry failure: record and continue
             errors.append((entry.sample_id, str(exc)))
 
-    mean = None
-    if "axis" in config.features:
-        train_shapes = [p.uprighted for p in parsed["train"]]
+    if "axis" not in config.features:
+        mean = None
+    elif mean is None:
+        train_shapes = [p.uprighted for p in parsed.get("train", ())]
         if not train_shapes:
             raise ConfigError("axis features need at least one training shape for the mean")
         mean = mean_shape(train_shapes)
 
     datasets: dict[str, LabeledDataset | None] = {}
-    for split in SPLITS:
-        items = parsed[split]
+    for split, items in parsed.items():
         if not items:
             datasets[split] = None
             continue
@@ -348,6 +372,7 @@ def load_dataset(manifest_path: str | Path, config: PipelineConfig) -> LoadResul
         datasets=datasets,
         absent={s: tuple(v) for s, v in absent.items()},
         errors=tuple(errors),
+        entries=entries,
         mean=mean,
         spec=spec,
     )

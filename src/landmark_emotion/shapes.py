@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DegenerateShapeError, DimensionMismatchError, FormatError, UnsupportedTopologyError
 
+POINT_COUNT = 68  # points in the iBUG layout
 LEFT_EYE = slice(36, 42)
 RIGHT_EYE = slice(42, 48)
 MOUTH_CORNERS = (48, 54)
@@ -78,14 +79,18 @@ class NormalizedShape:
 
 @dataclass(frozen=True)
 class MeanShape:
-    """The re-normalized average of a set of normalized, up-righted shapes."""
+    """The re-normalized average of a set of normalized, up-righted shapes.
+
+    ``sample_count`` is None for a mean read back from a model file, which
+    stores only the points.
+    """
 
     points: np.ndarray
-    sample_count: int
+    sample_count: int | None
 
     def __post_init__(self):
         object.__setattr__(self, "points", _as_points(self.points))
-        if self.sample_count < 1:
+        if self.sample_count is not None and self.sample_count < 1:
             raise DimensionMismatchError("sample_count must be positive")
 
     @property

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ from landmark_emotion.cli import main
 from landmark_emotion.evaluation import ConfusionMatrix
 from landmark_emotion.features.image import GrayImage, write_pgm
 from landmark_emotion.learners.dataset import CLASSES
-from landmark_emotion.pipeline import read_manifest
+from landmark_emotion.pipeline import DatasetManifest, read_manifest, write_manifest
+from landmark_emotion.shapes import LandmarkSet, parse_pts, write_pts
 
 FAST_SVM_CONFIG = """
 manifest = {manifest}
@@ -117,6 +119,53 @@ def test_gridsearch_gb_curve(synth_dir, capsys):
     out = capsys.readouterr().out
     assert "trees validation_accuracy" in out
     assert "best tree count:" in out
+
+
+AXIS_CONFIGS = {
+    "gb": "features = distances, axis\nmodel = gb\nmax_trees = 6\n",
+    "svm": "features = distances, axis\nmodel = svm\nsvm_c = 8\nsvm_gamma = 0.001\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(AXIS_CONFIGS))
+def test_predictions_do_not_depend_on_the_predict_time_manifest(kind, tmp_path, capsys):
+    """The model stores the training mean shape, so predict reads only the evaluation split."""
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--seed", "4", "--per-class", "8"]) == 0
+    manifest = read_manifest(data / "manifest.csv")
+    # the same test split; the train split is one face with its jaw line widened,
+    # so its mean differs a lot from the model's
+    test = manifest.for_split("test")
+    points = parse_pts((data / test[0].pts_path).read_text()).points.copy()
+    points[:17] *= 1.5
+    (data / "far.pts").write_text(write_pts(LandmarkSet(points)))
+    far = replace(test[0], sample_id="far", pts_path="far.pts", split="train")
+    other = data / "other.csv"
+    other.write_text(write_manifest(DatasetManifest((far,) + test)))
+    model = tmp_path / "axis.model"
+    cfg = tmp_path / "run.cfg"
+
+    def run(command, manifest_path):
+        cfg.write_text(f"manifest = {manifest_path}\n" + AXIS_CONFIGS[kind])
+        capsys.readouterr()
+        code = main([command, "--config", str(cfg), "--model", str(model)])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    assert run("train", data / "manifest.csv")[0] == 0
+    assert "mean_shape: b64 68 2 " in model.read_text()
+    code, expected, _ = run("predict", data / "manifest.csv")
+    assert code == 0 and expected.count("\n") == len(manifest.for_split("test"))
+    assert run("predict", other) == (0, expected, "")
+    for entry in manifest.for_split("train"):
+        (data / entry.pts_path).unlink()
+    assert run("predict", data / "manifest.csv") == (0, expected, "")
+
+    # an axis model without its mean cannot predict
+    lines = model.read_text().splitlines(keepends=True)
+    model.write_text("".join(line for line in lines if not line.startswith("mean_shape:")))
+    code, _, err = run("predict", data / "manifest.csv")
+    assert code == 1 and len(err.splitlines()) == 1 and "mean shape" in err, err
 
 
 def test_model_files_byte_identical(synth_dir, tmp_path):

@@ -60,8 +60,9 @@ def _valid_models() -> dict[str, str]:
     X = np.vstack([rng.normal(0, 0.4, size=(6, 2)) + c for c in ((0, 0), (5, 0), (0, 5))])
     ds = LabeledDataset(X=X, y=np.repeat([0, 3, 6], 6))
     digest = plain_spec(2).digest()
+    mean = rng.normal(size=(68, 2))
     return {
-        "gb": save_model(replace(gb_train(ds, ds, max_trees=2), spec_digest=digest)),
+        "gb": save_model(replace(gb_train(ds, ds, max_trees=2), spec_digest=digest, mean_shape=mean)),
         "svm": save_model(replace(svm_train(ds, C=4.0, gamma=0.8, scaler=fit_scaler(ds)), spec_digest=digest)),
     }
 

@@ -206,7 +206,7 @@ def test_split_search_matches_exhaustive_oracle():
     assert 1 in child_sizes  # the cases reach a one-row child
 
 
-PINNED_DIGEST = "5f50283dc4b2571a1eab57b63832cbf6204cf763f9453f8957d5c8345d13f189"
+PINNED_DIGEST = "53cafb0f43464a19077bbbccba3731d42e14a0c1fcaa98026a37a72eebd86e30"
 PINNED_VAL_ACCURACY = (0.7142857142857143, 0.7857142857142857, 0.8571428571428571)
 PINNED_TRAIN_DEVIANCE = (1.3962361363671731, 1.0950932850858697, 0.8816318744432964)
 

@@ -1,4 +1,7 @@
+import base64
+import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +12,14 @@ from landmark_emotion.features.spec import FeatureBlock, FeatureSpec
 from landmark_emotion.learners.dataset import LabeledDataset
 from landmark_emotion.learners.gb import gb_predict_batch, gb_scores, gb_train
 from landmark_emotion.learners.persist import load_model, save_model
-from landmark_emotion.learners.svm import fit_scaler, svm_decision_votes, svm_predict_batch, svm_train
+from landmark_emotion.learners.svm import (
+    BinaryMachine,
+    SVMModel,
+    fit_scaler,
+    svm_decision_votes,
+    svm_predict_batch,
+    svm_train,
+)
 from landmark_emotion.pipeline import PipelineConfig, build_feature_spec
 
 
@@ -30,12 +40,12 @@ def three_class(rng, n_per=10):
 def test_gb_roundtrip(rng):
     ds = three_class(rng)
     model = gb_train(ds, ds, max_trees=6)
-    from dataclasses import replace
-
-    model = replace(model, spec_digest=plain_spec(2).digest())
+    mean = rng.normal(size=(68, 2))
+    model = replace(model, spec_digest=plain_spec(2).digest(), mean_shape=mean)
     text = save_model(model)
     loaded = load_model(text)
     assert loaded.spec_digest == plain_spec(2).digest()
+    assert np.array_equal(loaded.mean_shape, mean)
     assert loaded.classes == model.classes
     assert loaded.tree_count == model.tree_count
     probe = rng.random((30, 2)) * 6
@@ -48,11 +58,10 @@ def test_svm_roundtrip(rng):
     ds = three_class(rng)
     scaler = fit_scaler(ds)
     model = svm_train(ds, C=4.0, gamma=0.8, scaler=scaler)
-    from dataclasses import replace
-
     model = replace(model, spec_digest=plain_spec(2).digest())
     text = save_model(model)
     loaded = load_model(text, expected_spec_digest=plain_spec(2).digest())
+    assert loaded.mean_shape is None
     probe = rng.random((25, 2)) * 6
     assert np.array_equal(svm_predict_batch(loaded, probe), svm_predict_batch(model, probe))
     assert np.array_equal(svm_decision_votes(loaded, probe), svm_decision_votes(model, probe))
@@ -61,11 +70,30 @@ def test_svm_roundtrip(rng):
     assert save_model(loaded) == text
 
 
+def test_float_blocks_round_trip_bit_exact():
+    """Signed zeros, subnormals and the extremes keep every bit."""
+    vectors = np.array([[-0.0, 5e-324, 0.1], [1.7976931348623157e308, -2.2250738585072014e-308, 1 / 3]])
+    coef = np.array([1e-300, -2.5])
+    model = SVMModel(
+        classes=(0, 4),
+        vectors=vectors,
+        machines=(BinaryMachine(0, 4, np.array([0, 1]), coef, -0.0),),
+        gamma=0.5,
+        C=math.inf,
+        scaler=None,
+        mean_shape=np.full((68, 2), -0.0),
+    )
+    text = save_model(model)
+    loaded = load_model(text)
+    assert loaded.vectors.tobytes() == vectors.tobytes()
+    assert loaded.machines[0].coef.tobytes() == coef.tobytes()
+    assert loaded.mean_shape.tobytes() == model.mean_shape.tobytes()
+    assert save_model(loaded) == text
+
+
 def test_digest_mismatch_rejected(rng):
     ds = three_class(rng)
     model = gb_train(ds, ds, max_trees=2)
-    from dataclasses import replace
-
     model = replace(model, spec_digest=plain_spec(2).digest())
     text = save_model(model)
     other = build_feature_spec(PipelineConfig(features=("distances",))).digest()
@@ -130,33 +158,40 @@ def _sub_first(pattern, new):
     return edit
 
 
-def _both(first, second):
-    return lambda text: second(first(text))
+def _set_first_value(key, value):
+    """Re-encode the first ``key:`` block with its first value replaced."""
+
+    def edit(text):
+        match = re.search(rf"(?m)^{key}: b64 \d+ \d+ (\S+)$", text)
+        table = np.frombuffer(base64.b64decode(match.group(1)), dtype="<f8").copy()
+        table[0] = value
+        data = base64.b64encode(table.tobytes()).decode("ascii")
+        return text[: match.start(1)] + data + text[match.end(1) :]
+
+    return edit
 
 
 # (model kind, edit of a valid model file, raw exception the FormatError wraps, or None
 # when a check rejects the file before any parsing step fails)
 MALFORMED = {
-    "v1_header": ("gb", _sub_first("landmark-emotion-model v2", "landmark-emotion-model v1"), None),
-    "tree_without_class": ("gb", _sub_first(r"tree class=\d+ ", "tree "), KeyError),
-    "tree_unknown_class": ("gb", _sub_first("tree class=0 ", "tree class=1 "), KeyError),
+    "v1_header": ("gb", _sub_first("landmark-emotion-model v3", "landmark-emotion-model v1"), None),
+    "v2_header": ("gb", _sub_first("landmark-emotion-model v3", "landmark-emotion-model v2"), None),
+    # a tree's class follows from its position, so a v2 class field is unknown
+    "tree_class_field": ("gb", _sub_first(r"(?m)^tree ", "tree class=0 "), None),
+    "tree_count_mismatch": ("gb", _sub_first(r"tree_count: \d+", "tree_count: 3"), None),
     "truncated_tree_line": ("gb", _sub_first(r"(?m)^tree .*$", "tree"), KeyError),
     "classes_not_numbers": ("gb", _sub_first("classes: 0,3,6", "classes: a"), ValueError),
     "split_without_gain": ("gb", _sub_first(r"(root=\d+,[^,]+),\S+", r"\1"), ValueError),
     "empty_last_tree": ("gb", _sub_first(r"values=\S+(.*\n)\Z", r"values=\1"), ValueError),
     "blank_line_after_vectors": ("svm", _sub_first(r"(?m)^machine ", "\nmachine "), None),
-    "gb_class_out_of_range": (
-        "gb",
-        _both(_sub_first("classes: 0,3,6", "classes: 0,3,9"), _sub_first("tree class=6 ", "tree class=9 ")),
-        None,
-    ),
+    "gb_class_out_of_range": ("gb", _sub_first("classes: 0,3,6", "classes: 0,3,9"), None),
     # the file holds one machine more than its three classes have pairs
     "repeated_machine_pair": ("svm", _sub_first(r"(?m)^(machine .*\nsv_indices: .*\ncoef: .*\n)", r"\1\1"), None),
     "line_after_last_machine": ("svm", lambda text: text + "coef: 1.0\n", None),
     "negative_sv_index": ("svm", _sub_first(r"(?m)^sv_indices: \d+", "sv_indices: -1"), None),
     "svm_class_out_of_range": ("svm", _sub_first("classes: 0,3,6", "classes: 0,3,9"), None),
-    "vector_count_past_end": ("svm", _sub_first(r"vectors: \d+", "vectors: 10000000000000"), None),
-    # no scaler line bounds the dimension, so only the vector rows can refute it
+    "vector_count_past_end": ("svm", _sub_first(r"vectors: b64 \d+", "vectors: b64 10000000000000"), None),
+    # no scaler line bounds the dimension, so only the vector table can refute it
     "huge_dimension_without_scaler": (
         "svm",
         _sub_first(
@@ -181,7 +216,7 @@ MALFORMED = {
     "shrinkage_nan": ("gb", _sub_first(r"shrinkage: \S+", "shrinkage: nan"), None),
     "shrinkage_zero": ("gb", _sub_first(r"shrinkage: \S+", "shrinkage: 0.0"), None),
     "shrinkage_above_one": ("gb", _sub_first(r"shrinkage: \S+", "shrinkage: 1.5"), None),
-    "init_score_inf": ("gb", _sub_first(r"init_scores: \S+", "init_scores: inf"), None),
+    "init_score_inf": ("gb", _set_first_value("init_scores", math.inf), None),
     "threshold_nan": ("gb", _sub_first(r"root=(\d+),[^,]+,", r"root=\1,nan,"), None),
     "gain_inf": ("gb", _sub_first(r"(root=\d+,[^,]+),\S+", r"\1,inf"), None),
     "leaf_value_nan": ("gb", _sub_first(r"values=[^,\s]+", "values=nan"), None),
@@ -190,22 +225,30 @@ MALFORMED = {
     "gamma_zero": ("svm", _sub_first(r"gamma: \S+", "gamma: 0.0"), None),
     "C_zero": ("svm", _sub_first(r"(?m)^C: \S+", "C: 0.0"), None),
     "C_nan": ("svm", _sub_first(r"(?m)^C: \S+", "C: nan"), None),
-    "scaler_inf": ("svm", _sub_first(r"scaler_lo: \S+", "scaler_lo: -inf"), None),
-    "vector_nan": ("svm", _sub_first(r"(vectors: .*\n)\S+", r"\1nan"), None),
-    "coef_inf": ("svm", _sub_first(r"coef: \S+", "coef: inf"), None),
+    "scaler_inf": ("svm", _set_first_value("scaler_lo", -math.inf), None),
+    "vector_nan": ("svm", _set_first_value("vectors", math.nan), None),
+    "coef_inf": ("svm", _set_first_value("coef", math.inf), None),
     "bias_nan": ("svm", _sub_first(r"bias=\S+", "bias=nan"), None),
+    "mean_shape_inf": ("gb", _set_first_value("mean_shape", math.inf), None),
+    # float blocks: b64 <rows> <cols> <base64 of little-endian float64>
+    "block_not_base64": ("svm", _sub_first(r"(?m)^(vectors: b64 \d+ \d+ \S{8})\S", r"\1!"), ValueError),
+    "block_length_mismatch": ("svm", _sub_first(r"vectors: b64 \d+ ", "vectors: b64 1 "), None),
+    "block_negative_rows": ("svm", _sub_first(r"vectors: b64 \d+ ", "vectors: b64 -3 "), None),
+    "block_fractional_cols": ("gb", _sub_first(r"init_scores: b64 1 3 ", "init_scores: b64 1 2.5 "), ValueError),
+    "block_truncated": ("svm", _sub_first(r"(?m)^(vectors: .*)\S{4}$", r"\1"), None),
+    "block_without_tag": ("gb", _sub_first(r"init_scores: b64 ", "init_scores: "), None),
+    "mean_shape_wrong_shape": ("gb", _sub_first(r"mean_shape: b64 68 2 ", "mean_shape: b64 34 4 "), None),
 }
 
 
 def test_v1_model_file_names_its_version(valid_model_texts):
-    text = valid_model_texts["gb"].replace("model v2", "model v1", 1)
-    with pytest.raises(FormatError, match="format v1 is no longer read; retrain"):
-        load_model(text)
+    for version in ("v1", "v2"):
+        text = valid_model_texts["gb"].replace("model v3", f"model {version}", 1)
+        with pytest.raises(FormatError, match=f"format {version} is no longer read; retrain"):
+            load_model(text)
 
 
 def test_save_rejects_machines_out_of_pair_order(valid_model_texts):
-    from dataclasses import replace
-
     model = load_model(valid_model_texts["svm"])
     with pytest.raises(FormatError, match="pair"):
         save_model(replace(model, machines=model.machines[::-1]))
@@ -213,13 +256,13 @@ def test_save_rejects_machines_out_of_pair_order(valid_model_texts):
 
 @pytest.fixture(scope="module")
 def valid_model_texts():
-    """A GB and an SVM model file whose digest matches a distances-only config."""
-    from dataclasses import replace
-
-    ds = three_class(np.random.default_rng(5))
+    """A GB and an SVM model file whose digest matches a distances-only config; the GB one has a mean shape."""
+    rng = np.random.default_rng(5)
+    ds = three_class(rng)
     digest = build_feature_spec(PipelineConfig(features=("distances",))).digest()
+    mean = rng.normal(size=(68, 2))
     return {
-        "gb": save_model(replace(gb_train(ds, ds, max_trees=2), spec_digest=digest)),
+        "gb": save_model(replace(gb_train(ds, ds, max_trees=2), spec_digest=digest, mean_shape=mean)),
         "svm": save_model(replace(svm_train(ds, C=4.0, gamma=0.8, scaler=fit_scaler(ds)), spec_digest=digest)),
     }
 

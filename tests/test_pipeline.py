@@ -155,6 +155,22 @@ def test_axis_features_use_training_mean(tmp_path, rng):
     assert not np.allclose(result.mean.points, tainted.points, atol=1e-9)
 
 
+def test_load_dataset_reads_only_its_splits(tmp_path, rng):
+    rows = [("Happy", "train"), ("Sad", "train"), ("Angry", "test"), ("Fear", "test")]
+    path = write_fixture_dataset(tmp_path, rng, rows)
+    config = PipelineConfig(manifest=str(path), features=("distances", "axis"))
+    full = load_dataset(path, config)
+    (tmp_path / "s00.pts").write_text("not a landmark file")
+    with pytest.raises(ConfigError, match="training shape"):
+        load_dataset(path, config, ("test",))
+
+    result = load_dataset(path, config, ("test",), full.mean)
+    assert result.errors == ()  # the broken train file was never read
+    assert result.datasets.keys() == result.absent.keys() == result.entries.keys() == {"test"}
+    assert [e.sample_id for e in result.entries["test"]] == ["s02", "s03"]
+    assert np.array_equal(result.datasets["test"].X, full.datasets["test"].X)
+
+
 def test_texture_features_through_pipeline(tmp_path, rng):
     rows = [("Happy", "train"), ("Sad", "train"), ("Angry", "test")]
     path = write_fixture_dataset(tmp_path, rng, rows, with_images=True)

@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,14 +350,17 @@ def test_grid_search_rejects_validation_width_mismatch(rng, monkeypatch):
 
 # --- determinism pins -------------------------------------------------------
 #
-# Recorded with the code as it was before grid search shared one data step
-# across its cells and one kernel across each gamma's cells.  Any change here
-# means the SMO iterates, the scaling, the row order or the model text moved.
+# The grid table was recorded with the code as it was before grid search
+# shared one data step across its cells and one kernel across each gamma's
+# cells.  The model digest and the SMO iteration count were recorded again
+# when squared distances became per-pair sums (``cdist``), which moved the
+# kernel's last bits.  Any change here means the SMO iterates, the scaling,
+# the row order or the model text moved.
 
-PINNED_MODEL_SHA256 = "2a957adc97c27c8d940016412c890e3c1aef9a06ef15a502c8fdd03515b244f3"
+PINNED_MODEL_SHA256 = "d23823d635af892da14136596b5c77bf171853be485435bbbcfa1bbe4b8d0768"
 PINNED_GRID = ((0.25, 4.0, 64.0), (0.01, 0.2, 4.0))
 PINNED_GRID_ACCURACY = [[0.475, 0.475, 0.3], [0.475, 0.525, 0.425], [0.525, 0.575, 0.425]]
-PINNED_GRID_SMO_ITERATIONS = 1613
+PINNED_GRID_SMO_ITERATIONS = 1629
 PINNED_GRID_SMO_CALLS = 54
 
 
@@ -385,3 +392,32 @@ def test_grid_search_table_and_smo_iterations_pinned(monkeypatch):
     assert result.accuracy.tolist() == PINNED_GRID_ACCURACY
     assert (result.C, result.gamma) == (64.0, 0.2)
     assert (sum(iterations), len(iterations)) == (PINNED_GRID_SMO_ITERATIONS, PINNED_GRID_SMO_CALLS)
+
+
+_BLAS_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from landmark_emotion.learners.dataset import LabeledDataset
+from landmark_emotion.learners.persist import save_model
+from landmark_emotion.learners.svm import fit_scaler, svm_train
+rng = np.random.default_rng(0)
+y = np.arange(126) % 3
+train = LabeledDataset(X=rng.normal(size=(126, 2278)) + 0.05 * y[:, None], y=y)
+model = svm_train(train, 8.0, 2.0**-7, scaler=fit_scaler(train))
+print(hashlib.sha256(save_model(model).encode()).hexdigest())
+"""
+
+
+def test_model_bytes_do_not_depend_on_blas_threads():
+    """126 rows of 2278 features, the bench's shape, are enough for BLAS to split a product across threads."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _BLAS_THREADS_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert digests[0] == digests[1]
