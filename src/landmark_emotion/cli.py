@@ -15,7 +15,7 @@ from pathlib import Path
 from .errors import ConfigError, LandmarkEmotionError
 from .evaluation import accuracy_line, confusion, influence_report, per_class_text
 from .learners.dataset import LabeledDataset
-from .learners.gb import GBModel, gb_train, gb_truncate
+from .learners.gb import GBModel, gb_train
 from .learners.persist import load_model, save_model
 from .learners.svm import fit_scaler, grid_search, svm_train
 from .pipeline import (
@@ -31,8 +31,6 @@ from .pipeline import (
 )
 from .shapes import MeanShape
 from .synth import synth_dataset
-
-import numpy as np
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
@@ -90,11 +88,6 @@ def _train_model(config: PipelineConfig, result: LoadResult):
     if config.model == "gb":
         model = gb_train(train, val, shrinkage=config.shrinkage, max_trees=config.max_trees)
         notes.append(f"gb trees per class: {model.tree_count} (of {config.max_trees})")
-        if config.merge_validation:
-            merged = _merge(train, val)
-            refit = gb_train(merged, val, shrinkage=config.shrinkage, max_trees=model.tree_count)
-            model = gb_truncate(refit, model.tree_count)
-            notes.append("refit on train+validate at the selected tree count")
     else:
         if config.svm_c is not None and config.svm_gamma is not None:
             C, gamma = config.svm_c, config.svm_gamma
@@ -106,20 +99,10 @@ def _train_model(config: PipelineConfig, result: LoadResult):
                 f"svm grid search: C={C:g} gamma={gamma:g} "
                 f"validation accuracy {100 * search.best_accuracy:.1f}%"
             )
-        fit_on = _merge(train, val) if config.merge_validation else train
-        if config.merge_validation:
-            notes.append("final fit on train+validate")
-        model = svm_train(fit_on, C, gamma, scaler=fit_scaler(fit_on))
+        model = svm_train(train, C, gamma, scaler=fit_scaler(train))
     mean = None if result.mean is None else result.mean.points
     model = replace(model, spec_digest=result.spec.digest(), mean_shape=mean)
     return model, notes
-
-
-def _merge(train: LabeledDataset, val: LabeledDataset) -> LabeledDataset:
-    X = np.vstack([train.X, val.X])
-    y = np.concatenate([train.y, val.y])
-    ids = tuple(train.ids) + tuple(val.ids)
-    return LabeledDataset(X=X, y=y, ids=ids)
 
 
 def _cmd_train(args) -> int:
@@ -160,7 +143,7 @@ def _predict_eval_split(args) -> tuple[PipelineConfig, list[tuple[ManifestEntry,
     absent = result.absent[split]
     if dataset is None and not absent:
         raise ConfigError(f"the manifest has no usable samples in the {split!r} split")
-    labels = predict_with_fallback(model, dataset, absent, neutral_fallback=config.neutral_fallback)
+    labels = predict_with_fallback(model, dataset, absent)
     return config, [(e, labels[e.sample_id]) for e in result.entries[split] if e.sample_id in labels]
 
 

@@ -20,8 +20,6 @@ from .image import (
     GrayImage,
     SimilarityTransform,
     align_face,
-    aspect_correct,
-    aspect_correct_points,
     bilinear_sample,
     fit_similarity,
     read_pgm,
@@ -39,8 +37,6 @@ __all__ = [
     "GrayImage",
     "SimilarityTransform",
     "align_face",
-    "aspect_correct",
-    "aspect_correct_points",
     "axis_distances",
     "bif_block",
     "bif_features",

@@ -6,13 +6,12 @@ border (nearest border pixel for out-of-bounds samples).
 """
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DegenerateShapeError, DimensionMismatchError, FormatError
+from ..errors import DegenerateShapeError, DimensionMismatchError, FormatError
 from ..shapes import LandmarkSet, MOUTH_CORNERS, eye_centers
 
 CROP_SIZE = 60
@@ -175,30 +174,3 @@ def align_face(image: GrayImage, landmarks: LandmarkSet) -> GrayImage:
     dst = np.array([CANONICAL_LEFT_EYE, CANONICAL_RIGHT_EYE, CANONICAL_MOUTH])
     transform = fit_similarity(src, dst)
     return warp_similarity(image, transform, (CROP_SIZE, CROP_SIZE))
-
-
-def aspect_correct(image: GrayImage, factor: float) -> GrayImage:
-    """Rescale image width by ``factor`` (bilinear); height is unchanged."""
-    if not (factor > 0) or not math.isfinite(factor):
-        raise ConfigError(f"aspect factor must be positive, got {factor}")
-    if factor == 1.0:
-        return image
-    new_w = max(1, round(image.width * factor))
-    scale = image.width / new_w
-    # pixel-center convention: output center x maps to (x + 0.5)*scale - 0.5
-    xs = (np.arange(new_w, dtype=np.float64) + 0.5) * scale - 0.5
-    ys = np.arange(image.height, dtype=np.float64)
-    grid_x, grid_y = np.meshgrid(xs, ys)
-    return GrayImage(np.clip(bilinear_sample(image.pixels, grid_x, grid_y), 0.0, 1.0))
-
-
-def aspect_correct_points(points: np.ndarray, width: int, factor: float) -> np.ndarray:
-    """Map landmark x-coordinates into the frame of ``aspect_correct``'s output."""
-    if not (factor > 0) or not math.isfinite(factor):
-        raise ConfigError(f"aspect factor must be positive, got {factor}")
-    pts = np.asarray(points, dtype=np.float64).copy()
-    if factor == 1.0:
-        return pts
-    new_w = max(1, round(width * factor))
-    pts[:, 0] = (pts[:, 0] + 0.5) * (new_w / width) - 0.5
-    return pts

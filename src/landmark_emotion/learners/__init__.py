@@ -8,7 +8,6 @@ from .gb import (
     gb_predict_batch,
     gb_scores,
     gb_train,
-    gb_truncate,
 )
 from .persist import load_model, save_model
 from .svm import (
@@ -45,7 +44,6 @@ __all__ = [
     "gb_predict_batch",
     "gb_scores",
     "gb_train",
-    "gb_truncate",
     "grid_search",
     "label_index",
     "load_model",

@@ -17,7 +17,7 @@ allocates only the index of its positions in the root layout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -302,12 +302,6 @@ def gb_predict_batch(model: GBModel, X: np.ndarray) -> np.ndarray:
     """Predicted global class indices for each row of ``X``; argmax ties pick the earliest class."""
     scores = gb_scores(model, X)
     return np.array(model.classes)[np.argmax(scores, axis=1)]
-
-
-def gb_truncate(model: GBModel, tree_count: int) -> GBModel:
-    if not 0 <= tree_count <= min(len(ts) for ts in model.trees):
-        raise DimensionMismatchError(f"cannot truncate to {tree_count} trees")
-    return replace(model, tree_count=tree_count)
 
 
 def gb_influence(model: GBModel) -> np.ndarray:

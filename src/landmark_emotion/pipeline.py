@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from .features.extract import (
     point_texture_block,
 )
 from .features.gabor import FilterBank, build_gabor_bank
-from .features.image import GrayImage, align_face, aspect_correct, aspect_correct_points, read_pgm
+from .features.image import GrayImage, align_face, read_pgm
 from .features.spec import FeatureBlock, FeatureSpec
 from .learners.dataset import CLASSES, UNLABELED, LabeledDataset, label_index
 from .learners.gb import DEFAULT_SHRINKAGE, GBModel, gb_predict_batch
@@ -135,10 +134,6 @@ class PipelineConfig:
     svm_gamma: float | None = None
     svm_c_grid: tuple[float, ...] = DEFAULT_C_GRID
     svm_gamma_grid: tuple[float, ...] = DEFAULT_GAMMA_GRID
-    # ingestion
-    aspect_factor: float = 1.0
-    neutral_fallback: bool = True
-    merge_validation: bool = False
     eval_split: str = "test"
 
     def __post_init__(self):
@@ -151,10 +146,19 @@ class PipelineConfig:
             raise ConfigError(f"model must be 'gb' or 'svm', got {self.model!r}")
         if self.eval_split not in SPLITS:
             raise ConfigError(f"eval_split must be one of {SPLITS}")
-        if not (self.aspect_factor > 0 and math.isfinite(self.aspect_factor)):
-            raise ConfigError(f"aspect_factor must be positive and finite, got {self.aspect_factor}")
         if (self.svm_c is None) != (self.svm_gamma is None):
             raise ConfigError("set both svm_c and svm_gamma for a fixed SVM, or neither for a grid search")
+        svm_values = [("svm_c_grid", self.svm_c_grid), ("svm_gamma_grid", self.svm_gamma_grid)]
+        if self.svm_c is not None:
+            svm_values += [("svm_c", (self.svm_c,)), ("svm_gamma", (self.svm_gamma,))]
+        for key, values in svm_values:
+            if not values:
+                raise ConfigError(f"{key} must list at least one value")
+            # C = inf is a hard margin; an infinite gamma makes the RBF kernel NaN
+            gamma = key.startswith("svm_gamma")
+            for v in values:
+                if not (v > 0 and (v < np.inf or not gamma)):
+                    raise ConfigError(f"{key} must be in {'(0, inf)' if gamma else '(0, inf]'}, got {v}")
         if not 0 < self.shrinkage <= 1:
             raise ConfigError(f"shrinkage must be in (0, 1], got {self.shrinkage}")
         if self.max_trees < 1:
@@ -162,9 +166,6 @@ class PipelineConfig:
 
     def needs_images(self) -> bool:
         return "bif" in self.features or "point_texture" in self.features
-
-
-_BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def _items(raw: str) -> list[str]:
@@ -177,7 +178,6 @@ _PARSERS = {
     "int": int,
     "float": float,
     "float | None": float,
-    "bool": lambda raw: _BOOL_VALUES[raw.lower()],
     "tuple[str, ...]": lambda raw: tuple(_items(raw)),
     "tuple[float, ...]": lambda raw: tuple(float(v) for v in _items(raw)),
 }
@@ -207,8 +207,6 @@ def parse_config(text: str) -> PipelineConfig:
     for key, raw in values.items():
         try:
             kwargs[key] = _FIELD_PARSERS[key](raw)
-        except KeyError as exc:  # only the bool parser looks its value up
-            raise ConfigError(f"config key {key!r} must be true/false, got {raw.lower()!r}") from exc
         except ValueError as exc:  # only the numeric parsers can fail to convert
             raise ConfigError(f"config key {key!r} has a non-numeric value") from exc
     return PipelineConfig(**kwargs)
@@ -254,32 +252,8 @@ class _ParsedEntry:
 
 
 def _ingest_entry(entry: ManifestEntry, base: Path, config: PipelineConfig) -> _ParsedEntry:
-    pts_path = base / entry.pts_path
-    landmarks = parse_pts(pts_path.read_text(encoding="utf-8"))
-    image = None
-    points = landmarks.points
-    if config.needs_images():
-        if not entry.image_path:
-            raise ConfigError(
-                f"feature set {config.features} needs images but entry {entry.sample_id!r} has no image path"
-            )
-        image = read_pgm((base / entry.image_path).read_bytes())
-        if config.aspect_factor != 1.0:
-            points = aspect_correct_points(points, image.width, config.aspect_factor)
-            image = aspect_correct(image, config.aspect_factor)
-            landmarks = LandmarkSet(points)
-    elif config.aspect_factor != 1.0:
-        # no image to stay aligned with; plain horizontal rescale of the shape
-        points = points.copy()
-        with np.errstate(over="ignore"):
-            points[:, 0] *= config.aspect_factor
-        if not np.all(np.isfinite(points)):
-            # the file's points are finite, so the factor alone overflowed them
-            raise ConfigError(
-                f"aspect_factor {config.aspect_factor:g} makes the landmark coordinates "
-                f"of {entry.sample_id!r} overflow"
-            )
-        landmarks = LandmarkSet(points)
+    landmarks = parse_pts((base / entry.pts_path).read_text(encoding="utf-8"))
+    image = read_pgm((base / entry.image_path).read_bytes()) if config.needs_images() else None
     uprighted = upright(normalize_size(landmarks))
     return _ParsedEntry(entry=entry, landmarks=landmarks, uprighted=uprighted, image=image)
 
@@ -317,8 +291,9 @@ def load_dataset(
     Only the entries of ``splits`` are read.  ``axis`` features are measured
     from ``mean`` when it is given, else from the mean of the training
     shapes, and then ``splits`` must include ``train``.  Per-entry failures
-    (unreadable or malformed files) are collected, not fatal; duplicate ids
-    and manifest-level problems raise immediately.
+    (unreadable or malformed files) are collected, not fatal.  Duplicate
+    ids, other manifest-level problems and an image-less entry when the
+    features need images raise before any landmark or image file is read.
     """
     manifest_path = Path(manifest_path)
     manifest = read_manifest(manifest_path)
@@ -327,6 +302,12 @@ def load_dataset(
     bank = build_gabor_bank() if "bif" in config.features else None
 
     entries = {s: manifest.for_split(s) for s in splits}
+    if config.needs_images():
+        for e in manifest.entries:
+            if e.split in entries and not e.absent and not e.image_path:
+                raise ConfigError(
+                    f"feature set {config.features} needs images but entry {e.sample_id!r} has no image path"
+                )
     parsed: dict[str, list[_ParsedEntry]] = {s: [] for s in entries}
     absent: dict[str, list[str]] = {s: [] for s in entries}
     errors: list[tuple[str, str]] = []
@@ -338,8 +319,6 @@ def load_dataset(
             continue
         try:
             parsed[entry.split].append(_ingest_entry(entry, base, config))
-        except ConfigError:
-            raise
         except Exception as exc:  # per-entry failure: record and continue
             errors.append((entry.sample_id, str(exc)))
 
@@ -382,16 +361,8 @@ def predict_with_fallback(
     model: GBModel | SVMModel,
     dataset: LabeledDataset | None,
     absent_ids: tuple[str, ...] = (),
-    neutral_fallback: bool = True,
 ) -> dict[str, str]:
-    """Labels for every sample; absent-landmark samples get 'Neutral'.
-
-    With the fallback disabled, any absent sample is an error.
-    """
-    if absent_ids and not neutral_fallback:
-        raise ConfigError(
-            f"{len(absent_ids)} samples have no landmarks and the Neutral fallback is disabled"
-        )
+    """Labels for every sample; absent-landmark samples get 'Neutral'."""
     out: dict[str, str] = {}
     if dataset is not None and len(dataset) > 0:
         if isinstance(model, SVMModel):

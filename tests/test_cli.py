@@ -251,18 +251,16 @@ def test_influence_rejects_svm_model(synth_dir, tmp_path, capsys):
     assert "gradient-boosting" in capsys.readouterr().err
 
 
-def test_fixed_svm_and_merge_validation(synth_dir, tmp_path, capsys):
+def test_fixed_svm(synth_dir, tmp_path, capsys):
     manifest = synth_dir / "data" / "manifest.csv"
     cfg = tmp_path / "fixed.cfg"
     cfg.write_text(
         f"manifest = {manifest}\nfeatures = distances\nmodel = svm\n"
-        "svm_c = 8\nsvm_gamma = 0.001\nmerge_validation = true\n"
+        "svm_c = 8\nsvm_gamma = 0.001\n"
     )
     model_path = tmp_path / "fixed.model"
     assert main(["train", "--config", str(cfg), "--model", str(model_path)]) == 0
-    out = capsys.readouterr().out
-    assert "fixed C=8" in out
-    assert "train+validate" in out
+    assert "fixed C=8" in capsys.readouterr().out
     assert main(["evaluate", "--config", str(cfg), "--model", str(model_path)]) == 0
     assert "test accuracy" in capsys.readouterr().out
 
@@ -294,34 +292,28 @@ def test_infinite_gamma_in_grid_fails_cleanly(synth_dir, tmp_path, capsys):
     assert not model_path.exists()
 
 
-def test_overflowing_aspect_factor_fails_cleanly(synth_dir, tmp_path, capsys):
-    manifest = synth_dir / "data" / "manifest.csv"
-    cfg = tmp_path / "aspect.cfg"
-    cfg.write_text(f"manifest = {manifest}\nfeatures = distances\nmodel = gb\naspect_factor = 1e308\n")
-    model_path = tmp_path / "aspect.model"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["train", "--config", str(cfg), "--model", str(model_path)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "aspect_factor" in err[0], err
-    assert not model_path.exists()
-
-
-def test_unbounded_texture_scales_fail_fast(synth_dir, tmp_path, capsys):
-    # each scale adds a larger kernel: unbounded, this config builds kernels for minutes
+@pytest.mark.parametrize(
+    "line",
+    ["texture_scales = 1000000", "aspect_factor = 1e308", "neutral_fallback = false", "merge_validation = true"],
+)
+def test_removed_config_key_fails_in_one_line(synth_dir, tmp_path, capsys, line):
+    # keys that earlier versions read are unknown now, and fail before any file is read
+    key = line.split(" = ")[0]
     entry = read_manifest(synth_dir / "data" / "manifest.csv").entries[0]
     (tmp_path / "a.pts").write_bytes((synth_dir / "data" / entry.pts_path).read_bytes())
     (tmp_path / "a.pgm").write_bytes(write_pgm(GrayImage(np.full((240, 240), 0.5))))
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("id,pts_path,image_path,label,split\na,a.pts,a.pgm,Happy,train\n")
-    cfg = tmp_path / "scales.cfg"
-    cfg.write_text(f"manifest = {manifest}\nfeatures = point_texture\nmodel = svm\ntexture_scales = 1000000\n")
-    model_path = tmp_path / "scales.model"
+    cfg = tmp_path / "removed.cfg"
+    cfg.write_text(f"manifest = {manifest}\nfeatures = point_texture\nmodel = svm\n{line}\n")
+    model_path = tmp_path / "removed.model"
     started = time.perf_counter()
-    assert main(["train", "--config", str(cfg), "--model", str(model_path)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", str(cfg), "--model", str(model_path)]) == 1
     assert time.perf_counter() - started < 1.0
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "texture_scales" in err[0], err
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
     assert not model_path.exists()
 
 
@@ -347,18 +339,6 @@ def test_absent_landmarks_get_neutral_fallback(synth_dir, tmp_path, capsys):
     lines = dict(line.split("\t") for line in out.splitlines() if line)
     assert lines[victim.sample_id] == "Neutral"
     assert len(lines) == len(read_manifest(manifest_path).for_split("test"))
-
-    # fallback disabled: the absent sample is a fatal error
-    cfg_off = tmp_path / "fb_off.cfg"
-    cfg_off.write_text(
-        f"manifest = {manifest_path}\nfeatures = distances\nmodel = gb\nmax_trees = 8\n"
-        "neutral_fallback = false\n"
-    )
-    model2 = tmp_path / "fb2.model"
-    assert main(["train", "--config", str(cfg_off), "--model", str(model2)]) == 0
-    capsys.readouterr()
-    assert main(["predict", "--config", str(cfg_off), "--model", str(model2)]) == 1
-    assert "fallback" in capsys.readouterr().err
 
 
 def test_every_command_takes_common_flags():

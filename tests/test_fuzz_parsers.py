@@ -87,9 +87,6 @@ VALID_CONFIG = (
     "svm_gamma_grid = 0.5\n"
     "shrinkage = 0.1\n"
     "max_trees = 5\n"
-    "aspect_factor = 1.25\n"
-    "neutral_fallback = true\n"
-    "merge_validation = false\n"
     "eval_split = test\n"
 )
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import gb_oracle
 from landmark_emotion.errors import DimensionMismatchError
 from landmark_emotion.learners.dataset import CLASSES, LabeledDataset, canonical_order
-from landmark_emotion.learners.gb import Split, gb_influence, gb_predict_batch, gb_scores, gb_train, gb_truncate
+from landmark_emotion.learners.gb import Split, gb_influence, gb_predict_batch, gb_scores, gb_train
 from landmark_emotion.learners.persist import save_model
 from landmark_emotion.pipeline import PipelineConfig, load_dataset
 from landmark_emotion.synth import synth_dataset
@@ -76,7 +77,7 @@ def test_zero_trees_predicts_prior():
     X = np.random.default_rng(3).random((12, 2))
     y = np.array([0] * 3 + [3] * 7 + [5] * 2)  # Happy is the majority class
     ds = dataset(X, y)
-    model = gb_truncate(gb_train(ds, ds, max_trees=3), 0)
+    model = dataclasses.replace(gb_train(ds, ds, max_trees=3), tree_count=0)
     assert CLASSES[gb_predict_batch(model, X[:1])[0]] == "Happy"
     assert np.array_equal(gb_scores(model, X[:1])[0], model.init_scores)
 
@@ -87,7 +88,8 @@ def test_staged_equals_truncated():
     probe = val.X[:10]
     for t in range(1, model.tree_count + 1):
         # keeping t trees instead of t - 1 adds exactly iteration t's tree per class
-        step = gb_scores(gb_truncate(model, t), probe) - gb_scores(gb_truncate(model, t - 1), probe)
+        kept = [dataclasses.replace(model, tree_count=n) for n in (t, t - 1)]
+        step = gb_scores(kept[0], probe) - gb_scores(kept[1], probe)
         added = np.stack([model.shrinkage * trees[t - 1].predict(probe) for trees in model.trees], axis=1)
         assert np.allclose(step, added, atol=1e-12)
 

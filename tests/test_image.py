@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import face_with_anchors
-from landmark_emotion.errors import ConfigError, DegenerateShapeError, FormatError
+from landmark_emotion.errors import DegenerateShapeError, FormatError
 from landmark_emotion.features.image import (
     GrayImage,
     SimilarityTransform,
     align_face,
-    aspect_correct,
-    aspect_correct_points,
     bilinear_sample,
     fit_similarity,
     read_pgm,
@@ -127,43 +125,3 @@ def test_warp_constant_preserved():
     out = warp_similarity(img, t, (25, 35))
     assert out.pixels.shape == (35, 25)
     assert np.allclose(out.pixels, 0.7, atol=1e-12)
-
-
-def test_aspect_correct_dimensions():
-    img = GrayImage(np.zeros((60, 30)))  # width 30, height 60
-    assert aspect_correct(img, 1.0) is img
-    out = aspect_correct(img, 2.0)
-    assert out.width == 60 and out.height == 60
-    half = aspect_correct(GrayImage(np.zeros((10, 8))), 0.5)
-    assert half.width == 4 and half.height == 10
-
-
-def test_aspect_correct_roundtrip_content(rng):
-    base = np.tile(np.linspace(0.1, 0.9, 40), (12, 1))
-    img = GrayImage(base)
-    down_up = aspect_correct(aspect_correct(img, 0.5), 2.0)
-    assert down_up.width == img.width and down_up.height == img.height
-    # smooth content survives a down/up round trip approximately
-    assert np.abs(down_up.pixels - img.pixels).max() < 0.02
-
-
-def test_aspect_correct_errors():
-    img = GrayImage(np.zeros((4, 4)))
-    with pytest.raises(ConfigError):
-        aspect_correct(img, 0.0)
-    with pytest.raises(ConfigError):
-        aspect_correct(img, -2.0)
-    with pytest.raises(ConfigError):
-        aspect_correct_points(np.zeros((3, 2)), 10, 0.0)
-
-
-def test_aspect_correct_points_tracks_image():
-    # a landmark on a pixel feature must stay on it after correction
-    width = 16
-    pixels = np.zeros((8, width))
-    pixels[:, 10] = 1.0
-    img = GrayImage(pixels)
-    out = aspect_correct(img, 2.0)
-    pts = aspect_correct_points(np.array([[10.0, 4.0]]), width, 2.0)
-    col = int(round(pts[0, 0]))
-    assert out.pixels[4, col] == out.pixels[4].max()

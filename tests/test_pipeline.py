@@ -192,15 +192,6 @@ def test_images_required_for_texture(tmp_path, rng):
         load_dataset(path, config)
 
 
-def test_aspect_factor_changes_geometry(tmp_path, rng):
-    path = write_fixture_dataset(tmp_path, rng, [("Happy", "train")])
-    plain = load_dataset(path, PipelineConfig(manifest=str(path)))
-    stretched = load_dataset(path, PipelineConfig(manifest=str(path), aspect_factor=1.5))
-    a = plain.datasets["train"].X
-    b = stretched.datasets["train"].X
-    assert not np.allclose(a, b, atol=1e-6)
-
-
 def test_unlabeled_entries(tmp_path, rng):
     path = write_fixture_dataset(
         tmp_path, rng, [("Happy", "train"), ("Sad", "train"), ("", "test")]
@@ -223,9 +214,6 @@ features = distances, axis
 model = gb
 shrinkage = 0.05
 max_trees = 40
-aspect_factor = 1.25
-neutral_fallback = false
-merge_validation = true
 eval_split = validate
 svm_c_grid = 1, 2, 4
 svm_gamma_grid = 0.5
@@ -236,9 +224,6 @@ svm_gamma_grid = 0.5
     assert config.model == "gb"
     assert config.shrinkage == 0.05
     assert config.max_trees == 40
-    assert config.aspect_factor == 1.25
-    assert config.neutral_fallback is False
-    assert config.merge_validation is True
     assert config.eval_split == "validate"
     assert config.svm_c_grid == (1.0, 2.0, 4.0)
     assert config.svm_gamma_grid == (0.5,)
@@ -255,9 +240,6 @@ NON_DEFAULT_VALUES = {
     "svm_gamma": ("0.5", 0.5),
     "svm_c_grid": ("1, 2,4", (1.0, 2.0, 4.0)),
     "svm_gamma_grid": ("0.5", (0.5,)),
-    "aspect_factor": ("1.25", 1.25),
-    "neutral_fallback": ("No", False),
-    "merge_validation": ("yes", True),
     "eval_split": ("validate", "validate"),
 }
 
@@ -288,13 +270,16 @@ def test_readme_config_table_names_every_field():
         ("features = lbp", "unknown feature family"),
         ("model = forest", "model"),
         ("max_trees = many", "non-numeric"),
-        ("neutral_fallback = maybe", "true/false"),
         ("no equals sign here", "key = value"),
         ("seed = 1\nseed = 2", "duplicate"),
         ("svm_c_grid = 1,x", "svm_c_grid"),
         ("aspect_factor = inf", "aspect_factor"),
         ("svm_c = 8", "svm_gamma"),
         ("svm_gamma = 0.5", "svm_c"),
+        ("svm_c = 0\nsvm_gamma = 1", "svm_c must"),
+        ("svm_c = 1\nsvm_gamma = inf", "svm_gamma must"),
+        ("svm_c_grid = ", "svm_c_grid must"),
+        ("svm_gamma_grid = -1", "svm_gamma_grid must"),
         ("shrinkage = 0", "shrinkage"),
         ("shrinkage = 1.5", "shrinkage"),
         ("max_trees = 0", "max_trees"),
@@ -348,9 +333,3 @@ def test_fallback_one_absent_among_n(rng):
     assert labels["missing"] == "Neutral"
     forced = [sid for sid, lbl in labels.items() if sid == "missing"]
     assert len(forced) == 1
-
-
-def test_fallback_disabled_errors(rng):
-    model, ds = trained_toy_model(rng)
-    with pytest.raises(ConfigError):
-        predict_with_fallback(model, ds, ("missing",), neutral_fallback=False)
