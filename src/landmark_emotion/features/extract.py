@@ -3,14 +3,22 @@ mean shape, pooled filter-bank texture over the aligned crop, and per-landmark
 filter responses.
 
 The pooled texture filters each crop in the frequency domain: one FFT of the
-edge-padded crop, then one inverse FFT per cached complex kernel spectrum
-(``gabor_spectra``), and pools every (band, orientation) response over a
-strided window view rather than cell by cell.
+edge-padded crop, then per cached complex kernel spectrum (``gabor_spectra``)
+an inverse FFT pruned to the response window: the row pass runs over every
+row but keeps only the last ``n`` columns, and the column pass runs over those
+columns only.  It pools a band's responses, all orientations at once, from
+g x g tiles (g = gcd(cell, step)): each window's MAX is the max of its tiles'
+maxima, and its STDDEV merges the tiles' means and sums of squared deviations
+(Chan, Golub & LeVeque), never ``E[x^2] - E[x]^2``.  ``point_texture`` takes
+each scale's patches at every landmark as one array and correlates them with
+all even and odd kernels in one ``einsum``, which calls no BLAS.
 
 All extractors are pure functions of their inputs; repeated calls on the same
 arguments return bit-identical vectors.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -66,9 +74,11 @@ def bif_features(image: GrayImage, bank: FilterBank) -> np.ndarray:
     each grid cell with MAX and STDDEV.  Output order is (band, orientation,
     cell, {MAX, STDDEV}).
 
-    Filtering is one ``fft2`` of the edge-padded crop and, per kernel, one
-    ``ifft2`` of its product with the cached complex kernel spectrum; the
-    magnitude of the last ``n x n`` window is the quadrature response.
+    Filtering is one ``fft2`` of the edge-padded crop and, per kernel, the
+    inverse FFT of its product with the cached complex kernel spectrum; the
+    magnitude of the last ``n x n`` window is the quadrature response.  The
+    inverse runs as its two 1-D passes, each keeping only what that window
+    needs, which gives the bits ``ifft2`` would.
     """
     n = bank.image_size
     if image.height != n or image.width != n:
@@ -77,16 +87,51 @@ def bif_features(image: GrayImage, bank: FilterBank) -> np.ndarray:
         )
     pad, spectra = gabor_spectra(bank.bands, bank.orientations, n)
     crop_spectrum = np.fft.fft2(np.pad(image.pixels, pad, mode="edge"))
+
+    def response(size: int, oi: int) -> np.ndarray:
+        rows = np.fft.ifft(crop_spectrum * spectra[(size, oi)], axis=1)[:, -n:]
+        return np.abs(np.fft.ifft(rows, axis=0)[-n:])
+
     chunks = []
     for band in bank.bands:
-        for oi in range(bank.orientations):
-            response = np.maximum.reduce(
-                [np.abs(np.fft.ifft2(crop_spectrum * spectra[(sz, oi)])[-n:, -n:]) for sz in band.sizes]
-            )
-            cells = sliding_window_view(response, (band.cell, band.cell))[:: band.step, :: band.step]
-            pooled = np.stack([cells.max(axis=(2, 3)), cells.std(axis=(2, 3))], axis=-1)
-            chunks.append(pooled.ravel())
+        responses = np.stack(
+            [np.maximum.reduce([response(size, oi) for size in band.sizes]) for oi in range(bank.orientations)]
+        )
+        chunks.append(_pool_max_std(responses, band.cell, band.step).ravel())
     return np.concatenate(chunks)
+
+
+def _pool_max_std(responses: np.ndarray, cell: int, step: int) -> np.ndarray:
+    """MAX and STDDEV of every ``cell x cell`` window at stride ``step``, per response.
+
+    ``responses`` is (m, n, n); the result is (m, windows, windows, 2).  Windows
+    are unions of g x g tiles, g = gcd(cell, step), so each pixel is read into
+    one tile's max, mean and sum of squared deviations ``M2``, and a window
+    combines its tiles: ``M2 = sum(M2_t) + g^2 * sum((mean_t - mean)^2)``.
+    """
+    g = math.gcd(cell, step)
+    span, stride = cell // g, step // g
+    count = (responses.shape[-1] - cell) // step + 1
+    tiles = (count - 1) * stride + span
+    m = responses.shape[0]
+    x = responses[:, : tiles * g, : tiles * g].reshape(m, tiles, g, tiles, g).transpose(0, 1, 3, 2, 4)
+    x = x.reshape(m, tiles, tiles, g * g)
+    tile_mean = x.mean(axis=-1)
+    tile_m2 = ((x - tile_mean[..., None]) ** 2).sum(axis=-1)
+    end = (count - 1) * stride + 1
+
+    def windows(per_tile: np.ndarray) -> list[np.ndarray]:
+        """Per tile offset in a window, that tile of every window."""
+        return [
+            per_tile[:, dy : dy + end : stride, dx : dx + end : stride]
+            for dy in range(span)
+            for dx in range(span)
+        ]
+
+    means = windows(tile_mean)
+    mean = sum(means) / (span * span)
+    m2 = sum(windows(tile_m2)) + g * g * sum((tile - mean) ** 2 for tile in means)
+    return np.stack([np.maximum.reduce(windows(x.max(axis=-1))), np.sqrt(m2 / (cell * cell))], axis=-1)
 
 
 def point_texture_sizes(scales: int) -> tuple[int, ...]:
@@ -133,15 +178,10 @@ def point_texture(
     values = np.empty((landmarks.point_count, scales, orientations))
     for si, sz in enumerate(sizes):
         half = sz // 2
-        patches = np.stack(
-            [
-                padded[ys[p] - half : ys[p] + half + 1, xs[p] - half : xs[p] + half + 1]
-                for p in range(landmarks.point_count)
-            ]
-        )
-        for oi in range(orientations):
-            even, odd = kernels[(sz, oi)]
-            re = np.tensordot(patches, even, axes=([1, 2], [0, 1]))
-            im = np.tensordot(patches, odd, axes=([1, 2], [0, 1]))
-            values[:, si, oi] = np.hypot(re, im)
+        patches = sliding_window_view(padded, (sz, sz))[ys - half, xs - half].reshape(-1, sz * sz)
+        pairs = [kernels[(sz, oi)] for oi in range(orientations)]
+        filters = np.stack([even for even, _ in pairs] + [odd for _, odd in pairs]).reshape(-1, sz * sz)
+        # einsum, not a matrix product: BLAS may split that across threads and move its last bits
+        products = np.einsum("pk,ok->po", patches, filters)
+        values[:, si] = np.hypot(products[:, :orientations], products[:, orientations:])
     return values.ravel()

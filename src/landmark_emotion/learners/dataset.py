@@ -1,6 +1,7 @@
 """Labeled feature datasets over the fixed 7-emotion class order."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,18 @@ class LabeledDataset:
 def canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row order independent of how the caller shuffled the samples.
 
-    A stable sort keyed on the columns of ``X``, first column first, then on ``y``.
+    A stable sort of the rows, compared at their first differing column,
+    then on ``y``: the order ``np.lexsort`` gives with one key per column,
+    without building one sort key per column.
     """
-    keys = np.vstack([y[None, :].astype(np.float64), X.T[::-1]])
-    return np.lexsort(keys)
+    rows = list(X)
+    labels = y.tolist()
+
+    def compare(i: int, j: int) -> int:
+        differ = rows[i] != rows[j]
+        col = int(differ.argmax())
+        if differ[col]:
+            return -1 if rows[i][col] < rows[j][col] else 1
+        return (labels[i] > labels[j]) - (labels[i] < labels[j])
+
+    return np.array(sorted(range(len(labels)), key=functools.cmp_to_key(compare)), dtype=np.intp)

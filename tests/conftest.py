@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,21 @@ from landmark_emotion.shapes import LandmarkSet
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def outputs_under_blas_threads(script):
+    """Standard output of ``python -c script`` run under 1 and under 2 BLAS threads."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.strip())
+    return outputs
 
 
 def make_face(rng=None, jitter=0.0):

@@ -60,6 +60,11 @@ def brute_force_bif(image, bank, magnitude=loop_magnitude):
 # build_gabor_bank arguments of the brute-force toys
 TOY_SINGLE = dict(bands=(Band(sizes=(3,), cell=4, step=4),), orientations=1, image_size=4)
 TOY_MULTI = dict(bands=(Band(sizes=(3, 5), cell=4, step=2),), orientations=2, image_size=8)
+# cells that are not a multiple of the step: pooled from 1x1 tiles (cell 5,
+# step 3) and from 2x2 tiles (cell 6, step 4), with the crop's last rows unread
+TOY_UNEVEN = dict(
+    bands=(Band(sizes=(3,), cell=5, step=3), Band(sizes=(3, 5), cell=6, step=4)), orientations=2, image_size=12
+)
 # a kernel wider than the crop: the edge padding (4 px) reaches past the whole image
 TOY_WIDE = dict(bands=(Band(sizes=(9,), cell=4, step=4),), orientations=3, image_size=4)
 
@@ -104,6 +109,15 @@ def test_multi_band_toy_matches_brute_force(rng):
     # one band, two orientations, 3x3 overlapping cells, two stats
     assert fv.shape == (2 * 2 * 9,)
     assert np.allclose(fv, expected, atol=1e-9)
+    uneven = build_gabor_bank(**TOY_UNEVEN)
+    # A near-flat crop makes every STDDEV tiny.  On a ramp the odd kernels'
+    # responses are constant away from the border, so STDDEV is about 0 where
+    # responses are not: pooling by E[x^2] - E[x]^2 misses that by over 1e-9.
+    ramp = np.tile(np.arange(12) / 11, (12, 1))
+    for pixels in (rng.random((12, 12)), 0.5 + 1e-6 * rng.random((12, 12)), ramp):
+        fv = bif_features(GrayImage(pixels), uneven)
+        assert fv.shape == (2 * 2 * (9 + 4),)
+        assert np.allclose(fv, brute_force_bif(pixels, uneven), atol=1e-9)
 
 
 def test_wide_kernel_toy_matches_brute_force(rng):

@@ -1,13 +1,10 @@
 import hashlib
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import outputs_under_blas_threads
 from qp_oracle import dual_value, kkt_violation, qp_max_enumerate, rbf_kernel
 from landmark_emotion.errors import DimensionMismatchError
 from landmark_emotion.learners.dataset import CLASSES, LabeledDataset, canonical_order
@@ -207,6 +204,25 @@ def test_svm_machines_shuffle_invariant_with_cross_class_duplicates(rng):
         perm = np.random.default_rng(seed).permutation(len(y))
         shuffled = dataset(X[perm], y[perm])
         assert save_model(svm_train(shuffled, C=4.0, gamma=1.0, scaler=fit_scaler(shuffled))) == reference
+
+
+def test_canonical_order_matches_lexsort(rng):
+    def lexsort_order(X, y):
+        return np.lexsort(np.vstack([y[None, :].astype(np.float64), X.T[::-1]]))
+
+    cases = []
+    for _ in range(200):
+        n, d = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+        # few distinct values: ties at every column, and -0.0 next to 0.0
+        X = rng.choice([-1.0, -0.0, 0.0, 0.25, 1.0], size=(n, d))
+        X[rng.integers(0, n, size=n // 3)] = X[0]  # duplicate rows
+        cases.append((X, rng.integers(0, 3, size=n)))
+    wide = rng.normal(size=(8, 20832))
+    wide[4:, :20000] = wide[:4, :20000]  # rows that first differ near the end
+    wide[7] = wide[3]
+    cases.append((wide, np.array([1, 0, 2, 0, 1, 0, 2, 0])))
+    for X, y in cases:
+        assert np.array_equal(canonical_order(X, y), lexsort_order(X, y))
 
 
 def test_svm_pair_rows_follow_their_own_canonical_order(rng):
@@ -410,14 +426,5 @@ print(hashlib.sha256(save_model(model).encode()).hexdigest())
 
 def test_model_bytes_do_not_depend_on_blas_threads():
     """126 rows of 2278 features, the bench's shape, are enough for BLAS to split a product across threads."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", _BLAS_THREADS_SCRIPT], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
-        digests.append(done.stdout.strip())
+    digests = outputs_under_blas_threads(_BLAS_THREADS_SCRIPT)
     assert digests[0] == digests[1]

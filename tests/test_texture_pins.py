@@ -2,13 +2,15 @@
 
 Model files store the FeatureSpec digest, so a changed digest would make
 every saved model fail to load.  The digests hash text, so the values below
-hold on every platform.
+hold on every platform.  Texture values must also not depend on the BLAS
+thread count, or model bytes would.
 """
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from conftest import outputs_under_blas_threads
 from landmark_emotion.features.extract import point_texture_sizes
 from landmark_emotion.features.gabor import build_gabor_bank, gabor_kernel_pair, gabor_kernels
 from landmark_emotion.pipeline import FEATURE_FAMILIES, PipelineConfig, build_feature_spec
@@ -74,3 +76,23 @@ def test_bank_kernels_are_the_recipe():
 def test_point_texture_kernels_are_the_recipe():
     sizes = point_texture_sizes(8)
     _assert_kernels_are_the_recipe(gabor_kernels(sizes, 12), sizes, 12)
+
+
+_TEXTURE_SCRIPT = """
+import hashlib
+import numpy as np
+from landmark_emotion.features.extract import bif_features, point_texture
+from landmark_emotion.features.gabor import build_gabor_bank
+from landmark_emotion.features.image import GrayImage
+from landmark_emotion.shapes import LandmarkSet
+from landmark_emotion.synth import face_template
+pixels = np.random.default_rng(0).random((240, 240))
+face = LandmarkSet(face_template())
+print(hashlib.sha256(bif_features(GrayImage(pixels[90:150, 90:150]), build_gabor_bank()).tobytes()).hexdigest())
+print(hashlib.sha256(point_texture(GrayImage(pixels), face).tobytes()).hexdigest())
+"""
+
+
+def test_texture_bytes_do_not_depend_on_blas_threads():
+    one, two = outputs_under_blas_threads(_TEXTURE_SCRIPT)
+    assert one == two
