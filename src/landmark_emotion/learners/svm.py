@@ -4,17 +4,22 @@ Binary subproblems solve the standard C-SVC dual
 
     min  0.5 * a' Q a - e' a    s.t.  0 <= a_i <= C,  y' a = 0,  Q_ij = y_i y_j K_ij
 
-with maximal-violating-pair working-set selection.  Multiclass reduction is
+with maximal-violating-pair working-set selection (Platt, 1998; Keerthi et
+al., 2001).  ``smo_solve`` solves a stack of such duals in lock step: each
+round steps every problem still running, with the same IEEE operations per
+problem as a one-problem loop, so a problem gets the same alpha, bias and
+iteration count whatever it is stacked with.  Multiclass reduction is
 one-vs-one with majority voting.  Everything is deterministic: the training
 rows are scaled and put into one canonical order per training set, each
 subproblem takes its rows in that order, and all tie-breaks are first-index.
 
 Training is two steps.  The data step scales and orders the rows, computes
 their squared distances and indexes each class pair's rows; the solve step
-takes a kernel over all rows and C and runs one SMO per pair.  ``svm_train``
-runs each once.  ``grid_search`` runs the data step once per grid, builds the
-training and validation kernels once per gamma, and runs only the solve step
-per cell, so the cells of one gamma share its kernels.
+takes a kernel over all rows and a list of C values and solves every
+(C, pair) dual in one ``smo_solve`` call.  ``svm_train`` runs each once, with
+one C.  ``grid_search`` runs the data step once per grid, and per gamma
+builds the training and validation kernels and runs the solve step once
+over every C, so the cells of one gamma share its kernels and one stack.
 """
 from __future__ import annotations
 
@@ -73,87 +78,113 @@ def fit_scaler(train: LabeledDataset) -> Scaler:
 def smo_solve(
     K: np.ndarray,
     y: np.ndarray,
-    C: float,
+    C: float | Sequence[float],
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[np.ndarray, float, int]:
-    """Solve one binary C-SVC dual; returns (alpha, bias, iterations).
+) -> tuple[np.ndarray, np.ndarray | float, int]:
+    """Solve one binary C-SVC dual, or a stack of them in lock step.
 
-    ``K`` is the full kernel matrix, ``y`` a +-1 vector.  The bias is for the
-    decision function f(x) = sum_i alpha_i y_i K(x_i, x) + bias.
+    One dual: ``K`` is its (n, n) kernel, ``y`` its n labels of +-1 and ``C``
+    a scalar; returns (alpha, bias, iterations).  A stack of p duals: ``K`` is
+    (p, n, n), ``y`` (p, n) and ``C`` a scalar or p values; returns alpha
+    (p, n), bias (p,) and the most iterations any one problem took.  A label
+    of 0 marks a padding row: its row and column of Q are zero and it never
+    enters the working set, so duals of fewer rows are zero-padded to n.  The
+    bias is for the decision function f(x) = sum_i alpha_i y_i K(x_i, x) + bias.
+
+    Each round takes one maximal-violating-pair step in every problem still
+    running, with the same IEEE operations a one-problem loop makes, so a
+    problem's alpha, bias and iteration count do not depend on its stack.  A
+    problem stops, and is frozen, once its pair violates by at most ``tol``
+    or after ``max_iter`` steps.
     """
     y = np.asarray(y, dtype=np.float64)
-    n = y.shape[0]
-    if K.shape != (n, n):
-        raise DimensionMismatchError(f"kernel matrix {K.shape} does not match {n} labels")
-    Q = (y[:, None] * y[None, :]) * K
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
+    K = np.asarray(K, dtype=np.float64)
+    if y.ndim not in (1, 2) or K.shape != y.shape + y.shape[-1:]:
+        raise DimensionMismatchError(f"kernel matrix {K.shape} does not match labels {y.shape}")
+    Y = y.reshape(-1, y.shape[-1])
+    K = K.reshape(Y.shape + Y.shape[-1:])
+    p, n = Y.shape
+    Cs = np.asarray(C, dtype=np.float64)
+    if Cs.ndim == 0:
+        Cs = np.full(p, Cs)
+    elif Cs.shape != (p,):
+        raise DimensionMismatchError(f"{Cs.shape} values of C do not match {p} problems")
+    Q = (Y[:, :, None] * Y[:, None, :]) * K
+    alpha = np.zeros((p, n))
+    grad = -np.ones((p, n))  # gradient of the dual objective at alpha = 0
+    iterations = np.zeros(p, dtype=np.int64)
 
-    neg_yg = np.empty(n)
+    # the problems still running, and their state; a stopped problem's
+    # alpha and gradient go back into ``alpha`` and ``grad``
+    run = np.arange(p)
+    a, g, yr, neg_y, c = alpha.copy(), grad.copy(), Y, -Y, Cs
     # index sets of the maximal-violating-pair rule; a step changes only
     # alpha[i] and alpha[j], so only those two entries are refreshed after it
-    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-    low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        np.multiply(-y, grad, out=neg_yg)
-        if not up.any() or not low.any():
-            break
-        i = int(np.argmax(np.where(up, neg_yg, -np.inf)))
-        j = int(np.argmin(np.where(low, neg_yg, np.inf)))
-        if neg_yg[i] - neg_yg[j] <= tol:
-            iterations -= 1
-            break
+    up = ((yr > 0) & (a < c[:, None])) | ((yr < 0) & (a > 0))
+    low = ((yr < 0) & (a < c[:, None])) | ((yr > 0) & (a > 0))
+    rounds = 0
+    while run.size and rounds < max_iter:
+        rounds += 1
+        neg_yg = neg_y * g
+        i = np.argmax(np.where(up, neg_yg, -np.inf), axis=1)
+        j = np.argmin(np.where(low, neg_yg, np.inf), axis=1)
+        r = np.arange(run.size)
+        empty = ~(up.any(axis=1) & low.any(axis=1))
+        converged = ~empty & (neg_yg[r, i] - neg_yg[r, j] <= tol)
+        stop = empty | converged
+        if stop.any():
+            # a problem with an empty index set counts the round it stopped in
+            iterations[run[stop]] = rounds - converged[stop]
+            alpha[run[stop]], grad[run[stop]] = a[stop], g[stop]
+            go = ~stop
+            run, a, g, yr, neg_y, c, up, low, i, j = (
+                v[go] for v in (run, a, g, yr, neg_y, c, up, low, i, j)
+            )
+            if not run.size:
+                break
+            r = np.arange(run.size)
 
-        quad = max(K[i, i] + K[j, j] - 2.0 * K[i, j], _TAU)
-        old_i, old_j = alpha[i], alpha[j]
-        if y[i] != y[j]:
-            delta = (-grad[i] - grad[j]) / quad
-            diff = alpha[i] - alpha[j]
-            alpha[i] += delta
-            alpha[j] += delta
-            if diff > 0:
-                if alpha[j] < 0:
-                    alpha[j] = 0.0
-                    alpha[i] = diff
-                if alpha[i] > C:
-                    alpha[i] = C
-                    alpha[j] = C - diff
-            else:
-                if alpha[i] < 0:
-                    alpha[i] = 0.0
-                    alpha[j] = -diff
-                if alpha[j] > C:
-                    alpha[j] = C
-                    alpha[i] = C + diff
-        else:
-            delta = (grad[i] - grad[j]) / quad
-            total = alpha[i] + alpha[j]
-            alpha[i] -= delta
-            alpha[j] += delta
-            if total > C:
-                if alpha[i] > C:
-                    alpha[i] = C
-                    alpha[j] = total - C
-                if alpha[j] > C:
-                    alpha[j] = C
-                    alpha[i] = total - C
-            else:
-                if alpha[j] < 0:
-                    alpha[j] = 0.0
-                    alpha[i] = total
-                if alpha[i] < 0:
-                    alpha[i] = 0.0
-                    alpha[j] = total
+        quad = K[run, i, i] + K[run, j, j] - 2.0 * K[run, i, j]
+        quad = np.where(_TAU > quad, _TAU, quad)  # max(quad, _TAU)
+        old_i, old_j = a[r, i], a[r, j]
+        g_i, g_j = g[r, i], g[r, j]
+        split = yr[r, i] != yr[r, j]
+        delta = np.where(split, -g_i - g_j, g_i - g_j) / quad
+        a_i = np.where(split, old_i + delta, old_i - delta)
+        a_j = old_j + delta
+        # clip back into the box along the constraint line; the second test
+        # of each branch sees what the first one set
+        diff, total = old_i - old_j, old_i + old_j
+        pos, over = split & (diff > 0), ~split & (total > c)
+        neg, under = split & ~pos, ~split & ~over
+        a_i, a_j = _set_where(pos & (a_j < 0), a_i, a_j, diff, 0.0)
+        a_i, a_j = _set_where(pos & (a_i > c), a_i, a_j, c, c - diff)
+        a_i, a_j = _set_where(neg & (a_i < 0), a_i, a_j, 0.0, -diff)
+        a_i, a_j = _set_where(neg & (a_j > c), a_i, a_j, c + diff, c)
+        a_i, a_j = _set_where(over & (a_i > c), a_i, a_j, c, total - c)
+        a_i, a_j = _set_where(over & (a_j > c), a_i, a_j, total - c, c)
+        a_i, a_j = _set_where(under & (a_j < 0), a_i, a_j, total, 0.0)
+        a_i, a_j = _set_where(under & (a_i < 0), a_i, a_j, 0.0, total)
 
-        grad += Q[:, i] * (alpha[i] - old_i) + Q[:, j] * (alpha[j] - old_j)
-        for k in (i, j):
-            up[k] = (y[k] > 0 and alpha[k] < C) or (y[k] < 0 and alpha[k] > 0)
-            low[k] = (y[k] < 0 and alpha[k] < C) or (y[k] > 0 and alpha[k] > 0)
+        g += Q[run, :, i] * (a_i - old_i)[:, None] + Q[run, :, j] * (a_j - old_j)[:, None]
+        a[r, i], a[r, j] = a_i, a_j
+        for k, a_k in ((i, a_i), (j, a_j)):
+            y_k = yr[r, k]
+            up[r, k] = ((y_k > 0) & (a_k < c)) | ((y_k < 0) & (a_k > 0))
+            low[r, k] = ((y_k < 0) & (a_k < c)) | ((y_k > 0) & (a_k > 0))
+    iterations[run] = rounds
+    alpha[run], grad[run] = a, g
 
-    bias = _compute_bias(y, alpha, grad, C)
-    return alpha, bias, iterations
+    bias = np.array([_compute_bias(Y[b], alpha[b], grad[b], Cs[b]) for b in range(p)])
+    if y.ndim == 1:
+        return alpha[0], float(bias[0]), int(iterations[0])
+    return alpha, bias, int(iterations.max(initial=0))
+
+
+def _set_where(mask, a_i, a_j, value_i, value_j):
+    """(a_i, a_j) with (value_i, value_j) in the problems where ``mask`` holds."""
+    return np.where(mask, value_i, a_i), np.where(mask, value_j, a_j)
 
 
 def _compute_bias(y: np.ndarray, alpha: np.ndarray, grad: np.ndarray, C: float) -> float:
@@ -235,31 +266,47 @@ def _prepare(train: LabeledDataset, scaler: Scaler | None) -> _TrainingData:
     return _TrainingData(classes=classes, X=X, sqdist=squared_distances(X, X), pairs=tuple(pairs))
 
 
-def _solve(data: _TrainingData, K: np.ndarray, C: float) -> tuple[np.ndarray, tuple[BinaryMachine, ...]]:
-    """The solve step: one SMO per class pair on the kernel ``K`` over all of ``data.X``.
+def _solve(
+    data: _TrainingData, K: np.ndarray, Cs: Sequence[float]
+) -> list[tuple[np.ndarray, tuple[BinaryMachine, ...]]]:
+    """The solve step: one SMO per class pair and C, all in one lock-step stack.
 
-    Returns the rows of ``data.X`` that are support vectors of some machine,
+    ``K`` is the kernel over all of ``data.X``.  Each pair's kernel is gathered
+    once, zero-padded to the largest pair, and shared by every C.  Returns, per
+    C, the rows of ``data.X`` that are support vectors of some machine,
     ascending, and the machines, whose ``sv_indices`` point into those rows.
     """
-    solved = []
-    for pos, neg, rows, labels in data.pairs:
-        alpha, bias, _ = smo_solve(K[np.ix_(rows, rows)], labels, C)
-        sv = np.flatnonzero(alpha > 1e-12)
-        solved.append((pos, neg, rows[sv], (alpha * labels)[sv], bias))
+    size = max(len(rows) for _, _, rows, _ in data.pairs)
+    pair_K = np.zeros((len(data.pairs), size, size))
+    pair_y = np.zeros((len(data.pairs), size))  # 0 marks a padding row
+    for b, (_, _, rows, labels) in enumerate(data.pairs):
+        pair_K[b, : len(rows), : len(rows)] = K[np.ix_(rows, rows)]
+        pair_y[b, : len(rows)] = labels
+    # problem c * len(data.pairs) + b solves pair b at Cs[c]
+    pair_of = np.arange(len(Cs) * len(data.pairs)) % len(data.pairs)
+    alphas, biases, _ = smo_solve(pair_K[pair_of], pair_y[pair_of], np.repeat(Cs, len(data.pairs)))
 
-    used = np.unique(np.concatenate([sv_rows for _, _, sv_rows, _, _ in solved]))
-    machines = tuple(
-        BinaryMachine(pos, neg, np.searchsorted(used, sv_rows), coef, float(bias))
-        for pos, neg, sv_rows, coef, bias in solved
-    )
-    return used, machines
+    solved = []
+    for alpha, bias in zip(alphas.reshape(len(Cs), len(data.pairs), size), biases.reshape(len(Cs), -1)):
+        found = []
+        for (pos, neg, rows, labels), a, b in zip(data.pairs, alpha, bias):
+            a = a[: len(rows)]
+            sv = np.flatnonzero(a > 1e-12)
+            found.append((pos, neg, rows[sv], (a * labels)[sv], b))
+        used = np.unique(np.concatenate([sv_rows for _, _, sv_rows, _, _ in found]))
+        machines = tuple(
+            BinaryMachine(pos, neg, np.searchsorted(used, sv_rows), coef, float(b))
+            for pos, neg, sv_rows, coef, b in found
+        )
+        solved.append((used, machines))
+    return solved
 
 
 def svm_train(train: LabeledDataset, C: float, gamma: float, scaler: Scaler | None = None) -> SVMModel:
     """Train one-vs-one binary machines on raw rows, scaled by ``scaler`` when given."""
     _check_hyperparameters(C, gamma)
     data = _prepare(train, scaler)
-    used, machines = _solve(data, np.exp(-gamma * data.sqdist), C)
+    [(used, machines)] = _solve(data, np.exp(-gamma * data.sqdist), [C])
     return SVMModel(
         classes=data.classes, vectors=data.X[used], machines=machines, gamma=gamma, C=C, scaler=scaler
     )
@@ -324,8 +371,8 @@ def grid_search(
     """Train on ``train`` per cell, score on ``val``; ties prefer small C then small gamma.
 
     Every cell trains what ``svm_train`` with ``fit_scaler(train)`` would, and
-    scores it as ``svm_predict_batch`` would.  The data step runs once, the
-    kernels once per gamma, and each cell runs only the solve step.
+    scores it as ``svm_predict_batch`` would.  The data step runs once, and
+    the kernels and one solve step over every C once per gamma.
     """
     if len(val) == 0:
         raise DimensionMismatchError("grid search needs a non-empty validation set")
@@ -347,10 +394,8 @@ def grid_search(
     val_sqdist = squared_distances(scaler.transform(val.X), data.X)
     accuracy = np.zeros((len(C_grid), len(gamma_grid)))
     for gi, gamma in enumerate(gamma_grid):
-        K = np.exp(-gamma * data.sqdist)
         K_val = np.exp(-gamma * val_sqdist)
-        for ci, C in enumerate(C_grid):
-            used, machines = _solve(data, K, C)
+        for ci, (used, machines) in enumerate(_solve(data, np.exp(-gamma * data.sqdist), C_grid)):
             pred = np.argmax(_count_votes(K_val[:, used], machines), axis=1)
             accuracy[ci, gi] = float(np.mean(pred == val.y))
 

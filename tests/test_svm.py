@@ -6,6 +6,7 @@ import pytest
 
 from conftest import outputs_under_blas_threads
 from qp_oracle import dual_value, kkt_violation, qp_max_enumerate, rbf_kernel
+from smo_reference import reference_smo_solve
 from landmark_emotion.errors import DimensionMismatchError
 from landmark_emotion.learners.dataset import CLASSES, LabeledDataset, canonical_order
 from landmark_emotion.learners import svm as svm_module
@@ -116,6 +117,67 @@ def test_smo_matches_enumeration_oracle(rng):
         assert smo_obj == pytest.approx(oracle_obj, abs=1e-4), f"trial {trial}"
         assert kkt_violation(K, y, alpha, bias, C) <= 1e-3
         assert abs(alpha @ y) <= 1e-6
+
+
+def padded_problems(rng, sizes, width):
+    """Random RBF duals of ``sizes`` rows, each zero-padded to ``width`` at random positions."""
+    problems, K_stack, y_stack = [], np.zeros((len(sizes), width, width)), np.zeros((len(sizes), width))
+    for b, n in enumerate(sizes):
+        X = rng.standard_normal((n, 3))
+        y = np.where(X[:, 0] + 0.8 * rng.standard_normal(n) > 0, 1.0, -1.0)  # overlapping classes
+        y[:2] = (1.0, -1.0)
+        K = rbf_kernel_matrix(X, X, float(rng.choice([0.2, 1.0, 3.0])))
+        real = np.sort(rng.choice(width, size=n, replace=False))
+        K_stack[b][np.ix_(real, real)], y_stack[b, real] = K, y
+        problems.append((K, y, real))
+    return problems, K_stack, y_stack
+
+
+def test_stacked_smo_matches_reference_bit_for_bit(rng):
+    sizes = (7, 12, 9, 12, 5, 10, 11, 8)
+    Cs = np.array([0.5, 4.0, np.inf, 64.0, 1.0, 0.25, np.inf, 16.0])
+    problems, K_stack, y_stack = padded_problems(rng, sizes, width=13)
+    full = [reference_smo_solve(K, y, C)[2] for (K, y, _), C in zip(problems, Cs)]
+    # a cap that cuts off some problems but not others
+    cap = int(np.median(full))
+    assert min(full) < cap < max(full)
+    for max_iter in (cap, svm_module.DEFAULT_MAX_ITER):
+        alpha, bias, iterations = smo_solve(K_stack, y_stack, Cs, max_iter=max_iter)
+        assert isinstance(iterations, int)
+        expected_iterations = []
+        for b, ((K, y, real), C) in enumerate(zip(problems, Cs)):
+            ref_alpha, ref_bias, ref_iterations = reference_smo_solve(K, y, C, max_iter=max_iter)
+            assert alpha[b, real].tobytes() == ref_alpha.tobytes()
+            assert not np.delete(alpha[b], real).any()  # padding rows keep alpha 0
+            assert bias[b] == ref_bias
+            one_alpha, one_bias, one_iterations = smo_solve(K_stack[b : b + 1], y_stack[b : b + 1], C, max_iter=max_iter)
+            assert one_alpha[0, real].tobytes() == ref_alpha.tobytes() and one_bias[0] == ref_bias
+            assert one_iterations == ref_iterations
+            expected_iterations.append(ref_iterations)
+        assert iterations == max(expected_iterations)
+    K, y, _ = problems[1]
+    alpha, bias, iterations = smo_solve(K, y, 4.0)
+    ref_alpha, ref_bias, ref_iterations = reference_smo_solve(K, y, 4.0)
+    assert (alpha.tobytes(), bias, iterations) == (ref_alpha.tobytes(), ref_bias, ref_iterations)
+    assert type(bias) is float and type(iterations) is int
+
+
+@pytest.mark.parametrize(
+    "K_shape, y_shape, C",
+    [
+        ((3, 5, 5), (3, 5), [1.0, 2.0]),
+        ((3, 5, 5), (3, 5), [[1.0, 2.0, 3.0]]),
+        ((3, 5, 5), (2, 5), 1.0),
+        ((3, 5, 6), (3, 5), 1.0),
+        ((3, 5, 5), (3, 6), 1.0),
+        ((5, 5), (3, 5), 1.0),
+        ((5, 5), (6,), 1.0),
+    ],
+    ids=["C-too-short", "C-2d", "fewer-labels", "K-not-square", "labels-too-long", "K-2d-y-stack", "K-2d-too-small"],
+)
+def test_smo_shape_mismatch(K_shape, y_shape, C):
+    with pytest.raises(DimensionMismatchError):
+        smo_solve(np.zeros(K_shape), np.ones(y_shape), C)
 
 
 # --- one-vs-one training ----------------------------------------------------
@@ -370,14 +432,20 @@ def test_grid_search_rejects_validation_width_mismatch(rng, monkeypatch):
 # shared one data step across its cells and one kernel across each gamma's
 # cells.  The model digest and the SMO iteration count were recorded again
 # when squared distances became per-pair sums (``cdist``), which moved the
-# kernel's last bits.  Any change here means the SMO iterates, the scaling,
-# the row order or the model text moved.
+# kernel's last bits.  Since grid search solves every class pair and C of
+# one gamma as one lock-step stack, it makes one ``smo_solve`` call per
+# gamma, and each call reports its lock-step rounds; the iteration count is
+# still the one-problem reference solver's total over the same 54 problems.
+# Any change here means the SMO iterates, the scaling, the row order or the
+# model text moved.
 
 PINNED_MODEL_SHA256 = "d23823d635af892da14136596b5c77bf171853be485435bbbcfa1bbe4b8d0768"
 PINNED_GRID = ((0.25, 4.0, 64.0), (0.01, 0.2, 4.0))
 PINNED_GRID_ACCURACY = [[0.475, 0.475, 0.3], [0.475, 0.525, 0.425], [0.525, 0.575, 0.425]]
-PINNED_GRID_SMO_ITERATIONS = 1629
-PINNED_GRID_SMO_CALLS = 54
+PINNED_GRID_SMO_ITERATIONS = 1629  # per problem, summed over the 54 (C, gamma, pair) problems
+PINNED_GRID_SMO_PROBLEMS = 54
+PINNED_GRID_SMO_ROUNDS = 250  # lock-step rounds, summed over the calls
+PINNED_GRID_SMO_CALLS = 3  # one per gamma
 
 
 def overlapping_four_class(seed):
@@ -395,19 +463,25 @@ def test_svm_model_bytes_pinned():
 
 
 def test_grid_search_table_and_smo_iterations_pinned(monkeypatch):
-    iterations = []
+    calls = []
     solve = svm_module.smo_solve
 
-    def counting_solve(*args, **kwargs):
-        result = solve(*args, **kwargs)
-        iterations.append(result[2])
+    def counting_solve(K, y, C, *args, **kwargs):
+        result = solve(K, y, C, *args, **kwargs)
+        calls.append((K, y, np.broadcast_to(C, y.shape[:1]), result[2]))
         return result
 
     monkeypatch.setattr(svm_module, "smo_solve", counting_solve)
     result = grid_search(overlapping_four_class(20240), overlapping_four_class(20241), *PINNED_GRID)
     assert result.accuracy.tolist() == PINNED_GRID_ACCURACY
     assert (result.C, result.gamma) == (64.0, 0.2)
-    assert (sum(iterations), len(iterations)) == (PINNED_GRID_SMO_ITERATIONS, PINNED_GRID_SMO_CALLS)
+    assert (sum(rounds for *_, rounds in calls), len(calls)) == (PINNED_GRID_SMO_ROUNDS, PINNED_GRID_SMO_CALLS)
+    per_problem = [
+        reference_smo_solve(K_b[np.ix_(y_b != 0, y_b != 0)], y_b[y_b != 0], C_b)[2]
+        for K, y, Cs, _ in calls
+        for K_b, y_b, C_b in zip(K, y, Cs)
+    ]
+    assert (sum(per_problem), len(per_problem)) == (PINNED_GRID_SMO_ITERATIONS, PINNED_GRID_SMO_PROBLEMS)
 
 
 _BLAS_THREADS_SCRIPT = """
