@@ -171,6 +171,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_influence(args) -> int:
+    if args.top < 0:
+        raise ConfigError(f"--top must be at least 0, got {args.top}")
     config = _load_config(args)
     model = _load_model_checked(args, config)
     if not isinstance(model, GBModel):

@@ -11,12 +11,25 @@ results do not depend on how the caller shuffled the samples.
 Every column is sorted once per training run (XGBoost's exact greedy search
 over pre-sorted columns).  A root search takes the residual into that sorted
 (features × rows) layout; a child's layout is a stable partition of the
-root's, never a fresh gather from the feature matrix.  The prefix sums and
-the gain formula run in work buffers allocated once per run; a child search
-allocates only the index of its positions in the root layout.
+root's, never a fresh gather from the feature matrix.  A child finds its
+tied neighbours from the ranks of the distinct sorted values, and a split's
+threshold is read from the feature matrix at the winning pair only.  The
+prefix sums and the gain formula run in work buffers allocated once per
+run; a child search allocates only the index of its positions in the root
+layout.
+
+The K trees of one round depend only on that round's residuals, so they are
+fit at the same time: on the calling thread and on up to K − 1 helper
+threads, one per further CPU this process may use, each with its own work
+buffers over the shared sorted layout.  A one-CPU process starts no thread.
+Trees are kept and scores updated in class order after the round, so the
+model does not depend on the thread count.
 """
 from __future__ import annotations
 
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,27 +103,45 @@ def _softmax(F: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-class _SplitSearch:
-    """Exact greedy split search over columns sorted once per training run.
+class _SortedColumns:
+    """Every column of ``X`` sorted once per training run; read-only, shared by every search.
 
-    The root layout is (d, n): feature f's row numbers sorted by value, ties
-    in row order, and the sorted values beside them.  A root search takes the
-    residual into that layout; a child's layout is the stable partition of
-    the root's by the child's rows, so it stays sorted with ties in row
-    order.  Every (d, n) array is allocated here and reused by each search
-    of the run; a node of m rows views the first d*m entries as (d, m).
+    ``order`` is (d, n): feature f's row numbers sorted by value, ties in
+    row order.  ``rank`` numbers the distinct values of each sorted column
+    from 0, so two positions hold equal values exactly when their ranks are
+    equal; ``tied`` marks the neighbours in ``order`` with no threshold
+    between them.
     """
 
     def __init__(self, X: np.ndarray):
         n, d = X.shape
         self.X, self.n, self.d = X, n, d
         self.order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
-        self.values = np.take_along_axis(X.T, self.order, axis=1)
-        self.tied = self.values[:, 1:] == self.values[:, :-1]  # no threshold between equal values
+        values = np.take_along_axis(X.T, self.order, axis=1)
+        self.tied = values[:, 1:] == values[:, :-1]
+        self.rank = np.zeros((d, n), dtype=np.int32)
+        np.cumsum(~self.tied, axis=1, out=self.rank[:, 1:])
+
+
+class _SplitSearch:
+    """Exact greedy split search over the shared sorted columns, in its own work buffers.
+
+    A root search takes the residual into the sorted (d, n) layout; a
+    child's layout is the stable partition of the root's by the child's
+    rows, so it stays sorted with ties in row order.  Every (d, n) buffer is
+    allocated here and reused by each search of the run; a node of m rows
+    views the first d*m entries as (d, m).  One thread uses one search.
+    """
+
+    def __init__(self, columns: _SortedColumns):
+        d, n = columns.d, columns.n
+        self.columns, self.X, self.n, self.d = columns, columns.X, n, d
         self.residual = np.empty((d, n))  # the current tree's residual in the root layout
-        self._member = np.empty(d * n, dtype=bool)
-        self._tied = np.empty(d * n, dtype=bool)
-        self._values, self._residual, self._sums, self._gain, self._right = (np.empty(d * n) for _ in range(5))
+        self._member = np.empty(d * n, dtype=bool)  # a child's rows in the root layout, then its ties
+        # a child's residual, then the gain of every node: cumsum has read the residual by then
+        self._residual = np.empty(d * n)
+        # a child's ranks (as int32), then prefix sums, then the right-hand sums of the gain
+        self._sums = np.empty(d * n)
         self._counts = np.arange(1, n, dtype=np.float64)
 
     def _view(self, buffer: np.ndarray, columns: int) -> np.ndarray:
@@ -119,39 +150,40 @@ class _SplitSearch:
     def root_split(self, residual: np.ndarray):
         """Best split over all rows; keeps ``residual`` for the child searches."""
         # mode="clip" lets take write straight into ``out``; the indices are in range
-        np.take(residual, self.order, out=self.residual, mode="clip")
-        return self._best(self.values, self.residual, self.tied)
+        np.take(residual, self.columns.order, out=self.residual, mode="clip")
+        return self._best(self.residual, self.columns.tied, None)
 
     def child_split(self, member: np.ndarray):
         """Best split over the rows where ``member`` is true, a child of the last root."""
         m = int(np.count_nonzero(member))
         if m < 2:
             return None
-        np.take(member, self.order.ravel(), out=self._member, mode="clip")
+        np.take(member, self.columns.order.ravel(), out=self._member, mode="clip")
         picked = np.flatnonzero(self._member)  # m positions per feature, in sorted order
-        values = self._view(self._values, m)
         residual = self._view(self._residual, m)
-        np.take(self.values.ravel(), picked, out=values.ravel(), mode="clip")
+        rank = self._view(self._sums.view(np.int32), m)
         np.take(self.residual.ravel(), picked, out=residual.ravel(), mode="clip")
-        tied = np.equal(values[:, 1:], values[:, :-1], out=self._view(self._tied, m - 1))
-        return self._best(values, residual, tied)
+        np.take(self.columns.rank.ravel(), picked, out=rank.ravel(), mode="clip")
+        tied = np.equal(rank[:, 1:], rank[:, :-1], out=self._view(self._member, m - 1))
+        return self._best(residual, tied, picked)
 
-    def _best(self, values: np.ndarray, residual: np.ndarray, tied: np.ndarray):
+    def _best(self, residual: np.ndarray, tied: np.ndarray, picked: np.ndarray | None):
         """Best (gain, feature, threshold) of one node's sorted layout, or None.
 
-        The node has at least two rows.  Ties resolve to the lowest feature
-        index, then the lowest threshold.
+        The node has at least two rows; ``picked`` holds a child's positions
+        in the flat root layout, and is None at the root.  Ties resolve to
+        the lowest feature index, then the lowest threshold.
         """
-        m = values.shape[1]
+        m = residual.shape[1]
         sums = np.cumsum(residual, axis=1, out=self._view(self._sums, m))
         total = sums[:, -1:]
         left = sums[:, :-1]
         k = self._counts[: m - 1]
         # left**2/k + right**2/(m-k) - total**2/m, step by step in that order so
         # every float equals the plain expression's
-        gain = np.square(left, out=self._view(self._gain, m - 1))
+        gain = np.square(left, out=self._view(self._residual, m - 1))
         gain /= k
-        right = np.subtract(total, left, out=self._view(self._right, m - 1))
+        right = np.subtract(total, left, out=left)
         np.square(right, out=right)
         right /= m - k
         gain += right
@@ -160,7 +192,11 @@ class _SplitSearch:
         f, pos = divmod(int(np.argmax(gain)), m - 1)
         if not np.isfinite(gain[f, pos]):
             return None
-        threshold = 0.5 * (values[f, pos] + values[f, pos + 1])
+        # the threshold lies between the winning position and the next; at the
+        # root, m == n and the flat root positions are the layout's own
+        pair = slice(f * m + pos, f * m + pos + 2)
+        lo, hi = self.X[self.columns.order.ravel()[pair if picked is None else picked[pair]], f]
+        threshold = 0.5 * (lo + hi)
         # the improvement is non-negative in exact arithmetic; clip fp dust
         return max(float(gain[f, pos]), 0.0), int(f), float(threshold)
 
@@ -217,6 +253,48 @@ def _fit_two_split_tree(
     )
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on; a round fits that many trees at once, at most one per class."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fit_round(searches: list[_SplitSearch], residual_all: np.ndarray, weight_all: np.ndarray) -> list[Tree]:
+    """One round's tree per class, in class order.
+
+    The calling thread and one fresh helper thread per further search take
+    class indices from a shared queue; numpy releases the GIL in the
+    searches' gathers, prefix sums and gain arithmetic, so the trees grow at
+    the same time.  Each tree depends only on its class's residual, so the
+    trees are the same whichever thread fits them.  A failure in any thread
+    is raised here once the other threads have fit the round's remaining
+    trees and stopped.
+    """
+    kc = residual_all.shape[1]
+    todo: queue.SimpleQueue[int] = queue.SimpleQueue()
+    for k in range(kc):
+        todo.put(k)
+    trees: list[Tree | None] = [None] * kc
+
+    def work(search: _SplitSearch) -> None:
+        while True:
+            try:
+                k = todo.get_nowait()
+            except queue.Empty:
+                return
+            trees[k] = _fit_two_split_tree(search, residual_all[:, k], weight_all[:, k], kc)
+
+    # an executor starts a thread only on submit, so one search starts none
+    with ThreadPoolExecutor(max_workers=max(len(searches) - 1, 1)) as pool:
+        running = [pool.submit(work, search) for search in searches[1:]]
+        work(searches[0])
+        for future in running:
+            future.result()
+    return trees
+
+
 def gb_train(
     train: LabeledDataset,
     val: LabeledDataset,
@@ -248,7 +326,8 @@ def gb_train(
     Fv = np.tile(init_scores, (len(val), 1))
     class_lookup = np.array(classes)
 
-    search = _SplitSearch(X)
+    columns = _SortedColumns(X)
+    searches = [_SplitSearch(columns) for _ in range(min(_cpu_count(), kc))]
     trees: list[list[Tree]] = [[] for _ in range(kc)]
     train_deviance: list[float] = []
     val_accuracy: list[float] = []
@@ -257,8 +336,7 @@ def gb_train(
         P = _softmax(F)
         residual_all = Y - P
         weight_all = P * (1.0 - P)
-        for k in range(kc):
-            tree = _fit_two_split_tree(search, residual_all[:, k], weight_all[:, k], kc)
+        for k, tree in enumerate(_fit_round(searches, residual_all, weight_all)):
             trees[k].append(tree)
             F[:, k] += shrinkage * tree.predict(X)
             Fv[:, k] += shrinkage * tree.predict(val.X)

@@ -100,6 +100,17 @@ def test_influence_command(synth_dir, capsys):
     assert "landmarks (" in out
 
 
+def test_influence_rejects_negative_top(synth_dir, tmp_path, capsys):
+    cfg = write_config(synth_dir, FAST_GB_CONFIG)
+    model_path = tmp_path / "gb.model"
+    assert main(["train", "--config", str(cfg), "--model", str(model_path)]) == 0
+    capsys.readouterr()
+    assert main(["influence", "--config", str(cfg), "--model", str(model_path), "--top", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --top must be at least 0, got -1\n"
+
+
 def test_train_evaluate_svm_and_gridsearch(synth_dir, capsys):
     cfg = write_config(synth_dir, FAST_SVM_CONFIG)
     model_path = synth_dir / "svm.model"

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import gb_oracle
 from landmark_emotion.errors import DimensionMismatchError
 from landmark_emotion.learners.dataset import CLASSES, LabeledDataset, canonical_order
+from landmark_emotion.learners import gb
 from landmark_emotion.learners.gb import Split, gb_influence, gb_predict_batch, gb_scores, gb_train
 from landmark_emotion.learners.persist import save_model
 from landmark_emotion.pipeline import PipelineConfig, load_dataset
@@ -155,12 +157,19 @@ def test_influence_concentrates_on_signal_feature():
     assert int(np.argmax(influence)) == 7
 
 
-def first_residuals(ds):
-    """Training rows in canonical order and the first iteration's residuals ``Y - softmax(log priors)``."""
+def round_residuals(ds, model, t):
+    """Training rows in canonical order and round ``t``'s residuals ``Y - softmax(F)``.
+
+    ``F`` is the log priors plus the first ``t - 1`` trees of ``model`` per
+    class, summed in the order ``gb_train`` sums them, so the floats match.
+    """
     order = canonical_order(ds.X, ds.y)
     X, y = ds.X[order], ds.y[order]
     Y = np.stack([(y == c).astype(np.float64) for c in ds.classes_present()], axis=1)
     F = np.tile(np.log(Y.mean(axis=0)), (len(y), 1))
+    for r in range(t - 1):
+        for k, per_class in enumerate(model.trees):
+            F[:, k] += model.shrinkage * per_class[r].predict(X)
     e = np.exp(F - F.max(axis=1, keepdims=True))
     return X, Y - e / e.sum(axis=1, keepdims=True)
 
@@ -185,6 +194,13 @@ def oracle_cases():
     # both children's best splits gain the same, so the left child is expanded
     X = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
     yield dataset(X, [0, 3, 0, 3, 0, 3])
+    # rows in canonical order alternate between the children of a root split
+    # on feature 2, so runs of equal feature-1 values interleave member and
+    # non-member rows: consecutive rows of a child are tied with the other
+    # child's rows between them, and a child row is tied with its root-order
+    # neighbour while the child's next row holds a larger value
+    X = np.stack([np.arange(12), [1, 1, 2, 2, 0, 0, 2, 2, 0, 0, 2, 1], np.arange(12) % 2], axis=1)
+    yield dataset(X, [0, 5, 0, 3, 3, 3, 0, 0, 5, 5, 5, 3])
 
 
 def as_split(found):
@@ -194,17 +210,18 @@ def as_split(found):
 def test_split_search_matches_exhaustive_oracle():
     child_sizes = set()
     for ds in oracle_cases():
-        model = gb_train(ds, ds, max_trees=1)
-        X, R = first_residuals(ds)
-        rows = X.tolist()
-        for k, per_class in enumerate(model.trees):
-            root, inner, inner_right, sizes = gb_oracle.two_split_tree(rows, R[:, k].tolist())
-            tree = per_class[0]
-            assert tree.root == as_split(root)
-            assert tree.inner == as_split(inner)
-            if inner is not None:
-                assert tree.inner_right == inner_right
-            child_sizes.update(sizes)
+        model = gb_train(ds, ds, max_trees=3)
+        for t in (1, 3):
+            X, R = round_residuals(ds, model, t)
+            rows = X.tolist()
+            for k, per_class in enumerate(model.trees):
+                root, inner, inner_right, sizes = gb_oracle.two_split_tree(rows, R[:, k].tolist())
+                tree = per_class[t - 1]
+                assert tree.root == as_split(root)
+                assert tree.inner == as_split(inner)
+                if inner is not None:
+                    assert tree.inner_right == inner_right
+                child_sizes.update(sizes)
     assert 1 in child_sizes  # the cases reach a one-row child
 
 
@@ -213,12 +230,62 @@ PINNED_VAL_ACCURACY = (0.7142857142857143, 0.7857142857142857, 0.857142857142857
 PINNED_TRAIN_DEVIANCE = (1.3962361363671731, 1.0950932850858697, 0.8816318744432964)
 
 
-def test_gb_model_bytes_pinned(tmp_path):
-    """Any drift in the split search shows here as changed model bytes."""
-    manifest = synth_dataset(tmp_path / "data", seed=5, per_class_count=10)
+@pytest.fixture(scope="module")
+def pinned_splits(tmp_path_factory):
+    manifest = synth_dataset(tmp_path_factory.mktemp("pinned") / "data", seed=5, per_class_count=10)
     result = load_dataset(manifest, PipelineConfig(manifest=str(manifest), features=("distances", "axis")))
-    model = gb_train(result.datasets["train"], result.datasets["validate"], max_trees=3)
+    return result.datasets["train"], result.datasets["validate"]
+
+
+def assert_pinned(model):
     digest = hashlib.sha256(save_model(model).encode()).hexdigest()
     assert digest == PINNED_DIGEST
     assert model.val_accuracy == PINNED_VAL_ACCURACY
     assert model.train_deviance == PINNED_TRAIN_DEVIANCE
+
+
+def test_gb_model_bytes_pinned(pinned_splits):
+    """Any drift in the split search shows here as changed model bytes."""
+    assert_pinned(gb_train(*pinned_splits, max_trees=3))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_worker_count_keeps_model_bytes(pinned_splits, monkeypatch, cpus):
+    """Each round fits its trees on min(CPUs, classes) threads; the model is the same for any count."""
+    searches = set()
+    threads = set()
+    running = set()
+    fit = gb._fit_two_split_tree
+
+    def recording_fit(search, *args):
+        searches.add(id(search))
+        threads.add(threading.get_ident())
+        running.add(threading.active_count())
+        return fit(search, *args)
+
+    monkeypatch.setattr(gb, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(gb, "_fit_two_split_tree", recording_fit)
+    before = threading.active_count()
+    assert_pinned(gb_train(*pinned_splits, max_trees=3))
+    assert len(searches) <= min(cpus, len(CLASSES))
+    if cpus == 1:  # no helper thread starts
+        assert threads == {threading.get_ident()}
+        assert running == {before}
+
+
+@pytest.mark.parametrize("failing", [0, len(CLASSES) - 1])
+def test_tree_failure_is_raised_and_helpers_stop(pinned_splits, monkeypatch, failing):
+    fit = gb._fit_two_split_tree
+
+    def failing_fit(search, residual, *args):
+        # each class's residual is a column view of the round's (n, K) residual matrix
+        if (residual.ctypes.data - residual.base.ctypes.data) // residual.itemsize == failing:
+            raise ArithmeticError(f"class {failing} failed")
+        return fit(search, residual, *args)
+
+    monkeypatch.setattr(gb, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(gb, "_fit_two_split_tree", failing_fit)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match=f"class {failing} failed"):
+        gb_train(*pinned_splits, max_trees=3)
+    assert threading.active_count() == before
