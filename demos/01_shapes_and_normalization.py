@@ -53,7 +53,7 @@ print("  eye line is horizontal:", abs(left[1] - right[1]) < 1e-12)
 # --- the mean shape -------------------------------------------------------------
 population = [upright(normalize_size(synth_shape("Neutral", rng))) for _ in range(25)]
 mean = mean_shape(population)
-print("\nMean of", mean.sample_count, "neutral faces:")
-print("  satisfies the same invariants:", round(centroid_size(mean.points), 9) == 1.0)
-spread = np.linalg.norm(population[0].points - mean.points, axis=1)
+print("\nMean of", len(population), "neutral faces:")
+print("  satisfies the same invariants:", round(centroid_size(mean), 9) == 1.0)
+spread = np.linalg.norm(population[0].points - mean, axis=1)
 print("  largest single-landmark deviation of one face:", round(float(spread.max()), 4))

@@ -12,6 +12,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, LandmarkEmotionError
 from .evaluation import accuracy_line, confusion, influence_report, per_class_text
 from .learners.dataset import LabeledDataset
@@ -29,7 +31,6 @@ from .pipeline import (
     read_manifest,  # unused here, but the benchmark wraps it under this module
     read_utf8,
 )
-from .shapes import MeanShape
 from .synth import synth_dataset
 
 
@@ -62,7 +63,7 @@ def _load_config(args) -> PipelineConfig:
     return parse_config(read_utf8(args.config))
 
 
-def _load_data(config: PipelineConfig, splits: tuple[str, ...], mean: MeanShape | None = None) -> LoadResult:
+def _load_data(config: PipelineConfig, splits: tuple[str, ...], mean: np.ndarray | None = None) -> LoadResult:
     """Load only ``splits`` and print a warning for each entry skipped in them."""
     if not config.manifest:
         raise ConfigError("config must name a manifest (key 'manifest')")
@@ -100,8 +101,7 @@ def _train_model(config: PipelineConfig, result: LoadResult):
                 f"validation accuracy {100 * search.best_accuracy:.1f}%"
             )
         model = svm_train(train, C, gamma, scaler=fit_scaler(train))
-    mean = None if result.mean is None else result.mean.points
-    model = replace(model, spec_digest=result.spec.digest(), mean_shape=mean)
+    model = replace(model, spec_digest=result.spec.digest(), mean_shape=result.mean)
     return model, notes
 
 
@@ -132,13 +132,10 @@ def _predict_eval_split(args) -> tuple[PipelineConfig, list[tuple[ManifestEntry,
     """
     config = _load_config(args)
     model = _load_model_checked(args, config)
-    mean = None
-    if "axis" in config.features:
-        if model.mean_shape is None:
-            raise ConfigError("the config selects axis features but the model has no mean shape; retrain it")
-        mean = MeanShape(points=model.mean_shape, sample_count=None)
+    if "axis" in config.features and model.mean_shape is None:
+        raise ConfigError("the config selects axis features but the model has no mean shape; retrain it")
     split = config.eval_split
-    result = _load_data(config, (split,), mean)
+    result = _load_data(config, (split,), model.mean_shape)
     dataset = result.datasets[split]
     absent = result.absent[split]
     if dataset is None and not absent:

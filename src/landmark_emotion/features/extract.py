@@ -25,13 +25,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial.distance import pdist
 
 from ..errors import DimensionMismatchError
-from ..shapes import LandmarkSet, MeanShape, NormalizedShape
+from ..shapes import LandmarkSet, NormalizedShape
 from .gabor import FilterBank, gabor_kernels, gabor_spectra
 from .image import GrayImage
 from .spec import FeatureBlock
 
 POINT_TEXTURE_BASE_SIZE = 7
 POINT_TEXTURE_SIZE_STEP = 4
+# the pipeline's fixed point_texture filter set, as bif's is fixed by DEFAULT_BANDS
+POINT_TEXTURE_SCALES = 8
+POINT_TEXTURE_ORIENTATIONS = 12
 
 
 def point_distances(shape: NormalizedShape) -> np.ndarray:
@@ -40,17 +43,16 @@ def point_distances(shape: NormalizedShape) -> np.ndarray:
     return pdist(shape.points)
 
 
-def axis_distances(shape: NormalizedShape, mean: MeanShape) -> np.ndarray:
+def axis_distances(shape: NormalizedShape, mean: np.ndarray) -> np.ndarray:
     """Interleaved (x, y) offsets of each landmark from its mean location.
 
-    The shape must be up-righted before calling; offsets from the training
-    mean are meaningless across rotations.
+    ``mean`` holds the mean shape's points, one row per landmark.  The shape
+    must be up-righted before calling; offsets from the training mean are
+    meaningless across rotations.
     """
-    if shape.point_count != mean.point_count:
-        raise DimensionMismatchError(
-            f"shape has {shape.point_count} points, mean shape {mean.point_count}"
-        )
-    return (shape.points - mean.points).ravel()
+    if mean.shape != shape.points.shape:
+        raise DimensionMismatchError(f"shape points are {shape.points.shape}, mean shape {mean.shape}")
+    return (shape.points - mean).ravel()
 
 
 def bif_block(bank: FilterBank) -> FeatureBlock:
@@ -155,8 +157,8 @@ def point_texture_block(point_count: int, scales: int, orientations: int) -> Fea
 def point_texture(
     image: GrayImage,
     landmarks: LandmarkSet,
-    scales: int = 8,
-    orientations: int = 12,
+    scales: int = POINT_TEXTURE_SCALES,
+    orientations: int = POINT_TEXTURE_ORIENTATIONS,
 ) -> np.ndarray:
     """Quadrature filter magnitudes centered on each landmark pixel.
 

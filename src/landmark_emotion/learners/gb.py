@@ -38,6 +38,7 @@ from ..errors import DimensionMismatchError
 from .dataset import LabeledDataset, canonical_order
 
 DEFAULT_SHRINKAGE = 0.1
+DEFAULT_MAX_TREES = 100
 
 
 @dataclass(frozen=True)
@@ -299,7 +300,7 @@ def gb_train(
     train: LabeledDataset,
     val: LabeledDataset,
     shrinkage: float = DEFAULT_SHRINKAGE,
-    max_trees: int = 100,
+    max_trees: int = DEFAULT_MAX_TREES,
 ) -> GBModel:
     """Boost two-split trees; keep the tree count with the best validation accuracy."""
     train.require_labeled()

@@ -7,6 +7,8 @@ output is byte-identical for equal models.  A model file records the digest
 of the FeatureSpec it was trained on; loading against a different spec
 digest is an error.  When the model was trained on ``axis`` features, the
 header also holds the training mean shape those features are measured from.
+A model has at least two classes, and an SVM file always holds the bounds
+of its scaler; a file without them is a FormatError.
 
 Each fact is stored once.  A boosted tree is one line holding its leaf values
 and its splits by position (``root``, ``inner_left`` or ``inner_right``);
@@ -117,11 +119,13 @@ def _gb_lines(model: GBModel) -> list[str]:
 
 
 def _svm_lines(model: SVMModel) -> list[str]:
-    lines = [f"C: {model.C!r}", f"gamma: {model.gamma!r}"]
-    if model.scaler is not None:
-        lines.append("scaler_lo: " + _fmt_block(model.scaler.lo))
-        lines.append("scaler_hi: " + _fmt_block(model.scaler.hi))
-    lines.append("vectors: " + _fmt_block(model.vectors))
+    lines = [
+        f"C: {model.C!r}",
+        f"gamma: {model.gamma!r}",
+        "scaler_lo: " + _fmt_block(model.scaler.lo),
+        "scaler_hi: " + _fmt_block(model.scaler.hi),
+        "vectors: " + _fmt_block(model.vectors),
+    ]
     # the loader gives each machine its class pair from this order
     if [(m.pos_class, m.neg_class) for m in model.machines] != list(combinations(model.classes, 2)):
         raise FormatError("expected one machine per pair of model classes, in class order")
@@ -202,6 +206,8 @@ def _parse_model(text: str, expected_spec_digest: str | None) -> GBModel | SVMMo
     classes = tuple(int(c) for c in reader.expect_key("classes").split(","))
     if len(set(classes)) != len(classes) or not all(0 <= c < len(CLASSES) for c in classes):
         raise FormatError(f"classes {list(classes)} must be distinct indices into the class order")
+    if len(classes) < 2:
+        raise FormatError(f"a model needs at least two classes, got {list(classes)}")
     dimension = int(reader.expect_key("dimension"))
     mean = reader.optional_key("mean_shape")
     common = {
@@ -277,13 +283,10 @@ def _load_svm(reader: _LineReader, dimension: int, common: dict) -> SVMModel:
         raise FormatError(f"C must be positive, got {C!r}")
     if not 0 < gamma < math.inf:
         raise FormatError(f"gamma must be positive and finite, got {gamma!r}")
-    scaler = None
-    lo = reader.optional_key("scaler_lo")
-    if lo is not None:
-        scaler = Scaler(
-            lo=_parse_block(lo, "scaler_lo", 1, dimension)[0],
-            hi=_parse_block(reader.expect_key("scaler_hi"), "scaler_hi", 1, dimension)[0],
-        )
+    scaler = Scaler(
+        lo=_parse_block(reader.expect_key("scaler_lo"), "scaler_lo", 1, dimension)[0],
+        hi=_parse_block(reader.expect_key("scaler_hi"), "scaler_hi", 1, dimension)[0],
+    )
     # every block's shape is checked before it is decoded, so nothing is sized by the unchecked dimension
     vectors = _parse_block(reader.expect_key("vectors"), "vectors", None, dimension)
     machines = []

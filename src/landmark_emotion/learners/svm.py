@@ -5,13 +5,16 @@ Binary subproblems solve the standard C-SVC dual
     min  0.5 * a' Q a - e' a    s.t.  0 <= a_i <= C,  y' a = 0,  Q_ij = y_i y_j K_ij
 
 with maximal-violating-pair working-set selection (Platt, 1998; Keerthi et
-al., 2001).  ``smo_solve`` solves a stack of such duals in lock step: each
-round steps every problem still running, with the same IEEE operations per
-problem as a one-problem loop, so a problem gets the same alpha, bias and
-iteration count whatever it is stacked with.  Multiclass reduction is
-one-vs-one with majority voting.  Everything is deterministic: the training
-rows are scaled and put into one canonical order per training set, each
-subproblem takes its rows in that order, and all tie-breaks are first-index.
+al., 2001).  ``smo_solve`` solves a stack of such duals in lock step (one
+dual is a stack of one): each round steps every problem still running, with
+the same IEEE operations per problem as a one-problem loop, so a problem gets
+the same alpha, bias and iteration count whatever it is stacked with.
+Multiclass reduction is one-vs-one with majority voting.  Every model is
+scaled: training maps the rows to [-1, 1] with a ``Scaler`` fit on the
+training split, the model stores it, and prediction applies it.  Everything
+is deterministic: the scaled training rows are put into one canonical order
+per training set, each subproblem takes its rows in that order, and all
+tie-breaks are first-index.
 
 Training is two steps.  The data step scales and orders the rows, computes
 their squared distances and indexes each class pair's rows; the solve step
@@ -78,19 +81,18 @@ def fit_scaler(train: LabeledDataset) -> Scaler:
 def smo_solve(
     K: np.ndarray,
     y: np.ndarray,
-    C: float | Sequence[float],
+    C: Sequence[float],
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[np.ndarray, np.ndarray | float, int]:
-    """Solve one binary C-SVC dual, or a stack of them in lock step.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Solve a stack of p binary C-SVC duals in lock step.
 
-    One dual: ``K`` is its (n, n) kernel, ``y`` its n labels of +-1 and ``C``
-    a scalar; returns (alpha, bias, iterations).  A stack of p duals: ``K`` is
-    (p, n, n), ``y`` (p, n) and ``C`` a scalar or p values; returns alpha
-    (p, n), bias (p,) and the most iterations any one problem took.  A label
-    of 0 marks a padding row: its row and column of Q are zero and it never
-    enters the working set, so duals of fewer rows are zero-padded to n.  The
-    bias is for the decision function f(x) = sum_i alpha_i y_i K(x_i, x) + bias.
+    ``K`` is (p, n, n), ``y`` (p, n) with labels of +-1 and ``C`` holds one
+    value per problem; returns alpha (p, n), bias (p,) and the most
+    iterations any one problem took.  A label of 0 marks a padding row: its
+    row and column of Q are zero and it never enters the working set, so
+    duals of fewer rows are zero-padded to n.  The bias is for the decision
+    function f(x) = sum_i alpha_i y_i K(x_i, x) + bias.
 
     Each round takes one maximal-violating-pair step in every problem still
     running, with the same IEEE operations a one-problem loop makes, so a
@@ -100,17 +102,13 @@ def smo_solve(
     """
     y = np.asarray(y, dtype=np.float64)
     K = np.asarray(K, dtype=np.float64)
-    if y.ndim not in (1, 2) or K.shape != y.shape + y.shape[-1:]:
+    if y.ndim != 2 or K.shape != y.shape + y.shape[-1:]:
         raise DimensionMismatchError(f"kernel matrix {K.shape} does not match labels {y.shape}")
-    Y = y.reshape(-1, y.shape[-1])
-    K = K.reshape(Y.shape + Y.shape[-1:])
-    p, n = Y.shape
+    p, n = y.shape
     Cs = np.asarray(C, dtype=np.float64)
-    if Cs.ndim == 0:
-        Cs = np.full(p, Cs)
-    elif Cs.shape != (p,):
+    if Cs.shape != (p,):
         raise DimensionMismatchError(f"{Cs.shape} values of C do not match {p} problems")
-    Q = (Y[:, :, None] * Y[:, None, :]) * K
+    Q = (y[:, :, None] * y[:, None, :]) * K
     alpha = np.zeros((p, n))
     grad = -np.ones((p, n))  # gradient of the dual objective at alpha = 0
     iterations = np.zeros(p, dtype=np.int64)
@@ -118,7 +116,7 @@ def smo_solve(
     # the problems still running, and their state; a stopped problem's
     # alpha and gradient go back into ``alpha`` and ``grad``
     run = np.arange(p)
-    a, g, yr, neg_y, c = alpha.copy(), grad.copy(), Y, -Y, Cs
+    a, g, yr, neg_y, c = alpha.copy(), grad.copy(), y, -y, Cs
     # index sets of the maximal-violating-pair rule; a step changes only
     # alpha[i] and alpha[j], so only those two entries are refreshed after it
     up = ((yr > 0) & (a < c[:, None])) | ((yr < 0) & (a > 0))
@@ -176,9 +174,7 @@ def smo_solve(
     iterations[run] = rounds
     alpha[run], grad[run] = a, g
 
-    bias = np.array([_compute_bias(Y[b], alpha[b], grad[b], Cs[b]) for b in range(p)])
-    if y.ndim == 1:
-        return alpha[0], float(bias[0]), int(iterations[0])
+    bias = np.array([_compute_bias(y[b], alpha[b], grad[b], Cs[b]) for b in range(p)])
     return alpha, bias, int(iterations.max(initial=0))
 
 
@@ -220,7 +216,7 @@ class SVMModel:
     machines: tuple[BinaryMachine, ...]
     gamma: float
     C: float
-    scaler: Scaler | None
+    scaler: Scaler
     spec_digest: str = ""
     mean_shape: np.ndarray | None = None  # (68, 2) training mean shape, for axis features
 
@@ -247,13 +243,13 @@ class _TrainingData:
     pairs: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]  # (pos, neg, rows of X, +-1 labels)
 
 
-def _prepare(train: LabeledDataset, scaler: Scaler | None) -> _TrainingData:
+def _prepare(train: LabeledDataset, scaler: Scaler) -> _TrainingData:
     """The data step: scale, order canonically, and index each class pair's rows."""
     train.require_labeled()
     classes = train.classes_present()
     if len(classes) < 2:
         raise DimensionMismatchError("SVM training needs at least two classes present")
-    X = train.X if scaler is None else scaler.transform(train.X)
+    X = scaler.transform(train.X)
     # on ties the larger class sorts first: it is the -1 label of every pair it is in
     order = canonical_order(X, -train.y)
     X, y = X[order], train.y[order]
@@ -302,8 +298,8 @@ def _solve(
     return solved
 
 
-def svm_train(train: LabeledDataset, C: float, gamma: float, scaler: Scaler | None = None) -> SVMModel:
-    """Train one-vs-one binary machines on raw rows, scaled by ``scaler`` when given."""
+def svm_train(train: LabeledDataset, C: float, gamma: float, scaler: Scaler) -> SVMModel:
+    """Train one-vs-one binary machines on raw rows, scaled by ``scaler``."""
     _check_hyperparameters(C, gamma)
     data = _prepare(train, scaler)
     [(used, machines)] = _solve(data, np.exp(-gamma * data.sqdist), [C])
@@ -327,8 +323,7 @@ def svm_decision_votes(model: SVMModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.dimension:
         raise DimensionMismatchError(f"expected {model.dimension} columns, got {X.shape[1]}")
-    if model.scaler is not None:
-        X = model.scaler.transform(X)
+    X = model.scaler.transform(X)
     K = rbf_kernel_matrix(X, model.vectors, model.gamma) if len(model.vectors) else np.zeros((X.shape[0], 0))
     return _count_votes(K, model.machines)
 

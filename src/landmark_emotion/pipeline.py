@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, FormatError
 from .features.extract import (
+    POINT_TEXTURE_ORIENTATIONS,
+    POINT_TEXTURE_SCALES,
     axis_distances,
     bif_block,
     bif_features,
@@ -30,12 +32,11 @@ from .features.gabor import FilterBank, build_gabor_bank
 from .features.image import GrayImage, align_face, read_pgm
 from .features.spec import FeatureBlock, FeatureSpec
 from .learners.dataset import CLASSES, UNLABELED, LabeledDataset, label_index
-from .learners.gb import DEFAULT_SHRINKAGE, GBModel, gb_predict_batch
+from .learners.gb import DEFAULT_MAX_TREES, DEFAULT_SHRINKAGE, GBModel, gb_predict_batch
 from .learners.svm import DEFAULT_C_GRID, DEFAULT_GAMMA_GRID, SVMModel, svm_predict_batch
 from .shapes import (
     POINT_COUNT,
     LandmarkSet,
-    MeanShape,
     NormalizedShape,
     mean_shape,
     normalize_size,
@@ -45,9 +46,6 @@ from .shapes import (
 
 SPLITS = ("train", "validate", "test")
 FEATURE_FAMILIES = ("distances", "axis", "bif", "point_texture")
-# point_texture's filter set is fixed, as bif's is by DEFAULT_BANDS
-TEXTURE_SCALES = 8
-TEXTURE_ORIENTATIONS = 12
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,7 @@ class PipelineConfig:
     model: str = "svm"
     # gradient boosting
     shrinkage: float = DEFAULT_SHRINKAGE
-    max_trees: int = 100
+    max_trees: int = DEFAULT_MAX_TREES
     # SVM: fixed (C, gamma) when both are given, grid search when neither is
     svm_c: float | None = None
     svm_gamma: float | None = None
@@ -227,7 +225,7 @@ def build_feature_spec(config: PipelineConfig) -> FeatureSpec:
     if "bif" in config.features:
         blocks.append(bif_block(build_gabor_bank()))
     if "point_texture" in config.features:
-        blocks.append(point_texture_block(POINT_COUNT, TEXTURE_SCALES, TEXTURE_ORIENTATIONS))
+        blocks.append(point_texture_block(POINT_COUNT, POINT_TEXTURE_SCALES, POINT_TEXTURE_ORIENTATIONS))
     return FeatureSpec(blocks=tuple(blocks))
 
 
@@ -239,7 +237,7 @@ class LoadResult:
     absent: dict  # split -> tuple of sample ids with no landmarks
     errors: tuple[tuple[str, str], ...]  # (sample id, message) for unreadable entries
     entries: dict  # split -> tuple of its ManifestEntry, in manifest order
-    mean: MeanShape | None  # the mean the axis features were measured from
+    mean: np.ndarray | None  # (68, 2) points the axis features were measured from
     spec: FeatureSpec
 
 
@@ -261,7 +259,7 @@ def _ingest_entry(entry: ManifestEntry, base: Path, config: PipelineConfig) -> _
 def _extract_features(
     parsed: _ParsedEntry,
     config: PipelineConfig,
-    mean: MeanShape | None,
+    mean: np.ndarray | None,
     bank: FilterBank | None,
 ) -> np.ndarray:
     parts = []
@@ -276,7 +274,7 @@ def _extract_features(
         parts.append(bif_features(crop, bank))
     if "point_texture" in config.features:
         assert parsed.image is not None
-        parts.append(point_texture(parsed.image, parsed.landmarks, TEXTURE_SCALES, TEXTURE_ORIENTATIONS))
+        parts.append(point_texture(parsed.image, parsed.landmarks))
     return np.concatenate(parts)
 
 
@@ -284,7 +282,7 @@ def load_dataset(
     manifest_path: str | Path,
     config: PipelineConfig,
     splits: tuple[str, ...] = SPLITS,
-    mean: MeanShape | None = None,
+    mean: np.ndarray | None = None,
 ) -> LoadResult:
     """Parse landmark files, run the shape pipeline, extract configured features.
 

@@ -77,27 +77,6 @@ class NormalizedShape:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
-class MeanShape:
-    """The re-normalized average of a set of normalized, up-righted shapes.
-
-    ``sample_count`` is None for a mean read back from a model file, which
-    stores only the points.
-    """
-
-    points: np.ndarray
-    sample_count: int | None
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _as_points(self.points))
-        if self.sample_count is not None and self.sample_count < 1:
-            raise DimensionMismatchError("sample_count must be positive")
-
-    @property
-    def point_count(self) -> int:
-        return self.points.shape[0]
-
-
 def centroid_size(points: np.ndarray) -> float:
     """Root-mean-square distance of the points from their centroid."""
     pts = np.asarray(points, dtype=np.float64)
@@ -204,8 +183,8 @@ def upright(shape: NormalizedShape) -> NormalizedShape:
     )
 
 
-def mean_shape(shapes: Sequence[NormalizedShape] | Iterable[NormalizedShape]) -> MeanShape:
-    """Coordinate-wise mean of normalized shapes, re-normalized to size 1."""
+def mean_shape(shapes: Sequence[NormalizedShape] | Iterable[NormalizedShape]) -> np.ndarray:
+    """Coordinate-wise mean of normalized shapes, re-normalized to size 1, as (n, 2) points."""
     shapes = list(shapes)
     if not shapes:
         raise DimensionMismatchError("cannot average an empty sequence of shapes")
@@ -217,5 +196,4 @@ def mean_shape(shapes: Sequence[NormalizedShape] | Iterable[NormalizedShape]) ->
             )
     stacked = np.stack([s.points for s in shapes])
     avg = stacked.mean(axis=0)
-    renorm = normalize_size(LandmarkSet(avg))
-    return MeanShape(points=renorm.points, sample_count=len(shapes))
+    return normalize_size(LandmarkSet(avg)).points

@@ -101,7 +101,8 @@ def test_criterion_4_smo_matches_qp_oracle():
         C = float(rng.choice([0.5, 1.0, 10.0, 100.0]))
         gamma = float(rng.choice([0.2, 1.0, 3.0]))
         K = rbf_kernel_matrix(X, X, gamma)
-        alpha, bias, _ = smo_solve(K, y, C)
+        alpha, bias, _ = smo_solve(K[None], y[None], [C])
+        alpha, bias = alpha[0], bias[0]
         smo_obj = dual_value(K, y, alpha)
         oracle_obj, _ = qp_max_enumerate(K, y, C)
         gap = abs(smo_obj - oracle_obj)

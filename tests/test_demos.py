@@ -1,4 +1,4 @@
-"""Smoke test: the feature demos run to completion against the current API."""
+"""Smoke test: every demo runs to completion against the current API."""
 import os
 import subprocess
 import sys
@@ -8,15 +8,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 04 and 05 train full models (about 12 s each) and call no feature extractor directly
-FEATURE_DEMOS = [
+DEMOS = [
     "01_shapes_and_normalization.py",
     "02_distance_and_axis_features.py",
     "03_gabor_bank_and_texture.py",
+    "04_train_and_evaluate.py",
+    "05_influence_analysis.py",
 ]
 
 
-@pytest.mark.parametrize("name", FEATURE_DEMOS)
+@pytest.mark.parametrize("name", DEMOS)
 def test_demo_runs(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -14,6 +14,7 @@ from landmark_emotion.learners.gb import gb_predict_batch, gb_scores, gb_train
 from landmark_emotion.learners.persist import load_model, save_model
 from landmark_emotion.learners.svm import (
     BinaryMachine,
+    Scaler,
     SVMModel,
     fit_scaler,
     svm_decision_votes,
@@ -80,12 +81,14 @@ def test_float_blocks_round_trip_bit_exact():
         machines=(BinaryMachine(0, 4, np.array([0, 1]), coef, -0.0),),
         gamma=0.5,
         C=math.inf,
-        scaler=None,
+        scaler=Scaler(lo=np.array([-0.0, 5e-324, -1e308]), hi=np.array([1e308, 0.5, -0.0])),
         mean_shape=np.full((68, 2), -0.0),
     )
     text = save_model(model)
     loaded = load_model(text)
     assert loaded.vectors.tobytes() == vectors.tobytes()
+    assert loaded.scaler.lo.tobytes() == model.scaler.lo.tobytes()
+    assert loaded.scaler.hi.tobytes() == model.scaler.hi.tobytes()
     assert loaded.machines[0].coef.tobytes() == coef.tobytes()
     assert loaded.mean_shape.tobytes() == model.mean_shape.tobytes()
     assert save_model(loaded) == text
@@ -171,6 +174,20 @@ def _set_first_value(key, value):
     return edit
 
 
+def _keep_one_class(text):
+    """The file with only the second of its classes 0, 3, 6: its init score and trees, and no machine."""
+    text = _sub_first("classes: 0,3,6", "classes: 3")(text)
+    match = re.search(r"(?m)^init_scores: b64 1 3 (\S+)$", text)
+    if match is None:  # an SVM: one class has no class pair, so no machine
+        return re.sub(r"(?m)^(machine|sv_indices|coef)\b.*\n", "", text)
+    score = base64.b64encode(base64.b64decode(match.group(1))[8:16]).decode("ascii")
+    text = text[: match.start()] + "init_scores: b64 1 1 " + score + text[match.end() :]
+    tree_count = int(re.search(r"tree_count: (\d+)", text).group(1))
+    trees = re.findall(r"(?m)^tree .*\n", text)
+    assert len(trees) == 3 * tree_count
+    return text[: text.index("\ntree ") + 1] + "".join(trees[tree_count : 2 * tree_count])
+
+
 # (model kind, edit of a valid model file, raw exception the FormatError wraps, or None
 # when a check rejects the file before any parsing step fails)
 MALFORMED = {
@@ -191,15 +208,12 @@ MALFORMED = {
     "negative_sv_index": ("svm", _sub_first(r"(?m)^sv_indices: \d+", "sv_indices: -1"), None),
     "svm_class_out_of_range": ("svm", _sub_first("classes: 0,3,6", "classes: 0,3,9"), None),
     "vector_count_past_end": ("svm", _sub_first(r"vectors: b64 \d+", "vectors: b64 10000000000000"), None),
-    # no scaler line bounds the dimension, so only the vector table can refute it
-    "huge_dimension_without_scaler": (
-        "svm",
-        _sub_first(
-            r"dimension: \d+\n(C: .*\ngamma: .*\n)scaler_lo: .*\nscaler_hi: .*\n",
-            r"dimension: 10000000000000\n\1",
-        ),
-        None,
-    ),
+    "svm_without_scaler": ("svm", _sub_first(r"scaler_lo: .*\nscaler_hi: .*\n", ""), None),
+    # the scaler block's shape check must refute the dimension before anything is decoded
+    "huge_dimension": ("svm", _sub_first(r"dimension: \d+", "dimension: 10000000000000"), None),
+    # otherwise valid files of one class, which training never makes
+    "one_class_svm": ("svm", _keep_one_class, None),
+    "one_class_gb": ("gb", _keep_one_class, None),
     # tree lines: the first tree of the GB fixture has its inner split on the root's left child
     "tree_unknown_field": ("gb", _sub_first(r"(?m)^(tree .*)$", r"\1 iter=0"), None),
     "repeated_tree_field": ("gb", _sub_first(r"( root=\S+)", r"\1\1"), None),

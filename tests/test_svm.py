@@ -13,6 +13,7 @@ from landmark_emotion.learners import svm as svm_module
 from landmark_emotion.learners.persist import save_model
 from landmark_emotion.learners.svm import (
     BinaryMachine,
+    Scaler,
     SVMModel,
     fit_scaler,
     grid_search,
@@ -80,11 +81,17 @@ def test_scaler_endpoints_and_constant(rng):
 # --- SMO --------------------------------------------------------------------
 
 
+def solve_one(K, y, C):
+    """Alpha and bias of one dual, solved as a stack of one."""
+    alpha, bias, _ = smo_solve(K[None], y[None], [C])
+    return alpha[0], bias[0]
+
+
 def test_smo_separable_toy():
     X = np.array([[0.0, 0.0], [0.0, 1.0], [4.0, 0.0], [4.0, 1.0]])
     y = np.array([1.0, 1.0, -1.0, -1.0])
     K = rbf_kernel_matrix(X, X, 0.5)
-    alpha, bias, _ = smo_solve(K, y, C=10.0)
+    alpha, bias = solve_one(K, y, 10.0)
     decisions = K @ (alpha * y) + bias
     assert np.all(np.sign(decisions) == y)
     assert abs(alpha @ y) <= 1e-6
@@ -96,7 +103,7 @@ def test_smo_xor_rbf():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     y = np.array([1.0, 1.0, -1.0, -1.0])
     K = rbf_kernel_matrix(X, X, 1.0)
-    alpha, bias, _ = smo_solve(K, y, C=10.0)
+    alpha, bias = solve_one(K, y, 10.0)
     decisions = K @ (alpha * y) + bias
     assert np.all(np.sign(decisions) == y), "XOR must be separable with an RBF kernel"
 
@@ -111,7 +118,7 @@ def test_smo_matches_enumeration_oracle(rng):
         C = float(rng.choice([0.5, 1.0, 10.0]))
         gamma = float(rng.choice([0.3, 1.0, 2.0]))
         K = rbf_kernel_matrix(X, X, gamma)
-        alpha, bias, _ = smo_solve(K, y, C)
+        alpha, bias = solve_one(K, y, C)
         smo_obj = dual_value(K, y, alpha)
         oracle_obj, _ = qp_max_enumerate(K, y, C)
         assert smo_obj == pytest.approx(oracle_obj, abs=1e-4), f"trial {trial}"
@@ -150,16 +157,16 @@ def test_stacked_smo_matches_reference_bit_for_bit(rng):
             assert alpha[b, real].tobytes() == ref_alpha.tobytes()
             assert not np.delete(alpha[b], real).any()  # padding rows keep alpha 0
             assert bias[b] == ref_bias
-            one_alpha, one_bias, one_iterations = smo_solve(K_stack[b : b + 1], y_stack[b : b + 1], C, max_iter=max_iter)
+            one_alpha, one_bias, one_iterations = smo_solve(K_stack[b : b + 1], y_stack[b : b + 1], [C], max_iter=max_iter)
             assert one_alpha[0, real].tobytes() == ref_alpha.tobytes() and one_bias[0] == ref_bias
             assert one_iterations == ref_iterations
             expected_iterations.append(ref_iterations)
         assert iterations == max(expected_iterations)
-    K, y, _ = problems[1]
-    alpha, bias, iterations = smo_solve(K, y, 4.0)
+    K, y, _ = problems[1]  # unpadded
+    alpha, bias, iterations = smo_solve(K[None], y[None], [4.0])
     ref_alpha, ref_bias, ref_iterations = reference_smo_solve(K, y, 4.0)
-    assert (alpha.tobytes(), bias, iterations) == (ref_alpha.tobytes(), ref_bias, ref_iterations)
-    assert type(bias) is float and type(iterations) is int
+    assert (alpha[0].tobytes(), bias[0], iterations) == (ref_alpha.tobytes(), ref_bias, ref_iterations)
+    assert type(iterations) is int
 
 
 @pytest.mark.parametrize(
@@ -167,13 +174,25 @@ def test_stacked_smo_matches_reference_bit_for_bit(rng):
     [
         ((3, 5, 5), (3, 5), [1.0, 2.0]),
         ((3, 5, 5), (3, 5), [[1.0, 2.0, 3.0]]),
-        ((3, 5, 5), (2, 5), 1.0),
-        ((3, 5, 6), (3, 5), 1.0),
-        ((3, 5, 5), (3, 6), 1.0),
-        ((5, 5), (3, 5), 1.0),
-        ((5, 5), (6,), 1.0),
+        ((3, 5, 5), (3, 5), 1.0),
+        ((3, 5, 5), (2, 5), [1.0, 2.0]),
+        ((3, 5, 6), (3, 5), [1.0, 2.0, 3.0]),
+        ((3, 5, 5), (3, 6), [1.0, 2.0, 3.0]),
+        ((5, 5), (3, 5), [1.0, 2.0, 3.0]),
+        ((5, 5), (5,), [1.0]),
+        ((5, 5), (6,), [1.0]),
     ],
-    ids=["C-too-short", "C-2d", "fewer-labels", "K-not-square", "labels-too-long", "K-2d-y-stack", "K-2d-too-small"],
+    ids=[
+        "C-too-short",
+        "C-2d",
+        "C-scalar",
+        "fewer-labels",
+        "K-not-square",
+        "labels-too-long",
+        "K-2d-y-stack",
+        "one-dual",
+        "K-2d-too-small",
+    ],
 )
 def test_smo_shape_mismatch(K_shape, y_shape, C):
     with pytest.raises(DimensionMismatchError):
@@ -215,14 +234,14 @@ def test_svm_model_invariants(rng):
 def test_svm_single_class_rejected(rng):
     ds = dataset(rng.standard_normal((6, 2)), [4] * 6)
     with pytest.raises(DimensionMismatchError):
-        svm_train(ds, C=1.0, gamma=1.0)
+        svm_train(ds, C=1.0, gamma=1.0, scaler=fit_scaler(ds))
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
 def test_svm_gamma_must_be_positive_and_finite(rng, gamma):
     ds = dataset(rng.standard_normal((6, 2)), [0, 1] * 3)
     with pytest.raises(DimensionMismatchError, match="gamma"):
-        svm_train(ds, C=1.0, gamma=gamma)
+        svm_train(ds, C=1.0, gamma=gamma, scaler=fit_scaler(ds))
 
 
 def test_svm_sample_order_invariance(rng):
@@ -238,8 +257,8 @@ def cross_class_duplicates(rng):
     """Exact duplicate feature rows under different labels.
 
     Only the label tie-break in the canonical order fixes the relative order
-    of the duplicates.  Small integer features make every squared distance
-    exact.
+    of the duplicates.  Small integer features also tie many rows in their
+    leading columns.
     """
     base = rng.integers(-3, 4, size=(6, 3)).astype(float)
     X = np.vstack([base, base, base[:4], rng.integers(-3, 4, size=(6, 3)).astype(float)])
@@ -249,11 +268,12 @@ def cross_class_duplicates(rng):
 
 def test_svm_machines_shuffle_invariant_with_cross_class_duplicates(rng):
     X, y = cross_class_duplicates(rng)
+    scaler = fit_scaler(dataset(X, y))
     for C, gamma in ((0.5, 0.3), (4.0, 1.0), (64.0, 2.0)):
-        reference = save_model(svm_train(dataset(X, y), C=C, gamma=gamma))
+        reference = save_model(svm_train(dataset(X, y), C, gamma, scaler))
         for _ in range(5):
             perm = rng.permutation(len(y))
-            assert save_model(svm_train(dataset(X[perm], y[perm]), C=C, gamma=gamma)) == reference
+            assert save_model(svm_train(dataset(X[perm], y[perm]), C, gamma, scaler)) == reference
 
     # float features round differently in each row position unless the
     # kernel and the vector table are built in canonical order
@@ -292,13 +312,15 @@ def test_svm_pair_rows_follow_their_own_canonical_order(rng):
     # order its own rows sort into, with the pair's -1 label first on ties
     X, y = cross_class_duplicates(rng)
     C, gamma = 4.0, 1.0
-    model = svm_train(dataset(X, y), C=C, gamma=gamma)
+    scaler = fit_scaler(dataset(X, y))
+    model = svm_train(dataset(X, y), C, gamma, scaler)
+    X = scaler.transform(X)  # the rows training sees
     for m in model.machines:
         rows = np.flatnonzero((y == m.pos_class) | (y == m.neg_class))
         labels = np.where(y[rows] == m.pos_class, 1.0, -1.0)
         order = canonical_order(X[rows], labels)
         rows, labels = rows[order], labels[order]
-        alpha, bias, _ = smo_solve(rbf_kernel_matrix(X[rows], X[rows], gamma), labels, C)
+        alpha, bias = solve_one(rbf_kernel_matrix(X[rows], X[rows], gamma), labels, C)
         sv = np.flatnonzero(alpha > 1e-12)
         assert model.vectors[m.sv_indices].tobytes() == X[rows[sv]].tobytes()
         assert m.coef.tobytes() == (alpha * labels)[sv].tobytes()
@@ -320,7 +342,7 @@ def test_vote_tie_breaks_to_earliest_class():
         machines=machines,
         gamma=1.0,
         C=1.0,
-        scaler=None,
+        scaler=Scaler(lo=np.zeros(dim), hi=np.ones(dim)),
     )
     votes = svm_decision_votes(model, np.zeros((1, dim)))[0]
     assert votes[0] == votes[3] == votes[4] == 1
@@ -468,7 +490,7 @@ def test_grid_search_table_and_smo_iterations_pinned(monkeypatch):
 
     def counting_solve(K, y, C, *args, **kwargs):
         result = solve(K, y, C, *args, **kwargs)
-        calls.append((K, y, np.broadcast_to(C, y.shape[:1]), result[2]))
+        calls.append((K, y, C, result[2]))
         return result
 
     monkeypatch.setattr(svm_module, "smo_solve", counting_solve)
