@@ -256,6 +256,8 @@ def _load_gb(reader: _LineReader, dimension: int, common: dict) -> GBModel:
     if not 0 < shrinkage <= 1:
         raise FormatError(f"shrinkage must be in (0, 1], got {shrinkage!r}")
     tree_count = int(reader.expect_key("tree_count"))
+    if tree_count < 1:
+        raise FormatError(f"a GB model needs at least one tree per class, got tree_count {tree_count}")
     k = len(common["classes"])
     init_scores = _parse_block(reader.expect_key("init_scores"), "init_scores", 1, k)[0]
     lines = []

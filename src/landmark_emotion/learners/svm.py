@@ -8,7 +8,9 @@ with maximal-violating-pair working-set selection (Platt, 1998; Keerthi et
 al., 2001).  ``smo_solve`` solves a stack of such duals in lock step (one
 dual is a stack of one): each round steps every problem still running, with
 the same IEEE operations per problem as a one-problem loop, so a problem gets
-the same alpha, bias and iteration count whatever it is stacked with.
+the same alpha, bias and iteration count whatever it is stacked with.  It
+solves every kernel of its stack at every C of a list and, like LIBSVM,
+stores no Q: each step forms the two columns of Q it needs from the kernel.
 Multiclass reduction is one-vs-one with majority voting.  Every model is
 scaled: training maps the rows to [-1, 1] with a ``Scaler`` fit on the
 training split, the model stores it, and prediction applies it.  Everything
@@ -16,17 +18,19 @@ is deterministic: the scaled training rows are put into one canonical order
 per training set, each subproblem takes its rows in that order, and all
 tie-breaks are first-index.
 
-Training is two steps.  The data step scales and orders the rows, computes
-their squared distances and indexes each class pair's rows; the solve step
-takes a kernel over all rows and a list of C values and solves every
-(C, pair) dual in one ``smo_solve`` call.  ``svm_train`` runs each once, with
-one C.  ``grid_search`` runs the data step once per grid, and per gamma
-builds the training and validation kernels and runs the solve step once
-over every C, so the cells of one gamma share its kernels and one stack.
+Training is two steps.  The data step scales and orders the rows and lays
+out each class pair's squared distances and labels, zero-padded to the
+largest pair; the solve step takes the kernels of those pairs and a list of
+C values and solves every (C, pair) dual in one ``smo_solve`` call.
+``svm_train`` runs each once, with one C.  ``grid_search`` runs the data step
+once per grid, and per gamma builds the pair and validation kernels and runs
+the solve step once over every C, so the cells of one gamma share one copy
+of each pair kernel.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -85,14 +89,15 @@ def smo_solve(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Solve a stack of p binary C-SVC duals in lock step.
+    """Solve k binary C-SVC duals at each of m values of C, all in lock step.
 
-    ``K`` is (p, n, n), ``y`` (p, n) with labels of +-1 and ``C`` holds one
-    value per problem; returns alpha (p, n), bias (p,) and the most
-    iterations any one problem took.  A label of 0 marks a padding row: its
-    row and column of Q are zero and it never enters the working set, so
-    duals of fewer rows are zero-padded to n.  The bias is for the decision
-    function f(x) = sum_i alpha_i y_i K(x_i, x) + bias.
+    ``K`` is (k, n, n), ``y`` (k, n) with labels of +-1 and ``C`` a list of m
+    values; problem ``c * k + b`` solves kernel ``b`` at ``C[c]``.  Returns
+    alpha (m * k, n), bias (m * k,) and the most iterations any one problem
+    took.  A label of 0 marks a padding row: its row and column of Q are zero
+    and it never enters the working set, so duals of fewer rows are
+    zero-padded to n.  The bias is for the decision function
+    f(x) = sum_i alpha_i y_i K(x_i, x) + bias.
 
     Each round takes one maximal-violating-pair step in every problem still
     running, with the same IEEE operations a one-problem loop makes, so a
@@ -104,11 +109,11 @@ def smo_solve(
     K = np.asarray(K, dtype=np.float64)
     if y.ndim != 2 or K.shape != y.shape + y.shape[-1:]:
         raise DimensionMismatchError(f"kernel matrix {K.shape} does not match labels {y.shape}")
-    p, n = y.shape
+    k, n = y.shape
     Cs = np.asarray(C, dtype=np.float64)
-    if Cs.shape != (p,):
-        raise DimensionMismatchError(f"{Cs.shape} values of C do not match {p} problems")
-    Q = (y[:, :, None] * y[:, None, :]) * K
+    if Cs.ndim != 1:
+        raise DimensionMismatchError(f"C must be a list of values, got shape {Cs.shape}")
+    p = Cs.size * k
     alpha = np.zeros((p, n))
     grad = -np.ones((p, n))  # gradient of the dual objective at alpha = 0
     iterations = np.zeros(p, dtype=np.int64)
@@ -116,7 +121,9 @@ def smo_solve(
     # the problems still running, and their state; a stopped problem's
     # alpha and gradient go back into ``alpha`` and ``grad``
     run = np.arange(p)
-    a, g, yr, neg_y, c = alpha.copy(), grad.copy(), y, -y, Cs
+    kern = run % k
+    a, g, yr, c = alpha.copy(), grad.copy(), y[kern], np.repeat(Cs, k)
+    neg_y = -yr
     # index sets of the maximal-violating-pair rule; a step changes only
     # alpha[i] and alpha[j], so only those two entries are refreshed after it
     up = ((yr > 0) & (a < c[:, None])) | ((yr < 0) & (a > 0))
@@ -136,18 +143,19 @@ def smo_solve(
             iterations[run[stop]] = rounds - converged[stop]
             alpha[run[stop]], grad[run[stop]] = a[stop], g[stop]
             go = ~stop
-            run, a, g, yr, neg_y, c, up, low, i, j = (
-                v[go] for v in (run, a, g, yr, neg_y, c, up, low, i, j)
+            run, kern, a, g, yr, neg_y, c, up, low, i, j = (
+                v[go] for v in (run, kern, a, g, yr, neg_y, c, up, low, i, j)
             )
             if not run.size:
                 break
             r = np.arange(run.size)
 
-        quad = K[run, i, i] + K[run, j, j] - 2.0 * K[run, i, j]
+        quad = K[kern, i, i] + K[kern, j, j] - 2.0 * K[kern, i, j]
         quad = np.where(_TAU > quad, _TAU, quad)  # max(quad, _TAU)
         old_i, old_j = a[r, i], a[r, j]
         g_i, g_j = g[r, i], g[r, j]
-        split = yr[r, i] != yr[r, j]
+        y_i, y_j = yr[r, i], yr[r, j]
+        split = y_i != y_j
         delta = np.where(split, -g_i - g_j, g_i - g_j) / quad
         a_i = np.where(split, old_i + delta, old_i - delta)
         a_j = old_j + delta
@@ -165,16 +173,18 @@ def smo_solve(
         a_i, a_j = _set_where(under & (a_j < 0), a_i, a_j, total, 0.0)
         a_i, a_j = _set_where(under & (a_i < 0), a_i, a_j, 0.0, total)
 
-        g += Q[run, :, i] * (a_i - old_i)[:, None] + Q[run, :, j] * (a_j - old_j)[:, None]
+        # columns i and j of Q, formed from the kernel as y_l y_i K_li
+        Q_i = (yr * y_i[:, None]) * K[kern, :, i]
+        Q_j = (yr * y_j[:, None]) * K[kern, :, j]
+        g += Q_i * (a_i - old_i)[:, None] + Q_j * (a_j - old_j)[:, None]
         a[r, i], a[r, j] = a_i, a_j
-        for k, a_k in ((i, a_i), (j, a_j)):
-            y_k = yr[r, k]
-            up[r, k] = ((y_k > 0) & (a_k < c)) | ((y_k < 0) & (a_k > 0))
-            low[r, k] = ((y_k < 0) & (a_k < c)) | ((y_k > 0) & (a_k > 0))
+        for idx, y_idx, a_idx in ((i, y_i, a_i), (j, y_j, a_j)):
+            up[r, idx] = ((y_idx > 0) & (a_idx < c)) | ((y_idx < 0) & (a_idx > 0))
+            low[r, idx] = ((y_idx < 0) & (a_idx < c)) | ((y_idx > 0) & (a_idx > 0))
     iterations[run] = rounds
     alpha[run], grad[run] = a, g
 
-    bias = np.array([_compute_bias(y[b], alpha[b], grad[b], Cs[b]) for b in range(p)])
+    bias = np.array([_compute_bias(y[b % k], alpha[b], grad[b], Cs[b // k]) for b in range(p)])
     return alpha, bias, int(iterations.max(initial=0))
 
 
@@ -235,16 +245,21 @@ def _check_hyperparameters(C: float, gamma: float) -> None:
 
 @dataclass(frozen=True)
 class _TrainingData:
-    """What training needs from the rows alone, whatever C and gamma are."""
+    """What training needs from the rows alone, whatever C and gamma are.
+
+    Pair ``b`` of ``pairs`` owns row ``b`` of ``sqdist`` and ``labels``: its
+    rows' squared distances and +-1 labels, zero-padded to the largest pair.
+    """
 
     classes: tuple[int, ...]
     X: np.ndarray  # scaled training rows in canonical order
-    sqdist: np.ndarray  # squared_distances(X, X)
-    pairs: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]  # (pos, neg, rows of X, +-1 labels)
+    pairs: tuple[tuple[int, int, np.ndarray], ...]  # (pos, neg, rows of X)
+    sqdist: np.ndarray  # (pairs, size, size)
+    labels: np.ndarray  # (pairs, size); 0 marks a padding row
 
 
 def _prepare(train: LabeledDataset, scaler: Scaler) -> _TrainingData:
-    """The data step: scale, order canonically, and index each class pair's rows."""
+    """The data step: scale, order canonically, and lay out each class pair's dual."""
     train.require_labeled()
     classes = train.classes_present()
     if len(classes) < 2:
@@ -253,13 +268,16 @@ def _prepare(train: LabeledDataset, scaler: Scaler) -> _TrainingData:
     # on ties the larger class sorts first: it is the -1 label of every pair it is in
     order = canonical_order(X, -train.y)
     X, y = X[order], train.y[order]
-    pairs = []
-    for ai in range(len(classes)):
-        for bi in range(ai + 1, len(classes)):
-            pos, neg = classes[ai], classes[bi]
-            rows = np.flatnonzero((y == pos) | (y == neg))
-            pairs.append((pos, neg, rows, np.where(y[rows] == pos, 1.0, -1.0)))
-    return _TrainingData(classes=classes, X=X, sqdist=squared_distances(X, X), pairs=tuple(pairs))
+    pairs = [
+        (pos, neg, np.flatnonzero((y == pos) | (y == neg))) for pos, neg in combinations(classes, 2)
+    ]
+    size = max(len(rows) for _, _, rows in pairs)
+    full = squared_distances(X, X)
+    sqdist, labels = np.zeros((len(pairs), size, size)), np.zeros((len(pairs), size))
+    for b, (pos, _, rows) in enumerate(pairs):
+        sqdist[b, : len(rows), : len(rows)] = full[np.ix_(rows, rows)]
+        labels[b, : len(rows)] = np.where(y[rows] == pos, 1.0, -1.0)
+    return _TrainingData(classes=classes, X=X, pairs=tuple(pairs), sqdist=sqdist, labels=labels)
 
 
 def _solve(
@@ -267,28 +285,20 @@ def _solve(
 ) -> list[tuple[np.ndarray, tuple[BinaryMachine, ...]]]:
     """The solve step: one SMO per class pair and C, all in one lock-step stack.
 
-    ``K`` is the kernel over all of ``data.X``.  Each pair's kernel is gathered
-    once, zero-padded to the largest pair, and shared by every C.  Returns, per
-    C, the rows of ``data.X`` that are support vectors of some machine,
-    ascending, and the machines, whose ``sv_indices`` point into those rows.
+    ``K`` is the stack of pair kernels, laid out as ``data.sqdist``; each C
+    solves every pair from that one copy.  Returns, per C, the rows of
+    ``data.X`` that are support vectors of some machine, ascending, and the
+    machines, whose ``sv_indices`` point into those rows.
     """
-    size = max(len(rows) for _, _, rows, _ in data.pairs)
-    pair_K = np.zeros((len(data.pairs), size, size))
-    pair_y = np.zeros((len(data.pairs), size))  # 0 marks a padding row
-    for b, (_, _, rows, labels) in enumerate(data.pairs):
-        pair_K[b, : len(rows), : len(rows)] = K[np.ix_(rows, rows)]
-        pair_y[b, : len(rows)] = labels
-    # problem c * len(data.pairs) + b solves pair b at Cs[c]
-    pair_of = np.arange(len(Cs) * len(data.pairs)) % len(data.pairs)
-    alphas, biases, _ = smo_solve(pair_K[pair_of], pair_y[pair_of], np.repeat(Cs, len(data.pairs)))
+    alphas, biases, _ = smo_solve(K, data.labels, Cs)
 
     solved = []
-    for alpha, bias in zip(alphas.reshape(len(Cs), len(data.pairs), size), biases.reshape(len(Cs), -1)):
+    for alpha, bias in zip(alphas.reshape(len(Cs), *data.labels.shape), biases.reshape(len(Cs), -1)):
         found = []
-        for (pos, neg, rows, labels), a, b in zip(data.pairs, alpha, bias):
+        for (pos, neg, rows), labels, a, b in zip(data.pairs, data.labels, alpha, bias):
             a = a[: len(rows)]
             sv = np.flatnonzero(a > 1e-12)
-            found.append((pos, neg, rows[sv], (a * labels)[sv], b))
+            found.append((pos, neg, rows[sv], (a * labels[: len(rows)])[sv], b))
         used = np.unique(np.concatenate([sv_rows for _, _, sv_rows, _, _ in found]))
         machines = tuple(
             BinaryMachine(pos, neg, np.searchsorted(used, sv_rows), coef, float(b))

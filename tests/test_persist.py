@@ -188,6 +188,12 @@ def _keep_one_class(text):
     return text[: text.index("\ntree ") + 1] + "".join(trees[tree_count : 2 * tree_count])
 
 
+def _drop_trees(text):
+    """The GB file with ``tree_count: 0`` and none of its tree lines."""
+    text = _sub_first(r"tree_count: \d+", "tree_count: 0")(text)
+    return re.sub(r"(?m)^tree .*\n", "", text)
+
+
 # (model kind, edit of a valid model file, raw exception the FormatError wraps, or None
 # when a check rejects the file before any parsing step fails)
 MALFORMED = {
@@ -214,6 +220,8 @@ MALFORMED = {
     # otherwise valid files of one class, which training never makes
     "one_class_svm": ("svm", _keep_one_class, None),
     "one_class_gb": ("gb", _keep_one_class, None),
+    # no tree lines: gb_train always keeps at least one tree
+    "zero_trees": ("gb", _drop_trees, None),
     # tree lines: the first tree of the GB fixture has its inner split on the root's left child
     "tree_unknown_field": ("gb", _sub_first(r"(?m)^(tree .*)$", r"\1 iter=0"), None),
     "repeated_tree_field": ("gb", _sub_first(r"( root=\S+)", r"\1\1"), None),

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,21 +143,25 @@ def padded_problems(rng, sizes, width):
 
 def test_stacked_smo_matches_reference_bit_for_bit(rng):
     sizes = (7, 12, 9, 12, 5, 10, 11, 8)
-    Cs = np.array([0.5, 4.0, np.inf, 64.0, 1.0, 0.25, np.inf, 16.0])
+    Cs = [0.5, 4.0, np.inf, 64.0]
     problems, K_stack, y_stack = padded_problems(rng, sizes, width=13)
-    full = [reference_smo_solve(K, y, C)[2] for (K, y, _), C in zip(problems, Cs)]
+    # problem c * len(sizes) + b solves kernel b at Cs[c]
+    cases = [(b, C) for C in Cs for b in range(len(sizes))]
+    full = [reference_smo_solve(*problems[b][:2], C)[2] for b, C in cases]
     # a cap that cuts off some problems but not others
     cap = int(np.median(full))
     assert min(full) < cap < max(full)
     for max_iter in (cap, svm_module.DEFAULT_MAX_ITER):
         alpha, bias, iterations = smo_solve(K_stack, y_stack, Cs, max_iter=max_iter)
         assert isinstance(iterations, int)
+        assert alpha.shape == (len(cases), 13) and bias.shape == (len(cases),)
         expected_iterations = []
-        for b, ((K, y, real), C) in enumerate(zip(problems, Cs)):
+        for q, (b, C) in enumerate(cases):
+            K, y, real = problems[b]
             ref_alpha, ref_bias, ref_iterations = reference_smo_solve(K, y, C, max_iter=max_iter)
-            assert alpha[b, real].tobytes() == ref_alpha.tobytes()
-            assert not np.delete(alpha[b], real).any()  # padding rows keep alpha 0
-            assert bias[b] == ref_bias
+            assert alpha[q, real].tobytes() == ref_alpha.tobytes()
+            assert not np.delete(alpha[q], real).any()  # padding rows keep alpha 0
+            assert bias[q] == ref_bias
             one_alpha, one_bias, one_iterations = smo_solve(K_stack[b : b + 1], y_stack[b : b + 1], [C], max_iter=max_iter)
             assert one_alpha[0, real].tobytes() == ref_alpha.tobytes() and one_bias[0] == ref_bias
             assert one_iterations == ref_iterations
@@ -172,7 +177,6 @@ def test_stacked_smo_matches_reference_bit_for_bit(rng):
 @pytest.mark.parametrize(
     "K_shape, y_shape, C",
     [
-        ((3, 5, 5), (3, 5), [1.0, 2.0]),
         ((3, 5, 5), (3, 5), [[1.0, 2.0, 3.0]]),
         ((3, 5, 5), (3, 5), 1.0),
         ((3, 5, 5), (2, 5), [1.0, 2.0]),
@@ -183,7 +187,6 @@ def test_stacked_smo_matches_reference_bit_for_bit(rng):
         ((5, 5), (6,), [1.0]),
     ],
     ids=[
-        "C-too-short",
         "C-2d",
         "C-scalar",
         "fewer-labels",
@@ -448,6 +451,32 @@ def test_grid_search_rejects_validation_width_mismatch(rng, monkeypatch):
         grid_search(train, val, [1.0], [0.5])
 
 
+def test_grid_search_holds_one_copy_of_each_pair_kernel():
+    """More C values at one gamma add per-problem state, never another copy of the pair kernels."""
+    rng = np.random.default_rng(7)
+    centers = rng.normal(0, 1.5, size=(4, 5))
+
+    def blobs(per_class):
+        X = np.vstack([rng.normal(0, 1.0, size=(per_class, 5)) + c for c in centers])
+        return dataset(X, np.repeat([0, 2, 3, 6], per_class))
+
+    # 60 rows per class: the pair stack grows with n^2, per-problem state with n
+    train, val = blobs(60), blobs(10)
+    stack_bytes = 6 * 120**2 * 8  # 6 class pairs of 120 rows, float64
+
+    def peak_growth(C_grid):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grid_search(train, val, C_grid, [0.2])
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    C_grid = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
+    assert peak_growth(C_grid) - peak_growth(C_grid[:1]) < stack_bytes
+
+
 # --- determinism pins -------------------------------------------------------
 #
 # The grid table was recorded with the code as it was before grid search
@@ -498,10 +527,12 @@ def test_grid_search_table_and_smo_iterations_pinned(monkeypatch):
     assert result.accuracy.tolist() == PINNED_GRID_ACCURACY
     assert (result.C, result.gamma) == (64.0, 0.2)
     assert (sum(rounds for *_, rounds in calls), len(calls)) == (PINNED_GRID_SMO_ROUNDS, PINNED_GRID_SMO_CALLS)
+    # each call solves every pair kernel at every C, C-major
     per_problem = [
-        reference_smo_solve(K_b[np.ix_(y_b != 0, y_b != 0)], y_b[y_b != 0], C_b)[2]
+        reference_smo_solve(K_b[np.ix_(y_b != 0, y_b != 0)], y_b[y_b != 0], C)[2]
         for K, y, Cs, _ in calls
-        for K_b, y_b, C_b in zip(K, y, Cs)
+        for C in Cs
+        for K_b, y_b in zip(K, y)
     ]
     assert (sum(per_problem), len(per_problem)) == (PINNED_GRID_SMO_ITERATIONS, PINNED_GRID_SMO_PROBLEMS)
 
