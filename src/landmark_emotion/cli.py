@@ -4,6 +4,12 @@ Every command takes ``--config``, ``--model``, ``--out`` and ``--seed``;
 commands that do not need one simply ignore it.  Only ``synth`` reads
 ``--seed``: training has no randomness.  Fatal errors print a diagnostic to
 stderr and exit nonzero.
+
+``train`` is the one command that fits a model.  It prints what it selected,
+and writes the same text to ``--out`` when given: the validation curve over
+the tree count for gradient boosting, the C/gamma validation table for a
+grid-searched SVM, or the fixed C and gamma.  It reads the ``validate``
+split only when it selects on it.
 """
 from __future__ import annotations
 
@@ -80,40 +86,42 @@ def _require_split(result: LoadResult, split: str) -> LabeledDataset:
     return ds
 
 
+def _selects(config: PipelineConfig) -> bool:
+    """Whether training selects on the validation split: GB, or an SVM without a fixed C and gamma."""
+    return config.model == "gb" or config.svm_c is None
+
+
 def _train_model(config: PipelineConfig, result: LoadResult):
+    """Fit the configured learner; return the model and a report of what it selected."""
     train = _require_split(result, "train")
-    val = _require_split(result, "validate")
-    train.require_labeled()
-    val.require_labeled()
-    notes = []
     if config.model == "gb":
+        val = _require_split(result, "validate")
         model = gb_train(train, val, shrinkage=config.shrinkage, max_trees=config.max_trees)
-        notes.append(f"gb trees per class: {model.tree_count} (of {config.max_trees})")
+        lines = ["trees validation_accuracy"]
+        lines += [f"{i} {100 * acc:.1f}" for i, acc in enumerate(model.val_accuracy, start=1)]
+        report = "\n".join([*lines, f"best tree count: {model.tree_count}"]) + "\n"
     else:
-        if config.svm_c is not None and config.svm_gamma is not None:
-            C, gamma = config.svm_c, config.svm_gamma
-            notes.append(f"svm fixed C={C:g} gamma={gamma:g}")
-        else:
+        if _selects(config):
+            val = _require_split(result, "validate")
             search = grid_search(train, val, config.svm_c_grid, config.svm_gamma_grid)
-            C, gamma = search.C, search.gamma
-            notes.append(
-                f"svm grid search: C={C:g} gamma={gamma:g} "
-                f"validation accuracy {100 * search.best_accuracy:.1f}%"
-            )
+            C, gamma, report = search.C, search.gamma, search.curve_text()
+        else:
+            C, gamma = config.svm_c, config.svm_gamma
+            report = f"svm fixed C={C:g} gamma={gamma:g}\n"
         model = svm_train(train, C, gamma, scaler=fit_scaler(train))
-    model = replace(model, spec_digest=result.spec.digest(), mean_shape=result.mean)
-    return model, notes
+    return replace(model, spec_digest=result.spec.digest(), mean_shape=result.mean), report
 
 
 def _cmd_train(args) -> int:
     if not args.model:
         raise ConfigError("train needs --model (output path for the model file)")
     config = _load_config(args)
-    result = _load_data(config, ("train", "validate"))
-    model, notes = _train_model(config, result)
+    result = _load_data(config, ("train", "validate") if _selects(config) else ("train",))
+    model, report = _train_model(config, result)
     Path(args.model).write_text(save_model(model), encoding="utf-8")
-    for note in notes:
-        print(note)
+    print(report, end="")
+    if args.out:
+        Path(args.out).write_text(report, encoding="utf-8")
     print(f"model written to {args.model}")
     return 0
 
@@ -190,34 +198,12 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_gridsearch(args) -> int:
-    config = _load_config(args)
-    result = _load_data(config, ("train", "validate"))
-    train = _require_split(result, "train")
-    val = _require_split(result, "validate")
-    if config.model == "svm":
-        search = grid_search(train, val, config.svm_c_grid, config.svm_gamma_grid)
-        text = search.curve_text()
-    else:
-        model = gb_train(train, val, shrinkage=config.shrinkage, max_trees=config.max_trees)
-        lines = ["trees validation_accuracy"]
-        for i, acc in enumerate(model.val_accuracy, start=1):
-            lines.append(f"{i} {100 * acc:.1f}")
-        lines.append(f"best tree count: {model.tree_count}")
-        text = "\n".join(lines) + "\n"
-    print(text, end="")
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    return 0
-
-
 _COMMANDS = {
-    "train": (_cmd_train, "fit a model per the config and write a model file"),
+    "train": (_cmd_train, "fit a model per the config, print what it selected, write a model file"),
     "evaluate": (_cmd_evaluate, "load a model, predict a split, print confusion matrix and accuracy"),
     "predict": (_cmd_predict, "emit one 'id<TAB>label' line per sample of the evaluation split"),
     "influence": (_cmd_influence, "print the ranked landmark-pair influence report of a GB model"),
     "synth": (_cmd_synth, "generate a seeded synthetic landmark dataset"),
-    "gridsearch": (_cmd_gridsearch, "print the full hyperparameter search curve"),
 }
 
 

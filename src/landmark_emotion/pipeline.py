@@ -206,7 +206,12 @@ def parse_config(text: str) -> PipelineConfig:
         try:
             kwargs[key] = _FIELD_PARSERS[key](raw)
         except ValueError as exc:  # only the numeric parsers can fail to convert
-            raise ConfigError(f"config key {key!r} has a non-numeric value") from exc
+            try:
+                float(raw)  # a number that the parser rejects is a float given for an int key
+                problem = f"needs an integer, got {raw!r}"
+            except ValueError:
+                problem = f"has a non-numeric value {raw!r}"
+            raise ConfigError(f"config key {key!r} {problem}") from exc
     return PipelineConfig(**kwargs)
 
 

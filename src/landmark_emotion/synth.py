@@ -157,6 +157,8 @@ def synth_dataset(out_dir: str | Path, seed: int, per_class_count: int) -> Path:
     """Write `.pts` files plus `manifest.csv` under ``out_dir``; returns the manifest path."""
     if per_class_count < 1:
         raise ConfigError("per_class_count must be at least 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be at least 0, got {seed}")
     out_dir = Path(out_dir)
     pts_dir = out_dir / "pts"
     pts_dir.mkdir(parents=True, exist_ok=True)

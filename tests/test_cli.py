@@ -89,6 +89,14 @@ def test_train_evaluate_predict_gb(synth_dir, capsys):
         assert label in CLASSES
 
 
+def test_synth_rejects_a_negative_seed(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "data"), "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be at least 0, got -1\n"
+    assert not (tmp_path / "data").exists()
+
+
 def test_influence_command(synth_dir, capsys):
     cfg = write_config(synth_dir, FAST_GB_CONFIG)
     model_path = synth_dir / "gb2.model"
@@ -111,25 +119,89 @@ def test_influence_rejects_negative_top(synth_dir, tmp_path, capsys):
     assert captured.err == "error: --top must be at least 0, got -1\n"
 
 
-def test_train_evaluate_svm_and_gridsearch(synth_dir, capsys):
+def test_train_evaluate_svm_grid(synth_dir, tmp_path, capsys):
     cfg = write_config(synth_dir, FAST_SVM_CONFIG)
     model_path = synth_dir / "svm.model"
-    assert main(["train", "--config", str(cfg), "--model", str(model_path)]) == 0
+    report = tmp_path / "grid.txt"
+    assert main(["train", "--config", str(cfg), "--model", str(model_path), "--out", str(report)]) == 0
     out = capsys.readouterr().out
-    assert "grid search" in out
+    # the C/gamma table, its last line naming the chosen cell, then the model path
+    assert out == report.read_text() + f"model written to {model_path}\n"
+    lines = out.splitlines()
+    assert lines[0] == "C\\gamma 0.0001 0.01"
+    assert [line.split()[0] for line in lines[1:3]] == ["1", "32"]
+    assert lines[3].startswith("best C=") and "validation_accuracy=" in lines[3]
     assert main(["evaluate", "--config", str(cfg), "--model", str(model_path)]) == 0
     assert "test accuracy" in capsys.readouterr().out
-    assert main(["gridsearch", "--config", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    assert "best C=" in out
 
 
-def test_gridsearch_gb_curve(synth_dir, capsys):
+def test_train_prints_gb_curve(synth_dir, tmp_path, capsys):
     cfg = write_config(synth_dir, FAST_GB_CONFIG)
-    assert main(["gridsearch", "--config", str(cfg)]) == 0
+    model_path = tmp_path / "gb.model"
+    report = tmp_path / "curve.txt"
+    assert main(["train", "--config", str(cfg), "--model", str(model_path), "--out", str(report)]) == 0
     out = capsys.readouterr().out
-    assert "trees validation_accuracy" in out
-    assert "best tree count:" in out
+    assert out == report.read_text() + f"model written to {model_path}\n"
+    lines = out.splitlines()
+    assert lines[0] == "trees validation_accuracy"
+    assert [line.split()[0] for line in lines[1:13]] == [str(i) for i in range(1, 13)]
+    kept = next(line for line in model_path.read_text().splitlines() if line.startswith("tree_count: "))
+    assert lines[13] == "best tree count: " + kept.split(": ")[1]
+
+
+FIXED_SVM = "features = distances\nmodel = svm\nsvm_c = 8\nsvm_gamma = 0.001\n"
+
+
+def _copy_data(synth_dir, tmp_path):
+    """A copy of the synthetic data, plus ``no_validate.csv``: its manifest without the validate entries."""
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir / "data", data)
+    manifest = read_manifest(data / "manifest.csv")
+    kept = tuple(e for e in manifest.entries if e.split != "validate")
+    (data / "no_validate.csv").write_text(write_manifest(DatasetManifest(kept)))
+    return data
+
+
+def test_fixed_svm_train_does_not_need_a_validation_split(synth_dir, tmp_path, capsys):
+    data = _copy_data(synth_dir, tmp_path)
+    models = []
+    for name in ("manifest.csv", "no_validate.csv"):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"manifest = {data / name}\n" + FIXED_SVM)
+        models.append(tmp_path / f"{name}.model")
+        assert main(["train", "--config", str(cfg), "--model", str(models[-1])]) == 0
+    assert capsys.readouterr().err == ""
+    assert models[0].read_bytes() == models[1].read_bytes()
+
+
+def test_fixed_svm_train_does_not_read_the_validation_split(synth_dir, tmp_path, capsys):
+    data = _copy_data(synth_dir, tmp_path)
+    victim = read_manifest(data / "manifest.csv").for_split("validate")[0]
+    text = (data / victim.pts_path).read_text()
+    (data / victim.pts_path).write_text(text[: len(text) // 2])
+    cfg = tmp_path / "fixed.cfg"
+    cfg.write_text(f"manifest = {data / 'manifest.csv'}\n" + FIXED_SVM)
+    assert main(["train", "--config", str(cfg), "--model", str(tmp_path / "fixed.model")]) == 0
+    assert "warning: skipped sample" not in capsys.readouterr().err
+    # a learner that selects on the validation split reads it, and reports the broken file
+    cfg.write_text(f"manifest = {data / 'manifest.csv'}\nfeatures = distances\nmodel = gb\nmax_trees = 2\n")
+    assert main(["train", "--config", str(cfg), "--model", str(tmp_path / "gb.model")]) == 0
+    assert f"warning: skipped sample {victim.sample_id}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("template", [FAST_GB_CONFIG, FAST_SVM_CONFIG], ids=["gb", "svm_grid"])
+def test_selecting_train_needs_a_validation_split(template, synth_dir, tmp_path, capsys):
+    data = _copy_data(synth_dir, tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(template.format(manifest=data / "no_validate.csv"))
+    model_path = tmp_path / "run.model"
+    assert main(["train", "--config", str(cfg), "--model", str(model_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the manifest has no usable samples in the 'validate' split\n"
+    assert not model_path.exists()
 
 
 AXIS_CONFIGS = {
@@ -224,7 +296,7 @@ def test_unusable_paths_fail_in_one_line(case, synth_dir, tmp_path, capsys):
         "manifest": (["train", "--config", str(dir_manifest), "--model", str(tmp_path / "m")], adir),
         "model_in": (["evaluate", "--config", str(fixed), "--model", str(adir)], adir),
         "model_out": (["train", "--config", str(fixed), "--model", str(adir)], adir),
-        "out": (["gridsearch", "--config", str(fixed), "--out", str(adir)], adir),
+        "out": (["train", "--config", str(fixed), "--model", str(tmp_path / "m"), "--out", str(adir)], adir),
         "synth_out": (["synth", "--out", str(afile), "--per-class", "1"], afile),
     }[case]
     assert main(argv) == 1
@@ -360,7 +432,7 @@ def test_every_command_takes_common_flags():
         a for a in parser._actions if isinstance(a, __import__("argparse")._SubParsersAction)
     )
     assert set(subparsers.choices) == {
-        "train", "evaluate", "predict", "influence", "synth", "gridsearch",
+        "train", "evaluate", "predict", "influence", "synth",
     }
     for name, sub in subparsers.choices.items():
         flags = {opt for action in sub._actions for opt in action.option_strings}

@@ -270,6 +270,7 @@ def test_readme_config_table_names_every_field():
         ("features = lbp", "unknown feature family"),
         ("model = forest", "model"),
         ("max_trees = many", "non-numeric"),
+        ("max_trees = 60.0", "'max_trees' needs an integer, got '60.0'"),
         ("no equals sign here", "key = value"),
         ("seed = 1\nseed = 2", "duplicate"),
         ("svm_c_grid = 1,x", "svm_c_grid"),
