@@ -30,24 +30,27 @@ print("round trip exact:", np.array_equal(reparsed.points, face.points))
 print("point count:", reparsed.point_count)
 
 # --- size normalization -------------------------------------------------------
-shape = normalize_size(face)
+shape = normalize_size(face)  # a read-only (68, 2) array
 print("\nAfter normalization:")
-print("  centroid:", shape.points.mean(axis=0).round(12))
-print("  centroid size (RMS distance):", round(centroid_size(shape.points), 12))
-print("  scale divided out:", round(shape.scale_applied, 3), "pixels")
+print("  centroid:", shape.mean(axis=0).round(12))
+print("  centroid size (RMS distance):", round(centroid_size(shape), 12))
+print("  scale divided out:", round(centroid_size(face.points), 3), "pixels")
 
 # the same face, twice as large and shifted, normalizes to the same shape
 doubled = LandmarkSet(face.points * 2.0 + [250.0, -80.0])
 print(
     "  scale/translation invariant:",
-    np.allclose(normalize_size(doubled).points, shape.points, atol=1e-12),
+    np.allclose(normalize_size(doubled), shape, atol=1e-12),
 )
 
 # --- up-righting ----------------------------------------------------------------
+# the rotation removed is the angle of the line from the left to the right eye center
+left, right = eye_centers(shape)
+removed = np.degrees(np.arctan2(right[1] - left[1], right[0] - left[0]))
 tilted = upright(shape)
-left, right = eye_centers(tilted.points)
+left, right = eye_centers(tilted)
 print("\nAfter up-righting:")
-print("  rotation removed:", round(np.degrees(tilted.rotation_applied), 3), "degrees")
+print("  rotation removed:", round(removed, 3), "degrees")
 print("  eye line is horizontal:", abs(left[1] - right[1]) < 1e-12)
 
 # --- the mean shape -------------------------------------------------------------
@@ -55,5 +58,5 @@ population = [upright(normalize_size(synth_shape("Neutral", rng))) for _ in rang
 mean = mean_shape(population)
 print("\nMean of", len(population), "neutral faces:")
 print("  satisfies the same invariants:", round(centroid_size(mean), 9) == 1.0)
-spread = np.linalg.norm(population[0].points - mean, axis=1)
+spread = np.linalg.norm(population[0] - mean, axis=1)
 print("  largest single-landmark deviation of one face:", round(float(spread.max()), 4))

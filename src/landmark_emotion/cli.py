@@ -1,9 +1,10 @@
 """Batch command-line interface; ``_COMMANDS`` lists the commands.
 
-Every command takes ``--config``, ``--model``, ``--out`` and ``--seed``;
-commands that do not need one simply ignore it.  Only ``synth`` reads
-``--seed``: training has no randomness.  Fatal errors print a diagnostic to
-stderr and exit nonzero.
+Each command takes only the flags it reads: ``synth`` takes ``--out``,
+``--seed`` and ``--per-class``; the other commands take ``--config``,
+``--model`` and ``--out``, and ``influence`` also ``--top``.  Training has
+no randomness, so only ``synth`` has a seed.  Fatal errors print a
+diagnostic to stderr and exit nonzero.
 
 ``train`` is the one command that fits a model.  It prints what it selected,
 and writes the same text to ``--out`` when given: the validation curve over
@@ -40,13 +41,6 @@ from .pipeline import (
 from .synth import synth_dataset
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="pipeline config file (flat key = value text)")
-    sub.add_argument("--model", help="model file path (output for train, input otherwise)")
-    sub.add_argument("--out", help="output path (reports, predictions, synth directory)")
-    sub.add_argument("--seed", type=int, default=0, help="random seed; only synth reads it (default 0)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="landmark-emotion",
@@ -55,9 +49,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p)
         if name == "synth":
+            p.add_argument("--out", help="dataset directory (default synth_data)")
+            p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
             p.add_argument("--per-class", type=int, default=10, help="samples per class (default 10)")
+            continue
+        p.add_argument("--config", help="pipeline config file (flat key = value text)")
+        p.add_argument("--model", help="model file path (output for train, input otherwise)")
+        p.add_argument("--out", help="also write the printed report or predictions to this path")
         if name == "influence":
             p.add_argument("--top", type=int, default=20, help="number of pairs to report")
     return parser
@@ -192,6 +191,8 @@ def _cmd_influence(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.per_class < 1:
+        raise ConfigError(f"--per-class must be at least 1, got {args.per_class}")
     out_dir = args.out or "synth_data"
     manifest_path = synth_dataset(out_dir, seed=args.seed, per_class_count=args.per_class)
     print(f"synthetic dataset written: {manifest_path} ({args.per_class} per class, seed {args.seed})")

@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial.distance import pdist
 
 from ..errors import DimensionMismatchError
-from ..shapes import LandmarkSet, NormalizedShape
+from ..shapes import LandmarkSet
 from .gabor import FilterBank, gabor_kernels, gabor_spectra
 from .image import GrayImage
 from .spec import FeatureBlock
@@ -37,22 +37,22 @@ POINT_TEXTURE_SCALES = 8
 POINT_TEXTURE_ORIENTATIONS = 12
 
 
-def point_distances(shape: NormalizedShape) -> np.ndarray:
-    """Euclidean distances between all unordered landmark pairs (i < j)."""
+def point_distances(shape: np.ndarray) -> np.ndarray:
+    """Euclidean distances between all unordered pairs (i < j) of normalized (n, 2) points."""
     # pdist enumerates pairs in the same lexicographic (i < j) order as pair_enumeration
-    return pdist(shape.points)
+    return pdist(shape)
 
 
-def axis_distances(shape: NormalizedShape, mean: np.ndarray) -> np.ndarray:
+def axis_distances(shape: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Interleaved (x, y) offsets of each landmark from its mean location.
 
-    ``mean`` holds the mean shape's points, one row per landmark.  The shape
+    ``shape`` and ``mean`` are (n, 2) points, one row per landmark.  The shape
     must be up-righted before calling; offsets from the training mean are
     meaningless across rotations.
     """
-    if mean.shape != shape.points.shape:
-        raise DimensionMismatchError(f"shape points are {shape.points.shape}, mean shape {mean.shape}")
-    return (shape.points - mean).ravel()
+    if mean.shape != shape.shape:
+        raise DimensionMismatchError(f"shape points are {shape.shape}, mean shape {mean.shape}")
+    return (shape - mean).ravel()
 
 
 def bif_block(bank: FilterBank) -> FeatureBlock:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateShapeError, DimensionMismatchError, FormatError
-from ..shapes import LandmarkSet, MOUTH_CORNERS, eye_centers
+from ..errors import DegenerateShapeError, DimensionMismatchError, FormatError, UnsupportedTopologyError
+from ..shapes import MOUTH_CORNERS, POINT_COUNT, LandmarkSet, eye_centers
 
 CROP_SIZE = 60
 # canonical (x, y) anchor positions in the 60x60 aligned crop
@@ -162,9 +162,9 @@ def align_face(image: GrayImage, landmarks: LandmarkSet) -> GrayImage:
     center (midpoint of the two mouth corners) to the canonical anchors
     (18, 20), (42, 20), (30, 48), then resamples bilinearly.
     """
-    if landmarks.point_count != 68:
-        raise DegenerateShapeError(
-            f"face alignment requires the 68-point layout, got {landmarks.point_count}"
+    if landmarks.point_count != POINT_COUNT:
+        raise UnsupportedTopologyError(
+            f"face alignment requires the {POINT_COUNT}-point layout, got {landmarks.point_count}"
         )
     left, right = eye_centers(landmarks.points)
     if float(np.hypot(*(right - left))) <= 1e-9:

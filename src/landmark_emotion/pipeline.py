@@ -37,7 +37,6 @@ from .learners.svm import DEFAULT_C_GRID, DEFAULT_GAMMA_GRID, SVMModel, svm_pred
 from .shapes import (
     POINT_COUNT,
     LandmarkSet,
-    NormalizedShape,
     mean_shape,
     normalize_size,
     parse_pts,
@@ -250,7 +249,7 @@ class LoadResult:
 class _ParsedEntry:
     entry: ManifestEntry
     landmarks: LandmarkSet
-    uprighted: NormalizedShape
+    uprighted: np.ndarray  # (68, 2) normalized, up-righted points
     image: GrayImage | None
 
 

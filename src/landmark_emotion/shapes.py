@@ -2,14 +2,15 @@
 
 Landmarks follow the zero-based iBUG 68-point convention: indices 36-41 are
 the left eye contour, 42-47 the right eye contour, 48 and 54 the mouth
-corners.  All operations are pure; every type is immutable after
-construction.
+corners.  Raw points arrive as a ``LandmarkSet``, which checks them; a
+normalized, up-righted or mean shape is a read-only (n, 2) float array.  All
+operations are pure.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -19,8 +20,6 @@ POINT_COUNT = 68  # points in the iBUG layout
 LEFT_EYE = slice(36, 42)
 RIGHT_EYE = slice(42, 48)
 MOUTH_CORNERS = (48, 54)
-
-_CENTROID_TOL = 1e-9
 
 
 def _as_points(points) -> np.ndarray:
@@ -44,33 +43,6 @@ class LandmarkSet:
         object.__setattr__(self, "points", _as_points(self.points))
         if self.point_count == 0:
             raise FormatError("a landmark set needs at least one point")
-
-    @property
-    def point_count(self) -> int:
-        return self.points.shape[0]
-
-
-@dataclass(frozen=True)
-class NormalizedShape:
-    """A landmark set centered on its centroid with centroid size 1.
-
-    ``scale_applied`` is the centroid size that was divided out and
-    ``rotation_applied`` the angle (radians) removed by up-righting, 0 if the
-    shape was never rotated.
-    """
-
-    points: np.ndarray
-    scale_applied: float
-    rotation_applied: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _as_points(self.points))
-        centroid = self.points.mean(axis=0)
-        if not np.all(np.abs(centroid) <= _CENTROID_TOL):
-            raise DegenerateShapeError(f"centroid {centroid} is not at the origin")
-        size = centroid_size(self.points)
-        if abs(size - 1.0) > _CENTROID_TOL:
-            raise DegenerateShapeError(f"centroid size {size} is not 1")
 
     @property
     def point_count(self) -> int:
@@ -136,19 +108,26 @@ def write_pts(landmarks: LandmarkSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def normalize_size(landmarks: LandmarkSet) -> NormalizedShape:
-    """Center a shape on its centroid and divide out its centroid size."""
+def normalize_size(landmarks: LandmarkSet) -> np.ndarray:
+    """Center a shape on its centroid and divide out its centroid size.
+
+    Returns the read-only (n, 2) points, centered on the origin with
+    centroid size 1.
+    """
     if landmarks.point_count < 2:
         raise DegenerateShapeError("size normalization needs at least 2 points")
     pts = landmarks.points
     centered = pts - pts.mean(axis=0)
     size = centroid_size(pts)
+    if not math.isfinite(size):
+        raise DegenerateShapeError(f"centroid size {size} is not finite")
     if size <= 1e-12:
         raise DegenerateShapeError("all points coincide; centroid size is zero")
     normalized = centered / size
     # kill residual floating-point drift so the invariants hold exactly
     normalized = normalized - normalized.mean(axis=0)
-    return NormalizedShape(points=normalized, scale_applied=size, rotation_applied=0.0)
+    normalized.flags.writeable = False
+    return normalized
 
 
 def eye_centers(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,44 +135,36 @@ def eye_centers(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return points[LEFT_EYE].mean(axis=0), points[RIGHT_EYE].mean(axis=0)
 
 
-def upright(shape: NormalizedShape) -> NormalizedShape:
-    """Rotate a normalized shape so the eye-center line is horizontal.
+def upright(points: np.ndarray) -> np.ndarray:
+    """Rotate normalized (68, 2) points so the eye-center line is horizontal.
 
-    The right eye ends up at larger x than the left.  ``rotation_applied``
-    records the angle of the original eye line, i.e. the rotation that was
-    removed.
+    The right eye ends up at larger x than the left.  Returns the rotated
+    points, re-centered and read-only.
     """
-    if shape.point_count != 68:
+    if points.shape[0] != POINT_COUNT:
         raise UnsupportedTopologyError(
-            f"up-righting requires the 68-point layout, got {shape.point_count} points"
+            f"up-righting requires the {POINT_COUNT}-point layout, got {points.shape[0]} points"
         )
-    left, right = eye_centers(shape.points)
+    left, right = eye_centers(points)
     delta = right - left
     if float(np.hypot(delta[0], delta[1])) <= 1e-12:
         raise DegenerateShapeError("eye centers coincide; orientation is undefined")
     angle = math.atan2(delta[1], delta[0])
     cos, sin = math.cos(-angle), math.sin(-angle)
     rot = np.array([[cos, -sin], [sin, cos]])
-    rotated = shape.points @ rot.T
+    rotated = points @ rot.T
     rotated = rotated - rotated.mean(axis=0)
-    return NormalizedShape(
-        points=rotated,
-        scale_applied=shape.scale_applied,
-        rotation_applied=shape.rotation_applied + angle,
-    )
+    rotated.flags.writeable = False
+    return rotated
 
 
-def mean_shape(shapes: Sequence[NormalizedShape] | Iterable[NormalizedShape]) -> np.ndarray:
-    """Coordinate-wise mean of normalized shapes, re-normalized to size 1, as (n, 2) points."""
+def mean_shape(shapes: Iterable[np.ndarray]) -> np.ndarray:
+    """Coordinate-wise mean of normalized (n, 2) shapes, re-normalized to size 1."""
     shapes = list(shapes)
     if not shapes:
         raise DimensionMismatchError("cannot average an empty sequence of shapes")
-    count = shapes[0].point_count
     for s in shapes:
-        if s.point_count != count:
-            raise DimensionMismatchError(
-                f"mixed point counts: {count} vs {s.point_count}"
-            )
-    stacked = np.stack([s.points for s in shapes])
-    avg = stacked.mean(axis=0)
-    return normalize_size(LandmarkSet(avg)).points
+        if s.shape != shapes[0].shape:
+            raise DimensionMismatchError(f"mixed shapes: {shapes[0].shape} vs {s.shape}")
+    avg = np.stack(shapes).mean(axis=0)
+    return normalize_size(LandmarkSet(avg))

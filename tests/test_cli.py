@@ -97,6 +97,14 @@ def test_synth_rejects_a_negative_seed(tmp_path, capsys):
     assert not (tmp_path / "data").exists()
 
 
+def test_synth_rejects_zero_per_class(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "data"), "--per-class", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --per-class must be at least 1, got 0\n"
+    assert not (tmp_path / "data").exists()
+
+
 def test_influence_command(synth_dir, capsys):
     cfg = write_config(synth_dir, FAST_GB_CONFIG)
     model_path = synth_dir / "gb2.model"
@@ -424,19 +432,30 @@ def test_absent_landmarks_get_neutral_fallback(synth_dir, tmp_path, capsys):
     assert len(lines) == len(read_manifest(manifest_path).for_split("test"))
 
 
-def test_every_command_takes_common_flags():
+def test_each_command_takes_only_the_flags_it_reads(capsys):
     from landmark_emotion.cli import build_parser
 
     parser = build_parser()
     subparsers = next(
         a for a in parser._actions if isinstance(a, __import__("argparse")._SubParsersAction)
     )
-    assert set(subparsers.choices) == {
-        "train", "evaluate", "predict", "influence", "synth",
+    run = {"--config", "--model", "--out"}
+    expected = {
+        "train": run,
+        "evaluate": run,
+        "predict": run,
+        "influence": run | {"--top"},
+        "synth": {"--out", "--seed", "--per-class"},
     }
-    for name, sub in subparsers.choices.items():
-        flags = {opt for action in sub._actions for opt in action.option_strings}
-        assert {"--config", "--model", "--out", "--seed"} <= flags, name
+    flags = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert flags == expected
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 

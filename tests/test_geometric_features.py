@@ -28,7 +28,7 @@ def test_distance_dimension_68(rng):
 def test_distances_match_brute_force(rng):
     shape = normalize_size(LandmarkSet(rng.standard_normal((9, 2))))
     fv = point_distances(shape)
-    assert np.allclose(fv, brute_force_distances(shape.points), atol=1e-12)
+    assert np.allclose(fv, brute_force_distances(shape), atol=1e-12)
 
 
 def test_unit_square_distances():
@@ -46,7 +46,7 @@ def test_distances_pair_order(rng):
     shape = normalize_size(LandmarkSet(rng.standard_normal((6, 2))))
     fv = point_distances(shape)
     for k, (i, j) in enumerate(pair_enumeration(6)):
-        assert fv[k] == pytest.approx(math.dist(shape.points[i], shape.points[j]), abs=1e-12)
+        assert fv[k] == pytest.approx(math.dist(shape[i], shape[j]), abs=1e-12)
 
 
 def test_distances_similarity_invariance(rng):
@@ -75,7 +75,7 @@ def test_axis_locality(rng):
     # one output entry, the x of point 30 at interleaved index 60
     shape = upright(normalize_size(make_face(rng, jitter=1.0)))
     delta = 0.037
-    mean_points = shape.points.copy()
+    mean_points = shape.copy()
     mean_points[30, 0] -= delta
     fv = axis_distances(shape, mean_points)
     nonzero = np.flatnonzero(fv)
@@ -88,14 +88,14 @@ def test_axis_interleaving(rng):
     other = upright(normalize_size(make_face(rng, jitter=1.0)))
     mean = _mean_of(other)
     fv = axis_distances(shape, mean)
-    expected = (shape.points - mean).ravel()
+    expected = (shape - mean).ravel()
     assert np.array_equal(fv, expected)
-    assert fv[0] == shape.points[0, 0] - mean[0, 0]
-    assert fv[1] == shape.points[0, 1] - mean[0, 1]
+    assert fv[0] == shape[0, 0] - mean[0, 0]
+    assert fv[1] == shape[0, 1] - mean[0, 1]
 
 
 def test_axis_point_count_mismatch(rng):
     shape = normalize_size(LandmarkSet(rng.standard_normal((68, 2))))
     small = normalize_size(LandmarkSet(rng.standard_normal((4, 2))))
     with pytest.raises(DimensionMismatchError):
-        axis_distances(shape, small.points)
+        axis_distances(shape, small)

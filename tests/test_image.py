@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import face_with_anchors
-from landmark_emotion.errors import DegenerateShapeError, FormatError
+from landmark_emotion.errors import DegenerateShapeError, FormatError, UnsupportedTopologyError
 from landmark_emotion.features.image import (
     GrayImage,
     SimilarityTransform,
@@ -115,7 +115,7 @@ def test_align_face_errors(rng):
         align_face(img, degenerate)
     from landmark_emotion.shapes import LandmarkSet
 
-    with pytest.raises(DegenerateShapeError):
+    with pytest.raises(UnsupportedTopologyError, match="68-point"):
         align_face(img, LandmarkSet(np.random.default_rng(0).random((10, 2))))
 
 

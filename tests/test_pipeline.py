@@ -147,7 +147,7 @@ def test_axis_features_use_training_mean(tmp_path, rng):
     expected_mean = mean_shape(shapes)
     assert np.allclose(result.mean, expected_mean, atol=1e-12)
     axis_block = train.X[:, 2278:]
-    assert np.allclose(axis_block[0], (shapes[0].points - expected_mean).ravel(), atol=1e-12)
+    assert np.allclose(axis_block[0], (shapes[0] - expected_mean).ravel(), atol=1e-12)
 
     # a mean including the test shape would be different
     test_shape = upright(normalize_size(parse_pts((tmp_path / "s02.pts").read_text())))

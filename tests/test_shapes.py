@@ -81,10 +81,12 @@ def test_normalize_unit_square():
     # RMS corner distance of the unit square is sqrt(0.5); each corner lands
     # at (+-1/sqrt(2), +-1/sqrt(2)) and has unit norm
     coord = 0.7071067811865476
-    assert np.allclose(np.abs(shape.points), coord, atol=1e-12)
-    assert np.allclose(np.linalg.norm(shape.points, axis=1), 1.0, atol=1e-12)
-    assert shape.scale_applied == pytest.approx(math.sqrt(0.5), abs=1e-12)
-    assert shape.rotation_applied == 0.0
+    assert np.allclose(np.abs(shape), coord, atol=1e-12)
+    assert np.allclose(np.linalg.norm(shape, axis=1), 1.0, atol=1e-12)
+    # the scale divided out is the input's centroid size
+    scale = centroid_size(square.points)
+    assert scale == pytest.approx(math.sqrt(0.5), abs=1e-12)
+    assert np.allclose(shape * scale + square.points.mean(axis=0), square.points, atol=1e-12)
 
 
 def test_normalize_scale_and_translation_invariance(rng):
@@ -92,21 +94,22 @@ def test_normalize_scale_and_translation_invariance(rng):
     a = normalize_size(LandmarkSet(pts))
     b = normalize_size(LandmarkSet(2.0 * pts))
     c = normalize_size(LandmarkSet(pts + [100.0, -40.0]))
-    assert np.allclose(a.points, b.points, atol=1e-12)
-    assert np.allclose(a.points, c.points, atol=1e-12)
+    assert np.allclose(a, b, atol=1e-12)
+    assert np.allclose(a, c, atol=1e-12)
 
 
 def test_normalize_invariants(rng):
     shape = normalize_size(make_face(rng, jitter=2.0))
-    assert np.allclose(shape.points.mean(axis=0), 0.0, atol=1e-9)
-    assert centroid_size(shape.points) == pytest.approx(1.0, abs=1e-9)
+    assert np.allclose(shape.mean(axis=0), 0.0, atol=1e-9)
+    assert centroid_size(shape) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_normalize_idempotent(rng):
     shape = normalize_size(make_face(rng, jitter=2.0))
-    again = normalize_size(LandmarkSet(shape.points))
-    assert np.allclose(shape.points, again.points, atol=1e-12)
-    assert again.scale_applied == pytest.approx(1.0, abs=1e-9)
+    again = normalize_size(LandmarkSet(shape))
+    assert np.allclose(shape, again, atol=1e-12)
+    # a second normalization divides out a scale of 1
+    assert centroid_size(shape) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_normalize_degenerate():
@@ -114,24 +117,42 @@ def test_normalize_degenerate():
         normalize_size(LandmarkSet([(3.0, 4.0)] * 5))
     with pytest.raises(DegenerateShapeError):
         normalize_size(LandmarkSet([(3.0, 4.0)]))
+    # finite coordinates whose centroid size overflows to inf
+    with np.errstate(over="ignore"), pytest.raises(DegenerateShapeError):
+        normalize_size(LandmarkSet([(0.0, 0.0), (1e200, 1e200), (-1e200, 3e200)]))
+
+
+def test_normalized_shapes_are_read_only_arrays(rng):
+    normalized = normalize_size(make_face(rng, jitter=1.0))
+    uprighted = upright(normalized)
+    mean = mean_shape([uprighted])
+    for points in (normalized, uprighted, mean):
+        assert type(points) is np.ndarray
+        assert points.shape == (68, 2) and points.dtype == np.float64
+        with pytest.raises(ValueError):
+            points[0, 0] = 1.0
 
 
 def test_upright_derived_angle():
     # eye centers at (-0.3, 0.1) and (0.3, -0.1): the eye line has angle
-    # atan2(-0.2, 0.6), which up-righting must record and remove
+    # atan2(-0.2, 0.6), which up-righting must remove
     face = face_with_anchors((-0.3, 0.1), (0.3, -0.1), (0.0, 0.6))
-    shape = upright(normalize_size(face))
-    assert shape.rotation_applied == pytest.approx(math.atan2(-0.2, 0.6), abs=1e-12)
-    left, right = eye_centers(shape.points)
+    normalized = normalize_size(face)
+    shape = upright(normalized)
+    angle = -math.atan2(-0.2, 0.6)
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    assert np.allclose(shape, normalized @ rot.T, rtol=0.0, atol=1e-12)
+    left, right = eye_centers(shape)
     assert right[1] - left[1] == pytest.approx(0.0, abs=1e-9)
     assert right[0] > left[0]
 
 
 def test_upright_fixed_point(rng):
     shape = upright(normalize_size(make_face(rng, jitter=1.0)))
+    left, right = eye_centers(shape)
+    assert math.atan2(right[1] - left[1], right[0] - left[0]) == pytest.approx(0.0, abs=1e-12)
     again = upright(shape)
-    assert again.rotation_applied == pytest.approx(shape.rotation_applied, abs=1e-12)
-    assert np.allclose(again.points, shape.points, atol=1e-9)
+    assert np.allclose(again, shape, atol=1e-9)
 
 
 def test_upright_rotation_invariance(rng):
@@ -140,7 +161,7 @@ def test_upright_rotation_invariance(rng):
     angle = math.radians(17.0)
     rotated = apply_similarity(face.points, angle, 1.0, np.zeros(2))
     other = upright(normalize_size(LandmarkSet(rotated)))
-    assert np.allclose(base.points, other.points, atol=1e-9)
+    assert np.allclose(base, other, atol=1e-9)
 
 
 def test_upright_errors(rng):
@@ -155,16 +176,16 @@ def test_upright_errors(rng):
 def test_mean_shape_idempotent(rng):
     shape = upright(normalize_size(make_face(rng, jitter=1.0)))
     mean = mean_shape([shape] * 5)
-    assert np.allclose(mean, shape.points, atol=1e-9)
+    assert np.allclose(mean, shape, atol=1e-9)
 
 
 def test_mean_shape_midpoint(rng):
     a = upright(normalize_size(make_face(rng, jitter=2.0)))
     b = upright(normalize_size(make_face(rng, jitter=2.0)))
     mean = mean_shape([a, b])
-    midpoint = (a.points + b.points) / 2.0
+    midpoint = (a + b) / 2.0
     expected = normalize_size(LandmarkSet(midpoint))
-    assert np.allclose(mean, expected.points, atol=1e-12)
+    assert np.allclose(mean, expected, atol=1e-12)
     assert centroid_size(mean) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -184,4 +205,4 @@ def test_similarity_pipeline_invariance(rng):
         base = upright(normalize_size(face))
         transformed = apply_similarity(face.points, *random_similarity(rng))
         other = upright(normalize_size(LandmarkSet(transformed)))
-        assert np.allclose(base.points, other.points, atol=1e-6)
+        assert np.allclose(base, other, atol=1e-6)
