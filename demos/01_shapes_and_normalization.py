@@ -30,7 +30,7 @@ print("round trip exact:", np.array_equal(reparsed.points, face.points))
 print("point count:", reparsed.point_count)
 
 # --- size normalization -------------------------------------------------------
-shape = normalize_size(face)  # a read-only (68, 2) array
+shape = normalize_size(face.points)  # a read-only (68, 2) array
 print("\nAfter normalization:")
 print("  centroid:", shape.mean(axis=0).round(12))
 print("  centroid size (RMS distance):", round(centroid_size(shape), 12))
@@ -40,7 +40,7 @@ print("  scale divided out:", round(centroid_size(face.points), 3), "pixels")
 doubled = LandmarkSet(face.points * 2.0 + [250.0, -80.0])
 print(
     "  scale/translation invariant:",
-    np.allclose(normalize_size(doubled), shape, atol=1e-12),
+    np.allclose(normalize_size(doubled.points), shape, atol=1e-12),
 )
 
 # --- up-righting ----------------------------------------------------------------
@@ -54,7 +54,7 @@ print("  rotation removed:", round(removed, 3), "degrees")
 print("  eye line is horizontal:", abs(left[1] - right[1]) < 1e-12)
 
 # --- the mean shape -------------------------------------------------------------
-population = [upright(normalize_size(synth_shape("Neutral", rng))) for _ in range(25)]
+population = [upright(normalize_size(synth_shape("Neutral", rng).points)) for _ in range(25)]
 mean = mean_shape(population)
 print("\nMean of", len(population), "neutral faces:")
 print("  satisfies the same invariants:", round(centroid_size(mean), 9) == 1.0)

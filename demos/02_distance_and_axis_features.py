@@ -14,7 +14,7 @@ from landmark_emotion.synth import synth_shape
 
 rng = np.random.default_rng(1)
 
-shape = upright(normalize_size(synth_shape("Surprise", rng)))
+shape = upright(normalize_size(synth_shape("Surprise", rng).points))
 pairs = pair_enumeration(68)
 distances = point_distances(shape)
 print("distance features:", len(distances), "values")
@@ -27,12 +27,12 @@ print("   ", round(float(distances[k]), 4), "(in centroid-size units)")
 angle, scale = 0.7, 3.1
 rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
 moved = LandmarkSet(scale * synth_shape("Surprise", np.random.default_rng(1)).points @ rot.T + 40.0)
-again = point_distances(normalize_size(moved))
+again = point_distances(normalize_size(moved.points))
 print("  after a random similarity transform, worst change:",
       f"{np.abs(distances - again).max():.2e}")
 
 # axis features need the training mean
-population = [upright(normalize_size(synth_shape("Neutral", rng))) for _ in range(30)]
+population = [upright(normalize_size(synth_shape("Neutral", rng).points)) for _ in range(30)]
 mean = mean_shape(population)
 axis = axis_distances(shape, mean)
 print("\naxis features:", len(axis), "values (x and y offsets, interleaved)")

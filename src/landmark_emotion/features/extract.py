@@ -2,6 +2,9 @@
 mean shape, pooled filter-bank texture over the aligned crop, and per-landmark
 filter responses.
 
+The two shape families take a (..., n, 2) stack of up-righted shapes and
+return one row per shape, so one call measures every face of a split.
+
 The pooled texture filters each crop in the frequency domain: one FFT of the
 edge-padded crop, then per cached complex kernel spectrum (``gabor_spectra``)
 an inverse FFT pruned to the response window: the row pass runs over every
@@ -22,7 +25,6 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.spatial.distance import pdist
 
 from ..errors import DimensionMismatchError
 from ..shapes import LandmarkSet
@@ -38,21 +40,36 @@ POINT_TEXTURE_ORIENTATIONS = 12
 
 
 def point_distances(shape: np.ndarray) -> np.ndarray:
-    """Euclidean distances between all unordered pairs (i < j) of normalized (n, 2) points."""
-    # pdist enumerates pairs in the same lexicographic (i < j) order as pair_enumeration
-    return pdist(shape)
+    """Euclidean distances between all unordered pairs (i < j) of normalized points, per shape.
+
+    Pairs run in the lexicographic (i < j) order of ``pair_enumeration``.  Each
+    distance is ``sqrt(dx*dx + dy*dy)``, the floats ``scipy``'s ``pdist`` gives.
+    """
+    n = shape.shape[-2]
+    i, j = np.triu_indices(n, 1)
+    faces = shape.reshape(-1, n, 2)
+    out = np.empty((len(faces), len(i)))
+    # 8 faces at a time keep the pair differences in cache, and their memory small
+    for start in range(0, len(faces), 8):
+        chunk, rows = faces[start : start + 8], out[start : start + 8]
+        diff = np.take(chunk, i, axis=1)
+        diff -= np.take(chunk, j, axis=1)
+        diff *= diff
+        np.add(diff[..., 0], diff[..., 1], out=rows)
+        np.sqrt(rows, out=rows)
+    return out.reshape(shape.shape[:-2] + (len(i),))
 
 
 def axis_distances(shape: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Interleaved (x, y) offsets of each landmark from its mean location.
+    """Interleaved (x, y) offsets of each landmark from its mean location, per shape.
 
-    ``shape`` and ``mean`` are (n, 2) points, one row per landmark.  The shape
-    must be up-righted before calling; offsets from the training mean are
+    ``mean`` is (n, 2) points, one row per landmark.  The shapes must be
+    up-righted before calling; offsets from the training mean are
     meaningless across rotations.
     """
-    if mean.shape != shape.shape:
-        raise DimensionMismatchError(f"shape points are {shape.shape}, mean shape {mean.shape}")
-    return (shape - mean).ravel()
+    if mean.shape != shape.shape[-2:]:
+        raise DimensionMismatchError(f"shape points are {shape.shape[-2:]}, mean shape {mean.shape}")
+    return (shape - mean).reshape(shape.shape[:-2] + (-1,))
 
 
 def bif_block(bank: FilterBank) -> FeatureBlock:

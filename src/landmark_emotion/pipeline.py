@@ -7,6 +7,15 @@ Neutral fallback.  Features are extracted per split, and only for the
 splits a command asks for.  Anything fit on data (the mean shape, the SVM
 scaler) uses the training split only and is stored in the model, so a
 prediction reads nothing outside the split it predicts.
+
+Per entry, ``load_dataset`` reads the ``.pts`` file (and the image, when the
+features need one) and parses it, so a bad file skips only its own entry.
+Per split, the landmark steps run once over the stack of its parsed faces:
+``normalize_size``, ``upright``, ``point_distances`` and ``axis_distances``,
+and ``mean_shape`` over the training stack.  When a face of the stack fails
+a shape check, the shape steps run again face by face, so each failing entry
+is skipped with the message it gets alone; skipped entries are reported in
+manifest order.  The texture families still run entry by entry.
 """
 from __future__ import annotations
 
@@ -17,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, FormatError
+from .errors import ConfigError, DimensionMismatchError, FormatError, LandmarkEmotionError
 from .features.extract import (
     POINT_TEXTURE_ORIENTATIONS,
     POINT_TEXTURE_SCALES,
@@ -74,6 +83,8 @@ class DatasetManifest:
                 raise FormatError(f"entry {e.sample_id!r} has unknown split {e.split!r}")
             if e.label and e.label not in CLASSES:
                 raise FormatError(f"entry {e.sample_id!r} has unknown label {e.label!r}")
+            if "\0" in e.pts_path + e.image_path:  # no file system accepts it in a name
+                raise FormatError(f"entry {e.sample_id!r} has a NUL character in a file path")
 
     def for_split(self, split: str) -> tuple[ManifestEntry, ...]:
         if split not in SPLITS:
@@ -249,37 +260,60 @@ class LoadResult:
 class _ParsedEntry:
     entry: ManifestEntry
     landmarks: LandmarkSet
-    uprighted: np.ndarray  # (68, 2) normalized, up-righted points
     image: GrayImage | None
 
 
-def _ingest_entry(entry: ManifestEntry, base: Path, config: PipelineConfig) -> _ParsedEntry:
+def _read_entry(entry: ManifestEntry, base: Path, config: PipelineConfig) -> _ParsedEntry:
     landmarks = parse_pts((base / entry.pts_path).read_text(encoding="utf-8"))
     image = read_pgm((base / entry.image_path).read_bytes()) if config.needs_images() else None
-    uprighted = upright(normalize_size(landmarks))
-    return _ParsedEntry(entry=entry, landmarks=landmarks, uprighted=uprighted, image=image)
+    return _ParsedEntry(entry=entry, landmarks=landmarks, image=image)
+
+
+def _upright_split(
+    items: list[_ParsedEntry], failed: dict[str, str]
+) -> tuple[list[_ParsedEntry], np.ndarray]:
+    """The entries whose faces normalize and upright, and their (m, 68, 2) shapes.
+
+    The steps run once over the stack of the split's faces.  When a face has
+    another point count or fails a check, they run face by face instead, and
+    ``failed`` gets each failing entry's message, the one it gets alone.
+    """
+    if items and all(p.landmarks.point_count == POINT_COUNT for p in items):
+        try:
+            return items, upright(normalize_size(np.stack([p.landmarks.points for p in items])))
+        except LandmarkEmotionError:
+            pass
+    kept, shapes = [], []
+    for p in items:
+        try:
+            shapes.append(upright(normalize_size(p.landmarks.points)))
+        except LandmarkEmotionError as exc:
+            failed[p.entry.sample_id] = str(exc)
+            continue
+        kept.append(p)
+    return kept, np.array(shapes).reshape(-1, POINT_COUNT, 2)
 
 
 def _extract_features(
-    parsed: _ParsedEntry,
+    items: list[_ParsedEntry],
+    shapes: np.ndarray,
     config: PipelineConfig,
     mean: np.ndarray | None,
     bank: FilterBank | None,
 ) -> np.ndarray:
+    """One row per entry: the shape families over the whole stack, texture entry by entry."""
     parts = []
     if "distances" in config.features:
-        parts.append(point_distances(parsed.uprighted))
+        parts.append(point_distances(shapes))
     if "axis" in config.features:
         assert mean is not None
-        parts.append(axis_distances(parsed.uprighted, mean))
+        parts.append(axis_distances(shapes, mean))
     if "bif" in config.features:
-        assert bank is not None and parsed.image is not None
-        crop = align_face(parsed.image, parsed.landmarks)
-        parts.append(bif_features(crop, bank))
+        assert bank is not None
+        parts.append(np.stack([bif_features(align_face(p.image, p.landmarks), bank) for p in items]))
     if "point_texture" in config.features:
-        assert parsed.image is not None
-        parts.append(point_texture(parsed.image, parsed.landmarks))
-    return np.concatenate(parts)
+        parts.append(np.stack([point_texture(p.image, p.landmarks) for p in items]))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def load_dataset(
@@ -293,9 +327,10 @@ def load_dataset(
     Only the entries of ``splits`` are read.  ``axis`` features are measured
     from ``mean`` when it is given, else from the mean of the training
     shapes, and then ``splits`` must include ``train``.  Per-entry failures
-    (unreadable or malformed files) are collected, not fatal.  Duplicate
-    ids, other manifest-level problems and an image-less entry when the
-    features need images raise before any landmark or image file is read.
+    (unreadable or malformed files, degenerate shapes) are collected in
+    manifest order, not fatal.  Duplicate ids, other manifest-level problems
+    and an image-less entry when the features need images raise before any
+    landmark or image file is read.
     """
     manifest_path = Path(manifest_path)
     manifest = read_manifest(manifest_path)
@@ -312,7 +347,7 @@ def load_dataset(
                 )
     parsed: dict[str, list[_ParsedEntry]] = {s: [] for s in entries}
     absent: dict[str, list[str]] = {s: [] for s in entries}
-    errors: list[tuple[str, str]] = []
+    failed: dict[str, str] = {}  # sample id -> why its entry was skipped
     for entry in manifest.entries:
         if entry.split not in entries:
             continue
@@ -320,24 +355,26 @@ def load_dataset(
             absent[entry.split].append(entry.sample_id)
             continue
         try:
-            parsed[entry.split].append(_ingest_entry(entry, base, config))
-        except Exception as exc:  # per-entry failure: record and continue
-            errors.append((entry.sample_id, str(exc)))
+            parsed[entry.split].append(_read_entry(entry, base, config))
+        except (LandmarkEmotionError, OSError, UnicodeDecodeError) as exc:  # a bad file skips its entry
+            failed[entry.sample_id] = str(exc)
+    shapes = {}
+    for split in parsed:
+        parsed[split], shapes[split] = _upright_split(parsed[split], failed)
 
     if "axis" not in config.features:
         mean = None
     elif mean is None:
-        train_shapes = [p.uprighted for p in parsed.get("train", ())]
-        if not train_shapes:
+        if len(shapes.get("train", ())) == 0:
             raise ConfigError("axis features need at least one training shape for the mean")
-        mean = mean_shape(train_shapes)
+        mean = mean_shape(shapes["train"])
 
     datasets: dict[str, LabeledDataset | None] = {}
     for split, items in parsed.items():
         if not items:
             datasets[split] = None
             continue
-        X = np.stack([_extract_features(p, config, mean, bank) for p in items])
+        X = _extract_features(items, shapes[split], config, mean, bank)
         if X.shape[1] != spec.total_dimension:
             raise DimensionMismatchError(
                 f"X has {X.shape[1]} columns but spec declares {spec.total_dimension}"
@@ -352,7 +389,7 @@ def load_dataset(
     return LoadResult(
         datasets=datasets,
         absent={s: tuple(v) for s, v in absent.items()},
-        errors=tuple(errors),
+        errors=tuple((e.sample_id, failed[e.sample_id]) for e in manifest.entries if e.sample_id in failed),
         entries=entries,
         mean=mean,
         spec=spec,

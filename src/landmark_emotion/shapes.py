@@ -3,14 +3,19 @@
 Landmarks follow the zero-based iBUG 68-point convention: indices 36-41 are
 the left eye contour, 42-47 the right eye contour, 48 and 54 the mouth
 corners.  Raw points arrive as a ``LandmarkSet``, which checks them; a
-normalized, up-righted or mean shape is a read-only (n, 2) float array.  All
+normalized, up-righted or mean shape is a read-only (n, 2) float array.
+
+``centroid_size``, ``normalize_size``, ``upright`` and ``eye_centers`` take a
+(..., n, 2) stack of shapes and work on the last two axes, so one call
+covers every face of a split; a single face is the stack with no leading
+axis.  Each face gets the floats it would get alone.  A stack that holds a
+face failing a check raises that face's error, for the first such face.  All
 operations are pure.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -49,11 +54,14 @@ class LandmarkSet:
         return self.points.shape[0]
 
 
-def centroid_size(points: np.ndarray) -> float:
-    """Root-mean-square distance of the points from their centroid."""
+def centroid_size(points: np.ndarray) -> np.ndarray:
+    """Root-mean-square distance of the points from their centroid, per shape."""
     pts = np.asarray(points, dtype=np.float64)
-    centered = pts - pts.mean(axis=0)
-    return float(np.sqrt(np.mean(np.sum(centered**2, axis=1))))
+    # coordinates near 1e200 overflow the squares, and near 1e306 the centroid;
+    # the size is then inf or nan, which normalize_size rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = pts - pts.mean(axis=-2, keepdims=True)
+        return np.sqrt(np.mean(np.sum(centered**2, axis=-1), axis=-1))
 
 
 def parse_pts(text: str) -> LandmarkSet:
@@ -82,17 +90,23 @@ def parse_pts(text: str) -> LandmarkSet:
     if len(coord_lines) != declared:
         raise FormatError(f"declared n_points: {declared} but found {len(coord_lines)} point lines")
 
-    points = np.empty((declared, 2), dtype=np.float64)
-    for i, ln in enumerate(coord_lines):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"point line {i} must hold exactly 'x y', got {ln!r}")
+    rows = [ln.split() for ln in coord_lines]
+    points = None
+    if all(len(parts) == 2 for parts in rows):
         try:
-            points[i, 0] = float(parts[0])
-            points[i, 1] = float(parts[1])
-        except ValueError as exc:
-            raise FormatError(f"non-numeric coordinate on point line {i}: {ln!r}") from exc
-    return LandmarkSet(points)
+            points = np.array([t for parts in rows for t in parts], dtype=np.float64)  # float() per token
+        except ValueError:
+            pass
+    if points is None:
+        # name the first bad line, as a line-by-line reading meets it
+        for i, (ln, parts) in enumerate(zip(coord_lines, rows)):
+            if len(parts) != 2:
+                raise FormatError(f"point line {i} must hold exactly 'x y', got {ln!r}")
+            try:
+                float(parts[0]), float(parts[1])
+            except ValueError as exc:
+                raise FormatError(f"non-numeric coordinate on point line {i}: {ln!r}") from exc
+    return LandmarkSet(points.reshape(declared, 2))
 
 
 def write_pts(landmarks: LandmarkSet) -> str:
@@ -108,63 +122,69 @@ def write_pts(landmarks: LandmarkSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def normalize_size(landmarks: LandmarkSet) -> np.ndarray:
-    """Center a shape on its centroid and divide out its centroid size.
+def normalize_size(points: np.ndarray) -> np.ndarray:
+    """Center each shape on its centroid and divide out its centroid size.
 
-    Returns the read-only (n, 2) points, centered on the origin with
+    Returns the read-only points, each shape centered on the origin with
     centroid size 1.
     """
-    if landmarks.point_count < 2:
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.shape[-2] < 2:
         raise DegenerateShapeError("size normalization needs at least 2 points")
-    pts = landmarks.points
-    centered = pts - pts.mean(axis=0)
     size = centroid_size(pts)
-    if not math.isfinite(size):
-        raise DegenerateShapeError(f"centroid size {size} is not finite")
-    if size <= 1e-12:
-        raise DegenerateShapeError("all points coincide; centroid size is zero")
-    normalized = centered / size
+    for value in np.ravel(size).tolist():
+        if not math.isfinite(value):
+            raise DegenerateShapeError(f"centroid size {value} is not finite")
+        if value <= 1e-12:
+            raise DegenerateShapeError("all points coincide; centroid size is zero")
+    normalized = (pts - pts.mean(axis=-2, keepdims=True)) / size[..., None, None]
     # kill residual floating-point drift so the invariants hold exactly
-    normalized = normalized - normalized.mean(axis=0)
+    normalized = normalized - normalized.mean(axis=-2, keepdims=True)
     normalized.flags.writeable = False
     return normalized
 
 
 def eye_centers(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of the left (36-41) and right (42-47) eye contour points."""
-    return points[LEFT_EYE].mean(axis=0), points[RIGHT_EYE].mean(axis=0)
+    """Mean of the left (36-41) and right (42-47) eye contour points, per shape."""
+    return points[..., LEFT_EYE, :].mean(axis=-2), points[..., RIGHT_EYE, :].mean(axis=-2)
 
 
 def upright(points: np.ndarray) -> np.ndarray:
-    """Rotate normalized (68, 2) points so the eye-center line is horizontal.
+    """Rotate normalized 68-point shapes so the eye-center line is horizontal.
 
     The right eye ends up at larger x than the left.  Returns the rotated
     points, re-centered and read-only.
     """
-    if points.shape[0] != POINT_COUNT:
+    points = np.asarray(points, dtype=np.float64)
+    if points.shape[-2] != POINT_COUNT:
         raise UnsupportedTopologyError(
-            f"up-righting requires the {POINT_COUNT}-point layout, got {points.shape[0]} points"
+            f"up-righting requires the {POINT_COUNT}-point layout, got {points.shape[-2]} points"
         )
     left, right = eye_centers(points)
     delta = right - left
-    if float(np.hypot(delta[0], delta[1])) <= 1e-12:
-        raise DegenerateShapeError("eye centers coincide; orientation is undefined")
-    angle = math.atan2(delta[1], delta[0])
-    cos, sin = math.cos(-angle), math.sin(-angle)
-    rot = np.array([[cos, -sin], [sin, cos]])
-    rotated = points @ rot.T
-    rotated = rotated - rotated.mean(axis=0)
+    spans = np.hypot(delta[..., 0], delta[..., 1])
+    rot = []
+    # the angle per face with math, not numpy: np.arctan2's bits depend on the CPU's SIMD level
+    for (dx, dy), span in zip(delta.reshape(-1, 2).tolist(), np.ravel(spans).tolist()):
+        if span <= 1e-12:
+            raise DegenerateShapeError("eye centers coincide; orientation is undefined")
+        angle = math.atan2(dy, dx)
+        cos, sin = math.cos(-angle), math.sin(-angle)
+        rot.append([[cos, -sin], [sin, cos]])
+    rot = np.array(rot).reshape(delta.shape[:-1] + (2, 2))
+    # a BLAS product per face, as for a single face; elementwise arithmetic would move the last bits
+    rotated = points @ np.swapaxes(rot, -1, -2)
+    rotated = rotated - rotated.mean(axis=-2, keepdims=True)
     rotated.flags.writeable = False
     return rotated
 
 
-def mean_shape(shapes: Iterable[np.ndarray]) -> np.ndarray:
-    """Coordinate-wise mean of normalized (n, 2) shapes, re-normalized to size 1."""
-    shapes = list(shapes)
-    if not shapes:
-        raise DimensionMismatchError("cannot average an empty sequence of shapes")
-    for s in shapes:
-        if s.shape != shapes[0].shape:
-            raise DimensionMismatchError(f"mixed shapes: {shapes[0].shape} vs {s.shape}")
-    avg = np.stack(shapes).mean(axis=0)
-    return normalize_size(LandmarkSet(avg))
+def mean_shape(shapes: np.ndarray) -> np.ndarray:
+    """Coordinate-wise mean of an (m, n, 2) stack of normalized shapes, re-normalized to size 1."""
+    try:
+        stack = np.asarray(shapes, dtype=np.float64)
+    except ValueError as exc:  # a sequence of shapes with different point counts
+        raise DimensionMismatchError("cannot average shapes with different point counts") from exc
+    if stack.ndim != 3 or len(stack) == 0 or stack.shape[-1] != 2:
+        raise DimensionMismatchError(f"need a non-empty (m, n, 2) stack of shapes, got shape {stack.shape}")
+    return normalize_size(stack.mean(axis=0))

@@ -53,7 +53,7 @@ def test_criterion_1_table3_fixture_arithmetic():
 
 def test_criterion_2_dimension_contracts(rng):
     started = time.perf_counter()
-    shape = upright(normalize_size(make_face(rng, jitter=1.0)))
+    shape = upright(normalize_size(make_face(rng, jitter=1.0).points))
     distances = point_distances(shape)
     assert distances.shape == (2278,)
 
@@ -76,9 +76,9 @@ def test_criterion_3_similarity_invariance():
     worst = 0.0
     for _ in range(1000):
         face = make_face(rng, jitter=2.0)
-        base = point_distances(normalize_size(face))
+        base = point_distances(normalize_size(face.points))
         moved = apply_similarity(face.points, *random_similarity(rng))
-        other = point_distances(normalize_size(LandmarkSet(moved)))
+        other = point_distances(normalize_size(moved))
         worst = max(worst, float(np.max(np.abs(base - other))))
     assert worst < 1e-6
     elapsed = time.perf_counter() - started

@@ -199,6 +199,30 @@ def test_fixed_svm_train_does_not_read_the_validation_split(synth_dir, tmp_path,
     assert f"warning: skipped sample {victim.sample_id}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e306])
+def test_an_overflowing_shape_is_skipped_in_one_line(scale, synth_dir, tmp_path):
+    """Squares (1e200) or a centroid (1e306) that overflow print only the skip warning, no numpy warning."""
+    data = _copy_data(synth_dir, tmp_path)
+    victim = read_manifest(data / "manifest.csv").for_split("train")[0]
+    points = parse_pts((data / victim.pts_path).read_text()).points
+    (data / victim.pts_path).write_text(write_pts(LandmarkSet(points * scale)))
+    cfg = tmp_path / "fixed.cfg"
+    cfg.write_text(f"manifest = {data / 'manifest.csv'}\n" + FIXED_SVM)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    argv = ["train", "--config", str(cfg), "--model", str(tmp_path / "m")]
+    done = subprocess.run(
+        [sys.executable, "-m", "landmark_emotion", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == f"warning: skipped sample {victim.sample_id}: centroid size inf is not finite\n"
+
+
 @pytest.mark.parametrize("template", [FAST_GB_CONFIG, FAST_SVM_CONFIG], ids=["gb", "svm_grid"])
 def test_selecting_train_needs_a_validation_split(template, synth_dir, tmp_path, capsys):
     data = _copy_data(synth_dir, tmp_path)

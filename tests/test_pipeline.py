@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import face_with_anchors
+from ingest_reference import reference_features, reference_upright
 from landmark_emotion import pipeline
 from landmark_emotion.errors import ConfigError, DimensionMismatchError, FormatError
 from landmark_emotion.features.image import GrayImage, write_pgm
@@ -21,7 +23,7 @@ from landmark_emotion.pipeline import (
     read_manifest,
     write_manifest,
 )
-from landmark_emotion.shapes import write_pts
+from landmark_emotion.shapes import LandmarkSet, mean_shape, write_pts
 from landmark_emotion.synth import synth_shape
 
 
@@ -75,6 +77,16 @@ def test_manifest_validation(tmp_path):
         read_manifest(bad_split)
 
 
+@pytest.mark.parametrize(
+    "row", ["x,a\0.pts,,Happy,train", "x,a.pts,a\0.pgm,Happy,train"], ids=["pts_path", "image_path"]
+)
+def test_manifest_rejects_nul_in_paths(tmp_path, row):
+    path = tmp_path / "manifest.csv"
+    path.write_text("id,pts_path,image_path,label,split\n" + row + "\n")
+    with pytest.raises(FormatError, match="NUL character"):
+        read_manifest(path)
+
+
 def test_load_dataset_basic(tmp_path, rng):
     path = write_fixture_dataset(
         tmp_path, rng,
@@ -110,13 +122,58 @@ def test_load_dataset_absent_and_errors(tmp_path, rng):
 def test_load_dataset_checks_feature_width(tmp_path, rng, monkeypatch):
     path = write_fixture_dataset(tmp_path, rng, [("Happy", "train"), ("Sad", "test")])
     real = pipeline.point_distances
-    monkeypatch.setattr(pipeline, "point_distances", lambda shape: real(shape)[:-1])
+    monkeypatch.setattr(pipeline, "point_distances", lambda shapes: real(shapes)[..., :-1])
 
     def never_built(*args, **kwargs):
         raise AssertionError("a dataset was built before its width was checked")
 
     monkeypatch.setattr(pipeline, "LabeledDataset", never_built)
     with pytest.raises(DimensionMismatchError, match="2277 columns"):
+        load_dataset(path, PipelineConfig(manifest=str(path)))
+
+
+def test_load_dataset_matches_face_by_face_ingestion(tmp_path, rng):
+    """The stacked steps give the features and skipped entries of a face-by-face loop."""
+    rows = [("Happy", "train"), ("Sad", "train"), ("Fear", "train"), ("Angry", "train")]
+    rows += [("Disgust", "validate"), ("Neutral", "validate")]
+    rows += [(label, "test") for label in ("Happy", "Sad", "Surprise", "Fear", "Angry", "Neutral", "Disgust")]
+    rows += [("Happy", "test")]
+    path = write_fixture_dataset(tmp_path, rng, rows)
+    broken = {
+        "s03": write_pts(LandmarkSet(np.full((68, 2), 3.0))),  # all points coincide
+        "s07": write_pts(face_with_anchors((5.0, 5.0), (5.0, 5.0), (5.0, 9.0))),  # eye centres coincide
+        "s08": write_pts(LandmarkSet(rng.standard_normal((10, 2)))),  # not the 68-point layout
+        "s10": (tmp_path / "s10.pts").read_text()[:400],  # truncated
+        "s11": write_pts(LandmarkSet(1e200 * rng.standard_normal((68, 2)))),  # centroid size overflows
+    }
+    for sid, text in broken.items():
+        (tmp_path / f"{sid}.pts").write_text(text)
+    (tmp_path / "s13.pts").unlink()  # a missing file
+    path.write_text(path.read_text().replace("s09.pts", ""))  # landmarks absent
+
+    result = load_dataset(path, PipelineConfig(manifest=str(path), features=("distances", "axis")))
+    shapes, errors = reference_upright(path)
+    assert result.errors == tuple(errors)
+    assert [sid for sid, _ in errors] == ["s03", "s07", "s08", "s10", "s11", "s13"]
+    assert result.absent["test"] == ("s09",)
+    mean = mean_shape(list(shapes["train"].values()))
+    assert result.mean.tobytes() == mean.tobytes()
+    for split, by_id in shapes.items():
+        X = np.stack([reference_features(shape, mean) for shape in by_id.values()])
+        assert result.datasets[split].ids == tuple(by_id)
+        assert result.datasets[split].X.tobytes() == X.tobytes()
+
+
+@pytest.mark.parametrize("step", ["parse_pts", "normalize_size", "upright"])
+def test_load_dataset_lets_a_failing_step_propagate(tmp_path, rng, monkeypatch, step):
+    """Only input errors skip an entry; an error inside a step is not reported as a skipped sample."""
+    path = write_fixture_dataset(tmp_path, rng, [("Happy", "train"), ("Sad", "test")])
+
+    def broken(*args, **kwargs):
+        raise RuntimeError(f"{step} is broken")
+
+    monkeypatch.setattr(pipeline, step, broken)
+    with pytest.raises(RuntimeError, match=f"{step} is broken"):
         load_dataset(path, PipelineConfig(manifest=str(path)))
 
 
@@ -141,7 +198,7 @@ def test_axis_features_use_training_mean(tmp_path, rng):
     from landmark_emotion.shapes import mean_shape, normalize_size, parse_pts, upright
 
     shapes = [
-        upright(normalize_size(parse_pts((tmp_path / f"s{i:02d}.pts").read_text())))
+        upright(normalize_size(parse_pts((tmp_path / f"s{i:02d}.pts").read_text()).points))
         for i in (0, 1)
     ]
     expected_mean = mean_shape(shapes)
@@ -150,7 +207,7 @@ def test_axis_features_use_training_mean(tmp_path, rng):
     assert np.allclose(axis_block[0], (shapes[0] - expected_mean).ravel(), atol=1e-12)
 
     # a mean including the test shape would be different
-    test_shape = upright(normalize_size(parse_pts((tmp_path / "s02.pts").read_text())))
+    test_shape = upright(normalize_size(parse_pts((tmp_path / "s02.pts").read_text()).points))
     tainted = mean_shape(shapes + [test_shape])
     assert not np.allclose(result.mean, tainted, atol=1e-9)
 
