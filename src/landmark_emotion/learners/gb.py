@@ -18,17 +18,20 @@ prefix sums and the gain formula run in work buffers allocated once per
 run; a child search allocates only the index of its positions in the root
 layout.
 
-The K trees of one round depend only on that round's residuals, so they are
-fit at the same time: on the calling thread and on up to K − 1 helper
-threads, one per further CPU this process may use, each with its own work
-buffers over the shared sorted layout.  A one-CPU process starts no thread.
-Trees are kept and scores updated in class order after the round, so the
-model does not depend on the thread count.
+The K trees of one round depend only on that round's residuals, so W =
+min(CPUs this process may use, K) searches fit them together, each with its
+own work buffers over the shared sorted layout.  Search s fits the stripe of
+classes s, s + W, s + 2W, … every round: search 0 on the calling thread, the
+others on the W − 1 threads of one helper pool that lives for the whole run.
+numpy releases the GIL in the gathers, prefix sums and gain arithmetic, so
+the stripes really run at once.  A one-CPU process starts no thread.  Trees
+are kept and scores updated in class order after the round, so the model
+does not depend on the thread count; a failure in any stripe is raised once
+the other stripes of its round have finished.
 """
 from __future__ import annotations
 
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -262,38 +265,12 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _fit_round(searches: list[_SplitSearch], residual_all: np.ndarray, weight_all: np.ndarray) -> list[Tree]:
-    """One round's tree per class, in class order.
-
-    The calling thread and one fresh helper thread per further search take
-    class indices from a shared queue; numpy releases the GIL in the
-    searches' gathers, prefix sums and gain arithmetic, so the trees grow at
-    the same time.  Each tree depends only on its class's residual, so the
-    trees are the same whichever thread fits them.  A failure in any thread
-    is raised here once the other threads have fit the round's remaining
-    trees and stopped.
-    """
+def _fit_stripe(
+    search: _SplitSearch, s: int, w: int, residual_all: np.ndarray, weight_all: np.ndarray
+) -> list[Tree]:
+    """The round's trees of classes s, s + w, s + 2w, …, in that order, all on one search."""
     kc = residual_all.shape[1]
-    todo: queue.SimpleQueue[int] = queue.SimpleQueue()
-    for k in range(kc):
-        todo.put(k)
-    trees: list[Tree | None] = [None] * kc
-
-    def work(search: _SplitSearch) -> None:
-        while True:
-            try:
-                k = todo.get_nowait()
-            except queue.Empty:
-                return
-            trees[k] = _fit_two_split_tree(search, residual_all[:, k], weight_all[:, k], kc)
-
-    # an executor starts a thread only on submit, so one search starts none
-    with ThreadPoolExecutor(max_workers=max(len(searches) - 1, 1)) as pool:
-        running = [pool.submit(work, search) for search in searches[1:]]
-        work(searches[0])
-        for future in running:
-            future.result()
-    return trees
+    return [_fit_two_split_tree(search, residual_all[:, k], weight_all[:, k], kc) for k in range(s, kc, w)]
 
 
 def gb_train(
@@ -328,23 +305,31 @@ def gb_train(
     class_lookup = np.array(classes)
 
     columns = _SortedColumns(X)
-    searches = [_SplitSearch(columns) for _ in range(min(_cpu_count(), kc))]
+    w = min(_cpu_count(), kc)
+    searches = [_SplitSearch(columns) for _ in range(w)]  # allocated here, on the calling thread
     trees: list[list[Tree]] = [[] for _ in range(kc)]
     train_deviance: list[float] = []
     val_accuracy: list[float] = []
 
-    for _ in range(max_trees):
-        P = _softmax(F)
-        residual_all = Y - P
-        weight_all = P * (1.0 - P)
-        for k, tree in enumerate(_fit_round(searches, residual_all, weight_all)):
-            trees[k].append(tree)
-            F[:, k] += shrinkage * tree.predict(X)
-            Fv[:, k] += shrinkage * tree.predict(val.X)
-        logp = F - _logsumexp(F)
-        train_deviance.append(float(-np.mean(logp[np.arange(n), np.argmax(Y, axis=1)])))
-        val_pred = class_lookup[np.argmax(Fv, axis=1)]
-        val_accuracy.append(float(np.mean(val_pred == val.y)))
+    # an executor starts a thread only on submit, so one search starts none;
+    # leaving the block, also by an exception, waits for every running stripe
+    with ThreadPoolExecutor(max_workers=max(w - 1, 1)) as pool:
+        for _ in range(max_trees):
+            P = _softmax(F)
+            residual_all = Y - P
+            weight_all = P * (1.0 - P)
+            running = [pool.submit(_fit_stripe, searches[s], s, w, residual_all, weight_all) for s in range(1, w)]
+            stripes = [_fit_stripe(searches[0], 0, w, residual_all, weight_all)]
+            stripes += [future.result() for future in running]
+            for k in range(kc):
+                tree = stripes[k % w][k // w]
+                trees[k].append(tree)
+                F[:, k] += shrinkage * tree.predict(X)
+                Fv[:, k] += shrinkage * tree.predict(val.X)
+            logp = F - _logsumexp(F)
+            train_deviance.append(float(-np.mean(logp[np.arange(n), np.argmax(Y, axis=1)])))
+            val_pred = class_lookup[np.argmax(Fv, axis=1)]
+            val_accuracy.append(float(np.mean(val_pred == val.y)))
 
     best_iter = int(np.argmax(val_accuracy))  # earliest maximum wins ties
     tree_count = best_iter + 1

@@ -14,8 +14,10 @@ Per split, the landmark steps run once over the stack of its parsed faces:
 ``normalize_size``, ``upright``, ``point_distances`` and ``axis_distances``,
 and ``mean_shape`` over the training stack.  When a face of the stack fails
 a shape check, the shape steps run again face by face, so each failing entry
-is skipped with the message it gets alone; skipped entries are reported in
-manifest order.  The texture families still run entry by entry.
+is skipped with the message it gets alone.  The texture families then run
+entry by entry on the faces that passed, and an entry whose image families
+fail (say, its eye centres coincide in pixels) is skipped with its shape
+row.  Skipped entries are reported in manifest order.
 """
 from __future__ import annotations
 
@@ -294,25 +296,46 @@ def _upright_split(
     return kept, np.array(shapes).reshape(-1, POINT_COUNT, 2)
 
 
-def _extract_features(
+def _texture_split(
     items: list[_ParsedEntry],
     shapes: np.ndarray,
     config: PipelineConfig,
-    mean: np.ndarray | None,
     bank: FilterBank | None,
+    failed: dict[str, str],
+) -> tuple[list[_ParsedEntry], np.ndarray, np.ndarray]:
+    """The entries whose image families extract, their shapes, and their texture rows.
+
+    The families run entry by entry; ``failed`` gets each failing entry's message.
+    """
+    kept, rows = [], []
+    for i, p in enumerate(items):
+        parts = []
+        try:
+            if "bif" in config.features:
+                assert bank is not None
+                parts.append(bif_features(align_face(p.image, p.landmarks), bank))
+            if "point_texture" in config.features:
+                parts.append(point_texture(p.image, p.landmarks))
+        except LandmarkEmotionError as exc:
+            failed[p.entry.sample_id] = str(exc)
+            continue
+        kept.append(i)
+        rows.append(np.concatenate(parts))
+    return [items[i] for i in kept], shapes[kept], np.array(rows)
+
+
+def _extract_features(
+    shapes: np.ndarray, texture: np.ndarray | None, config: PipelineConfig, mean: np.ndarray | None
 ) -> np.ndarray:
-    """One row per entry: the shape families over the whole stack, texture entry by entry."""
+    """One row per face: the shape families over the whole stack, then the texture rows."""
     parts = []
     if "distances" in config.features:
         parts.append(point_distances(shapes))
     if "axis" in config.features:
         assert mean is not None
         parts.append(axis_distances(shapes, mean))
-    if "bif" in config.features:
-        assert bank is not None
-        parts.append(np.stack([bif_features(align_face(p.image, p.landmarks), bank) for p in items]))
-    if "point_texture" in config.features:
-        parts.append(np.stack([point_texture(p.image, p.landmarks) for p in items]))
+    if texture is not None:
+        parts.append(texture)
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
@@ -358,9 +381,12 @@ def load_dataset(
             parsed[entry.split].append(_read_entry(entry, base, config))
         except (LandmarkEmotionError, OSError, UnicodeDecodeError) as exc:  # a bad file skips its entry
             failed[entry.sample_id] = str(exc)
-    shapes = {}
-    for split in parsed:
-        parsed[split], shapes[split] = _upright_split(parsed[split], failed)
+    shapes, texture = {}, {}
+    for split, items in parsed.items():
+        items, shapes[split] = _upright_split(items, failed)
+        if config.needs_images():  # only on the faces that passed the shape checks
+            items, shapes[split], texture[split] = _texture_split(items, shapes[split], config, bank, failed)
+        parsed[split] = items
 
     if "axis" not in config.features:
         mean = None
@@ -374,7 +400,7 @@ def load_dataset(
         if not items:
             datasets[split] = None
             continue
-        X = _extract_features(items, shapes[split], config, mean, bank)
+        X = _extract_features(shapes[split], texture.get(split), config, mean)
         if X.shape[1] != spec.total_dimension:
             raise DimensionMismatchError(
                 f"X has {X.shape[1]} columns but spec declares {spec.total_dimension}"

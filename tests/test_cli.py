@@ -223,6 +223,37 @@ def test_an_overflowing_shape_is_skipped_in_one_line(scale, synth_dir, tmp_path)
     assert done.stderr == f"warning: skipped sample {victim.sample_id}: centroid size inf is not finite\n"
 
 
+def test_a_face_the_image_families_reject_is_skipped(synth_dir, tmp_path, capsys):
+    """A face too small to align passes the shape checks but skips its entry, shape row included."""
+    data = _copy_data(synth_dir, tmp_path)
+    entries = [replace(e, image_path=f"{e.sample_id}.pgm") for e in read_manifest(data / "manifest.csv").entries]
+    entries = [e for e in entries if e.split == "train"][:9]
+    pixels = np.random.default_rng(0).random((240, 240))
+    for e in entries:
+        (data / e.image_path).write_bytes(write_pgm(GrayImage(pixels)))
+    tiny, broken = entries[1], entries[4]
+    points = parse_pts((data / tiny.pts_path).read_text()).points
+    centre = points.mean(axis=0)
+    (data / tiny.pts_path).write_text(write_pts(LandmarkSet(centre + (points - centre) * 1e-11)))
+    text = (data / broken.pts_path).read_text()
+    (data / broken.pts_path).write_text(text[: len(text) // 2])
+    models = []
+    for name, kept in (("all", entries), ("kept", [e for e in entries if e not in (tiny, broken)])):
+        (data / f"{name}.csv").write_text(write_manifest(DatasetManifest(tuple(kept))))
+        cfg = tmp_path / f"{name}.cfg"
+        features = "distances, bif, point_texture"
+        cfg.write_text(f"manifest = {data / name}.csv\n" + FIXED_SVM.replace("distances", features))
+        models.append(tmp_path / f"{name}.model")
+        assert main(["train", "--config", str(cfg), "--model", str(models[-1])]) == 0
+    # reported in manifest order, though the later entry fails first, when its file is parsed
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2, err
+    reason = "eye centers coincide; alignment transform is degenerate"
+    assert err[0] == f"warning: skipped sample {tiny.sample_id}: {reason}"
+    assert err[1].startswith(f"warning: skipped sample {broken.sample_id}: ")
+    assert models[0].read_bytes() == models[1].read_bytes()
+
+
 @pytest.mark.parametrize("template", [FAST_GB_CONFIG, FAST_SVM_CONFIG], ids=["gb", "svm_grid"])
 def test_selecting_train_needs_a_validation_split(template, synth_dir, tmp_path, capsys):
     data = _copy_data(synth_dir, tmp_path)

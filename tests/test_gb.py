@@ -251,25 +251,33 @@ def test_gb_model_bytes_pinned(pinned_splits):
 
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 def test_worker_count_keeps_model_bytes(pinned_splits, monkeypatch, cpus):
-    """Each round fits its trees on min(CPUs, classes) threads; the model is the same for any count."""
-    searches = set()
-    threads = set()
+    """A run fits its trees on min(CPUs, classes) searches and threads, search s always fitting
+    classes s, s + W, …; the model is the same for any count."""
+    fits = []  # (class, search, thread) per tree; holding the objects keeps them distinct
     running = set()
     fit = gb._fit_two_split_tree
 
-    def recording_fit(search, *args):
-        searches.add(id(search))
-        threads.add(threading.get_ident())
+    def recording_fit(search, residual, *args):
+        # each class's residual is a column view of the round's (n, K) residual matrix
+        k = (residual.ctypes.data - residual.base.ctypes.data) // residual.itemsize
+        fits.append((k, search, threading.current_thread()))
         running.add(threading.active_count())
-        return fit(search, *args)
+        return fit(search, residual, *args)
 
     monkeypatch.setattr(gb, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(gb, "_fit_two_split_tree", recording_fit)
     before = threading.active_count()
     assert_pinned(gb_train(*pinned_splits, max_trees=3))
-    assert len(searches) <= min(cpus, len(CLASSES))
+    w = min(cpus, len(CLASSES))
+    assert len(fits) == 3 * len(CLASSES)
+    # one helper pool for the whole run, not a fresh helper per round
+    assert len({thread for _, _, thread in fits}) <= w
+    stripes: dict[int, set[int]] = {}
+    for k, search, _ in fits:
+        stripes.setdefault(id(search), set()).add(k)
+    assert sorted(map(sorted, stripes.values())) == [list(range(s, len(CLASSES), w)) for s in range(w)]
     if cpus == 1:  # no helper thread starts
-        assert threads == {threading.get_ident()}
+        assert {thread for _, _, thread in fits} == {threading.current_thread()}
         assert running == {before}
 
 
