@@ -7,7 +7,8 @@ construction, which this script demonstrates numerically.
 """
 import numpy as np
 
-from landmark_emotion.features import axis_distances, pair_enumeration, point_distances
+from landmark_emotion.features.extract import axis_distances, point_distances
+from landmark_emotion.features.spec import pair_enumeration
 from landmark_emotion.pipeline import PipelineConfig, build_feature_spec
 from landmark_emotion.shapes import LandmarkSet, mean_shape, normalize_size, upright
 from landmark_emotion.synth import synth_shape

@@ -9,15 +9,9 @@ sample the same kind of kernels at each of the 68 landmark pixels.
 """
 import numpy as np
 
-from landmark_emotion.features import (
-    GrayImage,
-    align_face,
-    bif_block,
-    bif_features,
-    build_gabor_bank,
-    gabor_kernel_pair,
-    point_texture,
-)
+from landmark_emotion.features.extract import bif_block, bif_features, point_texture
+from landmark_emotion.features.gabor import build_gabor_bank, gabor_kernel_pair
+from landmark_emotion.features.image import GrayImage, align_face
 from landmark_emotion.synth import synth_shape
 
 rng = np.random.default_rng(2)

@@ -6,29 +6,18 @@ split) and the SVM (C and gamma tuned by validation grid search), and prints
 confusion matrices with overall and per-class accuracy.
 """
 import tempfile
-from pathlib import Path
-
-import numpy as np
 
 from landmark_emotion.evaluation import accuracy_line, confusion, per_class_text
-from landmark_emotion.learners import (
-    CLASSES,
-    fit_scaler,
-    gb_predict_batch,
-    gb_train,
-    grid_search,
-    svm_predict_batch,
-    svm_train,
-)
+from landmark_emotion.learners.dataset import CLASSES
+from landmark_emotion.learners.gb import gb_predict_batch, gb_train
+from landmark_emotion.learners.svm import fit_scaler, grid_search, svm_predict_batch, svm_train
 from landmark_emotion.pipeline import PipelineConfig, load_dataset
 from landmark_emotion.synth import synth_dataset
 
-workdir = Path(tempfile.mkdtemp(prefix="landmark_emotion_demo_"))
-manifest = synth_dataset(workdir, seed=7, per_class_count=20)
-print("synthetic dataset at", workdir)
-
-config = PipelineConfig(manifest=str(manifest), features=("distances",))
-result = load_dataset(manifest, config)
+with tempfile.TemporaryDirectory(prefix="landmark_emotion_demo_") as workdir:
+    manifest = synth_dataset(workdir, seed=7, per_class_count=20)
+    config = PipelineConfig(manifest=str(manifest), features=("distances",))
+    result = load_dataset(manifest, config)
 train, val, test = (result.datasets[s] for s in ("train", "validate", "test"))
 print(f"splits: {len(train)} train / {len(val)} validate / {len(test)} test,",
       f"{train.dimension} features each\n")

@@ -8,10 +8,9 @@ emotion patterns the top pairs connect the mouth, brows and eyes, the regions
 the generator actually moves.
 """
 import tempfile
-from pathlib import Path
 
 from landmark_emotion.evaluation import influence_report
-from landmark_emotion.learners import gb_train
+from landmark_emotion.learners.gb import gb_train
 from landmark_emotion.pipeline import PipelineConfig, load_dataset
 from landmark_emotion.synth import synth_dataset
 
@@ -28,10 +27,10 @@ def region(i):
     return next(name for idx, name in REGIONS if i in idx)
 
 
-workdir = Path(tempfile.mkdtemp(prefix="landmark_emotion_influence_"))
-manifest = synth_dataset(workdir, seed=11, per_class_count=25)
-config = PipelineConfig(manifest=str(manifest), features=("distances",))
-result = load_dataset(manifest, config)
+with tempfile.TemporaryDirectory(prefix="landmark_emotion_influence_") as workdir:
+    manifest = synth_dataset(workdir, seed=11, per_class_count=25)
+    config = PipelineConfig(manifest=str(manifest), features=("distances",))
+    result = load_dataset(manifest, config)
 
 model = gb_train(result.datasets["train"], result.datasets["validate"], max_trees=40)
 report = influence_report(model, result.spec, top_k=12)

@@ -7,31 +7,4 @@ multiclass gradient-boosting models from first principles, and produces
 confusion-matrix, accuracy, and feature-influence reports.
 """
 
-from . import evaluation, features, learners, pipeline, shapes, synth
-from .errors import (
-    ConfigError,
-    DegenerateShapeError,
-    DimensionMismatchError,
-    FormatError,
-    LandmarkEmotionError,
-    UnsupportedTopologyError,
-)
-from .learners.dataset import CLASSES
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CLASSES",
-    "ConfigError",
-    "DegenerateShapeError",
-    "DimensionMismatchError",
-    "FormatError",
-    "LandmarkEmotionError",
-    "UnsupportedTopologyError",
-    "evaluation",
-    "features",
-    "learners",
-    "pipeline",
-    "shapes",
-    "synth",
-]

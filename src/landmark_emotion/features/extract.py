@@ -191,8 +191,9 @@ def point_texture(
     h, w = image.pixels.shape
     max_half = sizes[-1] // 2
     padded = np.pad(image.pixels, max_half, mode="edge")
-    xs = np.clip(np.rint(landmarks.points[:, 0]).astype(np.intp), 0, w - 1) + max_half
-    ys = np.clip(np.rint(landmarks.points[:, 1]).astype(np.intp), 0, h - 1) + max_half
+    # clamp before the cast: a float past the intp range casts to an arbitrary index
+    xs = np.clip(np.rint(landmarks.points[:, 0]), 0, w - 1).astype(np.intp) + max_half
+    ys = np.clip(np.rint(landmarks.points[:, 1]), 0, h - 1).astype(np.intp) + max_half
 
     values = np.empty((landmarks.point_count, scales, orientations))
     for si, sz in enumerate(sizes):

@@ -266,7 +266,7 @@ class _ParsedEntry:
 
 
 def _read_entry(entry: ManifestEntry, base: Path, config: PipelineConfig) -> _ParsedEntry:
-    landmarks = parse_pts((base / entry.pts_path).read_text(encoding="utf-8"))
+    landmarks = parse_pts(read_utf8(base / entry.pts_path))
     image = read_pgm((base / entry.image_path).read_bytes()) if config.needs_images() else None
     return _ParsedEntry(entry=entry, landmarks=landmarks, image=image)
 
@@ -379,7 +379,7 @@ def load_dataset(
             continue
         try:
             parsed[entry.split].append(_read_entry(entry, base, config))
-        except (LandmarkEmotionError, OSError, UnicodeDecodeError) as exc:  # a bad file skips its entry
+        except (LandmarkEmotionError, OSError) as exc:  # a bad file skips its entry
             failed[entry.sample_id] = str(exc)
     shapes, texture = {}, {}
     for split, items in parsed.items():

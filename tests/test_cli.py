@@ -527,17 +527,24 @@ def test_out_flag_writes_reports(synth_dir, tmp_path, capsys):
     assert preds.read_text().count("\t") == len(read_manifest(synth_dir / "data" / "manifest.csv").for_split("test"))
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal costs about 0.9 s at start-up; no command needs it
+@pytest.mark.parametrize(
+    "module, unloaded",
+    [
+        # scipy.signal costs about 0.9 s at start-up; no command needs it
+        ("landmark_emotion.cli", ["scipy.signal"]),
+        # shape work needs neither a learner nor scipy
+        ("landmark_emotion.shapes", ["landmark_emotion.learners", "scipy"]),
+    ],
+    ids=["cli", "shapes"],
+)
+def test_cli_import_leaves_scipy_signal_unloaded(module, unloaded):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", "import landmark_emotion.cli, sys; print('scipy.signal' in sys.modules)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
+    code = (
+        f"import sys, {module}; "
+        f"print([m for m in sys.modules if any(m == u or m.startswith(u + '.') for u in {unloaded!r})])"
     )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"

@@ -119,6 +119,16 @@ def test_load_dataset_absent_and_errors(tmp_path, rng):
     assert len(result.errors) == 1 and result.errors[0][0] == "s02"
 
 
+def test_load_dataset_skips_a_pts_that_is_not_utf8(tmp_path, rng):
+    path = write_fixture_dataset(tmp_path, rng, [("Happy", "train"), ("Sad", "test"), ("Angry", "test")])
+    pts = tmp_path / "s01.pts"
+    pts.write_bytes(pts.read_bytes().replace(b"version", b"versi\xf3n", 1))  # one latin-1 byte
+    result = load_dataset(path, PipelineConfig(manifest=str(path)))
+    assert result.errors == (("s01", f"{pts} is not UTF-8 text"),)
+    assert result.datasets["train"].ids == ("s00",)
+    assert result.datasets["test"].ids == ("s02",)
+
+
 def test_load_dataset_checks_feature_width(tmp_path, rng, monkeypatch):
     path = write_fixture_dataset(tmp_path, rng, [("Happy", "train"), ("Sad", "test")])
     real = pipeline.point_distances

@@ -65,11 +65,17 @@ def test_layout_point_scale_orientation(rng):
     assert fv[idx] == pytest.approx(expected, abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error")
 def test_out_of_bounds_landmark_clamped(rng):
     pixels = rng.random((20, 20))
-    inside = point_texture(GrayImage(pixels), LandmarkSet(np.array([[0.0, 0.0]])), 1, 1)
-    outside = point_texture(GrayImage(pixels), LandmarkSet(np.array([[-7.0, -3.0]])), 1, 1)
-    assert inside[0] == outside[0]
+
+    def value(x, y):
+        return point_texture(GrayImage(pixels), LandmarkSet(np.array([[x, y]])), 1, 1)[0]
+
+    assert value(0.0, 0.0) == value(-7.0, -3.0)
+    # past the intp range too, a point reads the edge it lies beyond
+    assert value(19.0, 0.0) == value(1e20, 0.0)
+    assert value(0.0, 19.0) == value(0.0, 1e20)
 
 
 def test_bad_arguments(rng):
