@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, LandmarkEmotionError
+from .errors import LandmarkEmotionError
 from .evaluation import accuracy_line, confusion, influence_report, per_class_text
 from .learners.dataset import LabeledDataset
 from .learners.gb import GBModel, gb_train
@@ -64,14 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> PipelineConfig:
     if not args.config:
-        raise ConfigError("this command needs --config")
+        raise LandmarkEmotionError("this command needs --config")
     return parse_config(read_utf8(args.config))
 
 
 def _load_data(config: PipelineConfig, splits: tuple[str, ...], mean: np.ndarray | None = None) -> LoadResult:
     """Load only ``splits`` and print a warning for each entry skipped in them."""
     if not config.manifest:
-        raise ConfigError("config must name a manifest (key 'manifest')")
+        raise LandmarkEmotionError("config must name a manifest (key 'manifest')")
     result = load_dataset(config.manifest, config, splits, mean)
     for sid, message in result.errors:
         print(f"warning: skipped sample {sid}: {message}", file=sys.stderr)
@@ -81,7 +81,7 @@ def _load_data(config: PipelineConfig, splits: tuple[str, ...], mean: np.ndarray
 def _require_split(result: LoadResult, split: str) -> LabeledDataset:
     ds = result.datasets.get(split)
     if ds is None:
-        raise ConfigError(f"the manifest has no usable samples in the {split!r} split")
+        raise LandmarkEmotionError(f"the manifest has no usable samples in the {split!r} split")
     return ds
 
 
@@ -113,7 +113,7 @@ def _train_model(config: PipelineConfig, result: LoadResult):
 
 def _cmd_train(args) -> int:
     if not args.model:
-        raise ConfigError("train needs --model (output path for the model file)")
+        raise LandmarkEmotionError("train needs --model (output path for the model file)")
     config = _load_config(args)
     result = _load_data(config, ("train", "validate") if _selects(config) else ("train",))
     model, report = _train_model(config, result)
@@ -127,7 +127,7 @@ def _cmd_train(args) -> int:
 
 def _load_model_checked(args, config: PipelineConfig):
     if not args.model:
-        raise ConfigError("this command needs --model (path of a trained model file)")
+        raise LandmarkEmotionError("this command needs --model (path of a trained model file)")
     expected = build_feature_spec(config).digest()
     return load_model(read_utf8(args.model), expected_spec_digest=expected)
 
@@ -140,13 +140,13 @@ def _predict_eval_split(args) -> tuple[PipelineConfig, list[tuple[ManifestEntry,
     config = _load_config(args)
     model = _load_model_checked(args, config)
     if "axis" in config.features and model.mean_shape is None:
-        raise ConfigError("the config selects axis features but the model has no mean shape; retrain it")
+        raise LandmarkEmotionError("the config selects axis features but the model has no mean shape; retrain it")
     split = config.eval_split
     result = _load_data(config, (split,), model.mean_shape)
     dataset = result.datasets[split]
     absent = result.absent[split]
     if dataset is None and not absent:
-        raise ConfigError(f"the manifest has no usable samples in the {split!r} split")
+        raise LandmarkEmotionError(f"the manifest has no usable samples in the {split!r} split")
     labels = predict_with_fallback(model, dataset, absent)
     return config, [(e, labels[e.sample_id]) for e in result.entries[split] if e.sample_id in labels]
 
@@ -155,7 +155,7 @@ def _cmd_evaluate(args) -> int:
     config, predictions = _predict_eval_split(args)
     for entry, _ in predictions:
         if not entry.label:
-            raise ConfigError(f"cannot evaluate: sample {entry.sample_id!r} is unlabeled")
+            raise LandmarkEmotionError(f"cannot evaluate: sample {entry.sample_id!r} is unlabeled")
     cm = confusion([label for _, label in predictions], [entry.label for entry, _ in predictions])
     report = cm.to_text() + accuracy_line(cm, config.eval_split) + "\n" + per_class_text(cm) + "\n"
     print(report, end="")
@@ -176,11 +176,11 @@ def _cmd_predict(args) -> int:
 
 def _cmd_influence(args) -> int:
     if args.top < 0:
-        raise ConfigError(f"--top must be at least 0, got {args.top}")
+        raise LandmarkEmotionError(f"--top must be at least 0, got {args.top}")
     config = _load_config(args)
     model = _load_model_checked(args, config)
     if not isinstance(model, GBModel):
-        raise ConfigError("influence analysis needs a gradient-boosting model")
+        raise LandmarkEmotionError("influence analysis needs a gradient-boosting model")
     spec = build_feature_spec(config)
     report = influence_report(model, spec, top_k=args.top)
     text = report.to_text()
@@ -192,7 +192,7 @@ def _cmd_influence(args) -> int:
 
 def _cmd_synth(args) -> int:
     if args.per_class < 1:
-        raise ConfigError(f"--per-class must be at least 1, got {args.per_class}")
+        raise LandmarkEmotionError(f"--per-class must be at least 1, got {args.per_class}")
     out_dir = args.out or "synth_data"
     manifest_path = synth_dataset(out_dir, seed=args.seed, per_class_count=args.per_class)
     print(f"synthetic dataset written: {manifest_path} ({args.per_class} per class, seed {args.seed})")

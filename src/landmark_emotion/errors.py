@@ -1,25 +1,5 @@
-"""Exception types shared across the package."""
+"""The package's one exception type."""
 
 
-class LandmarkEmotionError(Exception):
-    """Base class for all package errors."""
-
-
-class FormatError(LandmarkEmotionError, ValueError):
-    """A file or stream violates its documented format."""
-
-
-class DegenerateShapeError(LandmarkEmotionError, ValueError):
-    """A landmark configuration has no usable geometry (zero size, coincident eyes)."""
-
-
-class UnsupportedTopologyError(LandmarkEmotionError, ValueError):
-    """An operation requires the 68-point layout and got something else."""
-
-
-class DimensionMismatchError(LandmarkEmotionError, ValueError):
-    """Vector or point-count dimensions do not agree."""
-
-
-class ConfigError(LandmarkEmotionError, ValueError):
-    """An invalid pipeline or filter-bank configuration."""
+class LandmarkEmotionError(ValueError):
+    """A malformed input, file, configuration or argument; the message says which."""

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import LandmarkEmotionError
 from .features.spec import FeatureSpec, pair_enumeration
 from .learners.dataset import CLASSES, label_index
 from .learners.gb import GBModel, gb_influence
@@ -22,9 +22,9 @@ class ConfusionMatrix:
         counts = np.asarray(self.counts, dtype=np.int64)
         k = len(CLASSES)
         if counts.shape != (k, k):
-            raise DimensionMismatchError(f"confusion matrix must be {k}x{k}, got {counts.shape}")
+            raise LandmarkEmotionError(f"confusion matrix must be {k}x{k}, got {counts.shape}")
         if np.any(counts < 0):
-            raise DimensionMismatchError("confusion counts must be non-negative")
+            raise LandmarkEmotionError("confusion counts must be non-negative")
         counts = counts.copy()
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
@@ -56,7 +56,7 @@ def _to_indices(labels: Sequence[str | int]) -> np.ndarray:
     for i, lbl in enumerate(labels):
         idx = label_index(lbl) if isinstance(lbl, str) else int(lbl)
         if not 0 <= idx < len(CLASSES):
-            raise DimensionMismatchError(f"class index {idx} out of range")
+            raise LandmarkEmotionError(f"class index {idx} out of range")
         out[i] = idx
     return out
 
@@ -64,11 +64,11 @@ def _to_indices(labels: Sequence[str | int]) -> np.ndarray:
 def confusion(predicted: Sequence[str | int], truth: Sequence[str | int]) -> ConfusionMatrix:
     """Count (truth, predicted) pairs into the fixed-order matrix."""
     if len(predicted) != len(truth):
-        raise DimensionMismatchError(
+        raise LandmarkEmotionError(
             f"{len(predicted)} predictions vs {len(truth)} truth labels"
         )
     if len(predicted) == 0:
-        raise DimensionMismatchError("cannot build a confusion matrix from zero samples")
+        raise LandmarkEmotionError("cannot build a confusion matrix from zero samples")
     p = _to_indices(predicted)
     t = _to_indices(truth)
     k = len(CLASSES)
@@ -79,14 +79,14 @@ def confusion(predicted: Sequence[str | int], truth: Sequence[str | int]) -> Con
 def overall_accuracy(cm: ConfusionMatrix) -> float:
     """trace / total."""
     if cm.total == 0:
-        raise DimensionMismatchError("empty confusion matrix has no accuracy")
+        raise LandmarkEmotionError("empty confusion matrix has no accuracy")
     return float(np.trace(cm.counts)) / cm.total
 
 
 def per_class_accuracy(cm: ConfusionMatrix) -> tuple[float | None, ...]:
     """Recall per truth row; None where a class has no samples."""
     if cm.total == 0:
-        raise DimensionMismatchError("empty confusion matrix has no accuracy")
+        raise LandmarkEmotionError("empty confusion matrix has no accuracy")
     out = []
     for i in range(len(CLASSES)):
         row = cm.counts[i].sum()
@@ -130,9 +130,9 @@ def influence_report(model: GBModel, spec: FeatureSpec, top_k: int = 20) -> Infl
     try:
         offset, block = spec.block_offset("distances")
     except KeyError:
-        raise DimensionMismatchError("influence report needs a distance block in the feature spec") from None
+        raise LandmarkEmotionError("influence report needs a distance block in the feature spec") from None
     if spec.total_dimension != model.dimension:
-        raise DimensionMismatchError(
+        raise LandmarkEmotionError(
             f"spec dimension {spec.total_dimension} does not match model dimension {model.dimension}"
         )
     landmark_pairs = pair_enumeration(dict(block.params)["point_count"])

@@ -26,7 +26,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import DimensionMismatchError
+from ..errors import LandmarkEmotionError
 from ..shapes import LandmarkSet
 from .gabor import FilterBank, gabor_kernels, gabor_spectra
 from .image import GrayImage
@@ -68,7 +68,7 @@ def axis_distances(shape: np.ndarray, mean: np.ndarray) -> np.ndarray:
     meaningless across rotations.
     """
     if mean.shape != shape.shape[-2:]:
-        raise DimensionMismatchError(f"shape points are {shape.shape[-2:]}, mean shape {mean.shape}")
+        raise LandmarkEmotionError(f"shape points are {shape.shape[-2:]}, mean shape {mean.shape}")
     return (shape - mean).reshape(shape.shape[:-2] + (-1,))
 
 
@@ -101,7 +101,7 @@ def bif_features(image: GrayImage, bank: FilterBank) -> np.ndarray:
     """
     n = bank.image_size
     if image.height != n or image.width != n:
-        raise DimensionMismatchError(
+        raise LandmarkEmotionError(
             f"bank expects a {n}x{n} crop, got {image.width}x{image.height}"
         )
     pad, spectra = gabor_spectra(bank.bands, bank.orientations, n)
@@ -184,7 +184,7 @@ def point_texture(
     Output order is (point, scale, orientation).
     """
     if scales < 1 or orientations < 1:
-        raise DimensionMismatchError("scales and orientations must be positive")
+        raise LandmarkEmotionError("scales and orientations must be positive")
     sizes = point_texture_sizes(scales)
     kernels = gabor_kernels(sizes, orientations)
 

@@ -28,7 +28,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import LandmarkEmotionError
 from .image import CROP_SIZE
 
 DEFAULT_GAMMA = 0.3
@@ -44,7 +44,7 @@ def lambda_for_size(size: int) -> float:
 
 def _check_size(size: int) -> None:
     if size % 2 == 0 or size < 1:
-        raise ConfigError(f"filter size must be odd and positive, got {size}")
+        raise LandmarkEmotionError(f"filter size must be odd and positive, got {size}")
 
 
 def gabor_kernel_pair(size: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -122,10 +122,10 @@ def build_gabor_bank(
 ) -> FilterBank:
     """The checked bank geometry for ``bands`` over a square crop of ``image_size``."""
     if orientations < 1:
-        raise ConfigError("need at least one orientation")
+        raise LandmarkEmotionError("need at least one orientation")
     for band in bands:
         if band.cell < 1 or band.step < 1 or band.cell > image_size:
-            raise ConfigError(f"bad pooling cell geometry ({band.cell}, {band.step})")
+            raise LandmarkEmotionError(f"bad pooling cell geometry ({band.cell}, {band.step})")
     for size in _band_sizes(bands):
         _check_size(size)
     return FilterBank(bands, orientations, image_size)

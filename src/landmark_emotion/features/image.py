@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateShapeError, DimensionMismatchError, FormatError, UnsupportedTopologyError
+from ..errors import LandmarkEmotionError
 from ..shapes import MOUTH_CORNERS, POINT_COUNT, LandmarkSet, eye_centers
 
 CROP_SIZE = 60
@@ -30,11 +30,11 @@ class GrayImage:
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=np.float64)
         if px.ndim != 2 or px.size == 0:
-            raise DimensionMismatchError(f"pixels must be a non-empty 2-D array, got shape {px.shape}")
+            raise LandmarkEmotionError(f"pixels must be a non-empty 2-D array, got shape {px.shape}")
         if not np.all(np.isfinite(px)):
-            raise FormatError("pixel intensities must be finite")
+            raise LandmarkEmotionError("pixel intensities must be finite")
         if px.min() < -1e-12 or px.max() > 1.0 + 1e-12:
-            raise FormatError("pixel intensities must lie in [0, 1]")
+            raise LandmarkEmotionError("pixel intensities must lie in [0, 1]")
         px = np.clip(px, 0.0, 1.0)
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
@@ -51,7 +51,7 @@ class GrayImage:
 def read_pgm(data: bytes) -> GrayImage:
     """Read a binary (P5) 8-bit PGM image and map intensities to [0, 1]."""
     if not data.startswith(b"P5"):
-        raise FormatError("not a binary PGM (missing P5 magic)")
+        raise LandmarkEmotionError("not a binary PGM (missing P5 magic)")
     # header: magic, width, height, maxval as whitespace-separated tokens,
     # with '#' comments allowed between them
     pos = 2
@@ -59,21 +59,21 @@ def read_pgm(data: bytes) -> GrayImage:
     while len(tokens) < 3:
         m = re.compile(rb"\s*(?:#[^\n]*\n\s*)*(\S+)").match(data, pos)
         if m is None:
-            raise FormatError("truncated PGM header")
+            raise LandmarkEmotionError("truncated PGM header")
         tokens.append(m.group(1))
         pos = m.end()
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError as exc:
-        raise FormatError("non-numeric PGM header field") from exc
+        raise LandmarkEmotionError("non-numeric PGM header field") from exc
     if width < 1 or height < 1:
-        raise FormatError("PGM dimensions must be positive")
+        raise LandmarkEmotionError("PGM dimensions must be positive")
     if not 0 < maxval < 256:
-        raise FormatError(f"only 8-bit PGM supported (maxval {maxval})")
+        raise LandmarkEmotionError(f"only 8-bit PGM supported (maxval {maxval})")
     pos += 1  # single whitespace byte after maxval
     raster = data[pos : pos + width * height]
     if len(raster) != width * height:
-        raise FormatError("PGM raster shorter than width*height")
+        raise LandmarkEmotionError("PGM raster shorter than width*height")
     px = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
     return GrayImage(px.astype(np.float64) / maxval)
 
@@ -118,7 +118,7 @@ class SimilarityTransform:
     def inverse(self) -> "SimilarityTransform":
         det = self.a * self.a + self.b * self.b
         if det <= 1e-24:
-            raise DegenerateShapeError("similarity transform is not invertible")
+            raise LandmarkEmotionError("similarity transform is not invertible")
         ia, ib = self.a / det, -self.b / det
         itx = -(ia * self.tx - ib * self.ty)
         ity = -(ib * self.tx + ia * self.ty)
@@ -130,14 +130,14 @@ def fit_similarity(src: np.ndarray, dst: np.ndarray) -> SimilarityTransform:
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
     if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 2 or src.shape[0] < 2:
-        raise DimensionMismatchError("fit_similarity needs matching (n>=2, 2) point arrays")
+        raise LandmarkEmotionError("fit_similarity needs matching (n>=2, 2) point arrays")
     sc = src.mean(axis=0)
     dc = dst.mean(axis=0)
     s = src - sc
     d = dst - dc
     denom = float(np.sum(s**2))
     if denom <= 1e-24:
-        raise DegenerateShapeError("source points coincide; similarity fit is degenerate")
+        raise LandmarkEmotionError("source points coincide; similarity fit is degenerate")
     a = float(np.sum(s * d)) / denom
     b = float(np.sum(s[:, 0] * d[:, 1] - s[:, 1] * d[:, 0])) / denom
     tx = dc[0] - (a * sc[0] - b * sc[1])
@@ -163,12 +163,12 @@ def align_face(image: GrayImage, landmarks: LandmarkSet) -> GrayImage:
     (18, 20), (42, 20), (30, 48), then resamples bilinearly.
     """
     if landmarks.point_count != POINT_COUNT:
-        raise UnsupportedTopologyError(
+        raise LandmarkEmotionError(
             f"face alignment requires the {POINT_COUNT}-point layout, got {landmarks.point_count}"
         )
     left, right = eye_centers(landmarks.points)
     if float(np.hypot(*(right - left))) <= 1e-9:
-        raise DegenerateShapeError("eye centers coincide; alignment transform is degenerate")
+        raise LandmarkEmotionError("eye centers coincide; alignment transform is degenerate")
     mouth = landmarks.points[list(MOUTH_CORNERS)].mean(axis=0)
     src = np.array([left, right, mouth])
     dst = np.array([CANONICAL_LEFT_EYE, CANONICAL_RIGHT_EYE, CANONICAL_MOUTH])

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionMismatchError
+from ..errors import LandmarkEmotionError
 
 
 def pair_enumeration(point_count: int) -> np.ndarray:
     """All unordered landmark pairs (i, j), i < j, in lexicographic order."""
     if point_count < 2:
-        raise DimensionMismatchError("pair enumeration needs at least 2 points")
+        raise LandmarkEmotionError("pair enumeration needs at least 2 points")
     i, j = np.triu_indices(point_count, k=1)
     pairs = np.column_stack([i, j]).astype(np.int64)
     pairs.flags.writeable = False

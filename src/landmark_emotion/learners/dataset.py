@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionMismatchError
+from ..errors import LandmarkEmotionError
 
 # Fixed class order used everywhere: confusion-matrix axes, tie-breaking,
 # reports.  Index into this tuple is the integer label.
@@ -19,7 +19,7 @@ def label_index(label: str) -> int:
     try:
         return CLASS_INDEX[label]
     except KeyError:
-        raise DimensionMismatchError(f"unknown class label {label!r}; expected one of {CLASSES}") from None
+        raise LandmarkEmotionError(f"unknown class label {label!r}; expected one of {CLASSES}") from None
 
 
 @dataclass(frozen=True)
@@ -39,16 +39,16 @@ class LabeledDataset:
         X = np.asarray(self.X, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.int64)
         if X.ndim != 2:
-            raise DimensionMismatchError(f"X must be 2-D, got shape {X.shape}")
+            raise LandmarkEmotionError(f"X must be 2-D, got shape {X.shape}")
         if y.shape != (X.shape[0],):
-            raise DimensionMismatchError(f"y shape {y.shape} does not match {X.shape[0]} rows")
+            raise LandmarkEmotionError(f"y shape {y.shape} does not match {X.shape[0]} rows")
         if not np.all(np.isfinite(X)):
-            raise DimensionMismatchError("feature values must be finite")
+            raise LandmarkEmotionError("feature values must be finite")
         bad = (y != UNLABELED) & ((y < 0) | (y >= len(CLASSES)))
         if np.any(bad):
-            raise DimensionMismatchError(f"labels out of range: {np.unique(y[bad])}")
+            raise LandmarkEmotionError(f"labels out of range: {np.unique(y[bad])}")
         if self.ids and len(self.ids) != X.shape[0]:
-            raise DimensionMismatchError("ids length does not match row count")
+            raise LandmarkEmotionError("ids length does not match row count")
         X = X.copy()
         X.flags.writeable = False
         y = y.copy()
@@ -69,7 +69,7 @@ class LabeledDataset:
 
     def require_labeled(self) -> None:
         if np.any(self.y == UNLABELED):
-            raise DimensionMismatchError("dataset contains unlabeled samples")
+            raise LandmarkEmotionError("dataset contains unlabeled samples")
 
 
 def canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:

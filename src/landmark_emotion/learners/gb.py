@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DimensionMismatchError
+from ..errors import LandmarkEmotionError
 from .dataset import LabeledDataset, canonical_order
 
 DEFAULT_SHRINKAGE = 0.1
@@ -283,14 +283,14 @@ def gb_train(
     train.require_labeled()
     val.require_labeled()
     if max_trees < 1:
-        raise DimensionMismatchError("max_trees must be at least 1")
+        raise LandmarkEmotionError("max_trees must be at least 1")
     if not 0 < shrinkage <= 1:
-        raise DimensionMismatchError(f"shrinkage must be in (0, 1], got {shrinkage}")
+        raise LandmarkEmotionError(f"shrinkage must be in (0, 1], got {shrinkage}")
     classes = train.classes_present()
     if len(classes) < 2:
-        raise DimensionMismatchError("gradient boosting needs at least two classes present")
+        raise LandmarkEmotionError("gradient boosting needs at least two classes present")
     if val.dimension != train.dimension:
-        raise DimensionMismatchError("train and validation dimensions differ")
+        raise LandmarkEmotionError("train and validation dimensions differ")
 
     order = canonical_order(train.X, train.y)
     X = np.ascontiguousarray(train.X[order])
@@ -354,7 +354,7 @@ def gb_scores(model: GBModel, X: np.ndarray) -> np.ndarray:
     """Raw additive scores per model class for each row of ``X``."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.dimension:
-        raise DimensionMismatchError(f"expected {model.dimension} columns, got {X.shape[1]}")
+        raise LandmarkEmotionError(f"expected {model.dimension} columns, got {X.shape[1]}")
     scores = np.tile(model.init_scores, (X.shape[0], 1))
     for k in range(len(model.classes)):
         for tree in model.trees[k][: model.tree_count]:

@@ -8,7 +8,7 @@ of the FeatureSpec it was trained on; loading against a different spec
 digest is an error.  When the model was trained on ``axis`` features, the
 header also holds the training mean shape those features are measured from.
 A model has at least two classes, and an SVM file always holds the bounds
-of its scaler; a file without them is a FormatError.
+of its scaler; a file without them is a LandmarkEmotionError.
 
 Each fact is stored once.  A boosted tree is one line holding its leaf values
 and its splits by position (``root``, ``inner_left`` or ``inner_right``);
@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..errors import FormatError
+from ..errors import LandmarkEmotionError
 from ..shapes import POINT_COUNT
 from .dataset import CLASSES
 from .gb import GBModel, Split, Tree
@@ -47,26 +47,26 @@ def _parse_block(text: str, what: str, rows: int | None, cols: int) -> np.ndarra
     # the data field is not split again: it is most of the file, and an empty table has none
     tag, stored_rows, stored_cols, *data = text.split(" ", 3)
     if tag != "b64":
-        raise FormatError(f"{what} is not a 'b64 <rows> <cols> <data>' block")
+        raise LandmarkEmotionError(f"{what} is not a 'b64 <rows> <cols> <data>' block")
     shape = int(stored_rows), int(stored_cols)
     if min(shape) < 0 or shape[1] != cols or rows not in (None, shape[0]):
-        raise FormatError(f"{what} has shape {shape}, expected ({'any' if rows is None else rows}, {cols})")
+        raise LandmarkEmotionError(f"{what} has shape {shape}, expected ({'any' if rows is None else rows}, {cols})")
     try:
         raw = base64.b64decode("".join(data), validate=True)
     except binascii.Error as exc:
-        raise FormatError(f"{what} is not valid base64 ({exc})") from exc
+        raise LandmarkEmotionError(f"{what} is not valid base64 ({exc})") from exc
     if len(raw) != _FLOAT.itemsize * shape[0] * shape[1]:
-        raise FormatError(f"{what} holds {len(raw)} bytes, not {shape[0]} x {shape[1]} float64 values")
+        raise LandmarkEmotionError(f"{what} holds {len(raw)} bytes, not {shape[0]} x {shape[1]} float64 values")
     table = np.frombuffer(raw, dtype=_FLOAT).reshape(shape)
     if not np.all(np.isfinite(table)):
-        raise FormatError(f"{what} must be finite")
+        raise LandmarkEmotionError(f"{what} must be finite")
     return table
 
 
 def _parse_float(text: str, what: str) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise FormatError(f"{what} must be finite, got {text!r}")
+        raise LandmarkEmotionError(f"{what} must be finite, got {text!r}")
     return value
 
 
@@ -82,7 +82,7 @@ def save_model(model: GBModel | SVMModel) -> str:
     elif isinstance(model, SVMModel):
         kind, body = "svm", _svm_lines(model)
     else:
-        raise FormatError(f"cannot persist object of type {type(model).__name__}")
+        raise LandmarkEmotionError(f"cannot persist object of type {type(model).__name__}")
     lines = [
         FORMAT_HEADER,
         f"kind: {kind}",
@@ -128,7 +128,7 @@ def _svm_lines(model: SVMModel) -> list[str]:
     ]
     # the loader gives each machine its class pair from this order
     if [(m.pos_class, m.neg_class) for m in model.machines] != list(combinations(model.classes, 2)):
-        raise FormatError("expected one machine per pair of model classes, in class order")
+        raise LandmarkEmotionError("expected one machine per pair of model classes, in class order")
     for m in model.machines:
         lines.append(f"machine bias={m.bias!r}")
         lines.append("sv_indices: " + " ".join(str(int(i)) for i in m.sv_indices))
@@ -157,7 +157,7 @@ class _LineReader:
     def next(self) -> str:
         line = self.peek()
         if line is None:
-            raise FormatError("unexpected end of model file")
+            raise LandmarkEmotionError("unexpected end of model file")
         self.pos += len(line) + 1
         return line
 
@@ -165,7 +165,7 @@ class _LineReader:
         line = self.next()
         prefix = key + ":"
         if not line.startswith(prefix):
-            raise FormatError(f"expected {key!r} line, got {line!r}")
+            raise LandmarkEmotionError(f"expected {key!r} line, got {line!r}")
         return line[len(prefix) :].strip()
 
     def optional_key(self, key: str) -> str | None:
@@ -176,14 +176,14 @@ class _LineReader:
 def load_model(text: str, expected_spec_digest: str | None = None) -> GBModel | SVMModel:
     """Parse a model file; verify the FeatureSpec digest when one is expected.
 
-    Every malformed file ends in a FormatError.
+    Every malformed file ends in a LandmarkEmotionError.
     """
     try:
         return _parse_model(text, expected_spec_digest)
-    except FormatError:
+    except LandmarkEmotionError:
         raise
     except (KeyError, IndexError, ValueError) as exc:
-        raise FormatError(f"malformed model file ({type(exc).__name__}: {exc})") from exc
+        raise LandmarkEmotionError(f"malformed model file ({type(exc).__name__}: {exc})") from exc
 
 
 def _parse_model(text: str, expected_spec_digest: str | None) -> GBModel | SVMModel:
@@ -191,23 +191,23 @@ def _parse_model(text: str, expected_spec_digest: str | None) -> GBModel | SVMMo
     header = reader.next()
     if header != FORMAT_HEADER:
         if header.startswith(_FORMAT_NAME + " "):
-            raise FormatError(f"model file format {header.split()[-1]} is no longer read; retrain the model")
-        raise FormatError(f"not a model file (missing {FORMAT_HEADER!r} header)")
+            raise LandmarkEmotionError(f"model file format {header.split()[-1]} is no longer read; retrain the model")
+        raise LandmarkEmotionError(f"not a model file (missing {FORMAT_HEADER!r} header)")
     kind = reader.expect_key("kind")
     digest = reader.expect_key("spec_digest")
     if expected_spec_digest is not None and digest != expected_spec_digest:
-        raise FormatError(
+        raise LandmarkEmotionError(
             f"FeatureSpec digest mismatch: model was trained on {digest or '<empty>'} "
             f"but the current configuration produces {expected_spec_digest}"
         )
     order = reader.expect_key("class_order").split(",")
     if tuple(order) != CLASSES:
-        raise FormatError(f"model class order {order} differs from {list(CLASSES)}")
+        raise LandmarkEmotionError(f"model class order {order} differs from {list(CLASSES)}")
     classes = tuple(int(c) for c in reader.expect_key("classes").split(","))
     if len(set(classes)) != len(classes) or not all(0 <= c < len(CLASSES) for c in classes):
-        raise FormatError(f"classes {list(classes)} must be distinct indices into the class order")
+        raise LandmarkEmotionError(f"classes {list(classes)} must be distinct indices into the class order")
     if len(classes) < 2:
-        raise FormatError(f"a model needs at least two classes, got {list(classes)}")
+        raise LandmarkEmotionError(f"a model needs at least two classes, got {list(classes)}")
     dimension = int(reader.expect_key("dimension"))
     mean = reader.optional_key("mean_shape")
     common = {
@@ -219,7 +219,7 @@ def _parse_model(text: str, expected_spec_digest: str | None) -> GBModel | SVMMo
         return _load_gb(reader, dimension, common)
     if kind == "svm":
         return _load_svm(reader, dimension, common)
-    raise FormatError(f"unknown model kind {kind!r}")
+    raise LandmarkEmotionError(f"unknown model kind {kind!r}")
 
 
 _TREE_FIELDS = {"values", "root", "inner_left", "inner_right"}
@@ -229,35 +229,35 @@ def _parse_split(text: str, dimension: int) -> Split:
     feature, threshold, gain = text.split(",")
     split = Split(int(feature), _parse_float(threshold, "split threshold"), _parse_float(gain, "split gain"))
     if not 0 <= split.feature < dimension:
-        raise FormatError(f"split feature index {split.feature} out of range")
+        raise LandmarkEmotionError(f"split feature index {split.feature} out of range")
     return split
 
 
 def _parse_tree(line: str, dimension: int) -> Tree:
     tag, *parts = line.split()
     if tag != "tree":
-        raise FormatError(f"expected a tree line, got {line!r}")
+        raise LandmarkEmotionError(f"expected a tree line, got {line!r}")
     fields = dict(p.split("=", 1) for p in parts)
     if len(fields) != len(parts) or not fields.keys() <= _TREE_FIELDS:
-        raise FormatError(f"tree line {line!r} has a repeated or unknown field")
+        raise LandmarkEmotionError(f"tree line {line!r} has a repeated or unknown field")
     inner_keys = fields.keys() & {"inner_left", "inner_right"}
     if len(inner_keys) > 1 or (inner_keys and "root" not in fields):
-        raise FormatError(f"tree line {line!r} needs a root and at most one inner split")
+        raise LandmarkEmotionError(f"tree line {line!r} needs a root and at most one inner split")
     root = _parse_split(fields["root"], dimension) if "root" in fields else None
     inner = _parse_split(fields[inner_keys.pop()], dimension) if inner_keys else None
     values = tuple(_parse_float(v, "leaf value") for v in fields["values"].split(","))
     if len(values) != 1 + (root is not None) + (inner is not None):
-        raise FormatError(f"tree line {line!r} has {len(values)} leaf values for its splits")
+        raise LandmarkEmotionError(f"tree line {line!r} has {len(values)} leaf values for its splits")
     return Tree(values, root, inner, inner_right="inner_right" in fields)
 
 
 def _load_gb(reader: _LineReader, dimension: int, common: dict) -> GBModel:
     shrinkage = float(reader.expect_key("shrinkage"))
     if not 0 < shrinkage <= 1:
-        raise FormatError(f"shrinkage must be in (0, 1], got {shrinkage!r}")
+        raise LandmarkEmotionError(f"shrinkage must be in (0, 1], got {shrinkage!r}")
     tree_count = int(reader.expect_key("tree_count"))
     if tree_count < 1:
-        raise FormatError(f"a GB model needs at least one tree per class, got tree_count {tree_count}")
+        raise LandmarkEmotionError(f"a GB model needs at least one tree per class, got tree_count {tree_count}")
     k = len(common["classes"])
     init_scores = _parse_block(reader.expect_key("init_scores"), "init_scores", 1, k)[0]
     lines = []
@@ -265,7 +265,7 @@ def _load_gb(reader: _LineReader, dimension: int, common: dict) -> GBModel:
         lines.append(reader.next())
     # the trees run tree_count per class, in class order
     if len(lines) != k * tree_count:
-        raise FormatError(f"expected {tree_count} trees for each of {k} classes, found {len(lines)} lines")
+        raise LandmarkEmotionError(f"expected {tree_count} trees for each of {k} classes, found {len(lines)} lines")
     trees = [_parse_tree(line, dimension) for line in lines]
     return GBModel(
         init_scores=init_scores,
@@ -282,9 +282,9 @@ def _load_svm(reader: _LineReader, dimension: int, common: dict) -> SVMModel:
     gamma = float(reader.expect_key("gamma"))
     # C = inf is a hard margin, as svm_train allows
     if not C > 0:
-        raise FormatError(f"C must be positive, got {C!r}")
+        raise LandmarkEmotionError(f"C must be positive, got {C!r}")
     if not 0 < gamma < math.inf:
-        raise FormatError(f"gamma must be positive and finite, got {gamma!r}")
+        raise LandmarkEmotionError(f"gamma must be positive and finite, got {gamma!r}")
     scaler = Scaler(
         lo=_parse_block(reader.expect_key("scaler_lo"), "scaler_lo", 1, dimension)[0],
         hi=_parse_block(reader.expect_key("scaler_hi"), "scaler_hi", 1, dimension)[0],
@@ -295,13 +295,13 @@ def _load_svm(reader: _LineReader, dimension: int, common: dict) -> SVMModel:
     for pos, neg in combinations(common["classes"], 2):
         line = reader.next()
         if not line.startswith("machine bias="):
-            raise FormatError(f"expected the machine for classes {pos} and {neg}, got {line!r}")
+            raise LandmarkEmotionError(f"expected the machine for classes {pos} and {neg}, got {line!r}")
         bias = _parse_float(line[len("machine bias=") :], "bias")
         sv_indices = _parse_ints(reader.expect_key("sv_indices"))
         coef = _parse_block(reader.expect_key("coef"), "coef", 1, len(sv_indices))[0]
         if np.any((sv_indices < 0) | (sv_indices >= len(vectors))):
-            raise FormatError("machine sv index outside the vector table")
+            raise LandmarkEmotionError("machine sv index outside the vector table")
         machines.append(BinaryMachine(pos, neg, sv_indices, coef, bias))
     if reader.peek() is not None:
-        raise FormatError(f"unexpected line after the last machine: {reader.peek()!r}")
+        raise LandmarkEmotionError(f"unexpected line after the last machine: {reader.peek()!r}")
     return SVMModel(vectors=vectors, machines=tuple(machines), gamma=gamma, C=C, scaler=scaler, **common)

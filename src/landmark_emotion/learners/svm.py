@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ..errors import DimensionMismatchError
+from ..errors import LandmarkEmotionError
 from .dataset import CLASSES, LabeledDataset, canonical_order
 
 DEFAULT_TOL = 1e-3
@@ -86,7 +86,7 @@ def smo_solve(
     K: np.ndarray,
     y: np.ndarray,
     C: Sequence[float],
-    tol: float = DEFAULT_TOL,
+    *,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Solve k binary C-SVC duals at each of m values of C, all in lock step.
@@ -102,17 +102,17 @@ def smo_solve(
     Each round takes one maximal-violating-pair step in every problem still
     running, with the same IEEE operations a one-problem loop makes, so a
     problem's alpha, bias and iteration count do not depend on its stack.  A
-    problem stops, and is frozen, once its pair violates by at most ``tol``
-    or after ``max_iter`` steps.
+    problem stops, and is frozen, once its pair violates by at most
+    ``DEFAULT_TOL`` or after ``max_iter`` steps.
     """
     y = np.asarray(y, dtype=np.float64)
     K = np.asarray(K, dtype=np.float64)
     if y.ndim != 2 or K.shape != y.shape + y.shape[-1:]:
-        raise DimensionMismatchError(f"kernel matrix {K.shape} does not match labels {y.shape}")
+        raise LandmarkEmotionError(f"kernel matrix {K.shape} does not match labels {y.shape}")
     k, n = y.shape
     Cs = np.asarray(C, dtype=np.float64)
     if Cs.ndim != 1:
-        raise DimensionMismatchError(f"C must be a list of values, got shape {Cs.shape}")
+        raise LandmarkEmotionError(f"C must be a list of values, got shape {Cs.shape}")
     p = Cs.size * k
     alpha = np.zeros((p, n))
     grad = -np.ones((p, n))  # gradient of the dual objective at alpha = 0
@@ -136,7 +136,7 @@ def smo_solve(
         j = np.argmin(np.where(low, neg_yg, np.inf), axis=1)
         r = np.arange(run.size)
         empty = ~(up.any(axis=1) & low.any(axis=1))
-        converged = ~empty & (neg_yg[r, i] - neg_yg[r, j] <= tol)
+        converged = ~empty & (neg_yg[r, i] - neg_yg[r, j] <= DEFAULT_TOL)
         stop = empty | converged
         if stop.any():
             # a problem with an empty index set counts the round it stopped in
@@ -238,7 +238,7 @@ class SVMModel:
 def _check_hyperparameters(C: float, gamma: float) -> None:
     # C = inf is a valid hard margin; gamma = inf puts inf * 0 = NaN on the kernel diagonal
     if not C > 0 or not 0 < gamma < np.inf:
-        raise DimensionMismatchError(
+        raise LandmarkEmotionError(
             f"C must be positive and gamma positive and finite, got C={C}, gamma={gamma}"
         )
 
@@ -263,7 +263,7 @@ def _prepare(train: LabeledDataset, scaler: Scaler) -> _TrainingData:
     train.require_labeled()
     classes = train.classes_present()
     if len(classes) < 2:
-        raise DimensionMismatchError("SVM training needs at least two classes present")
+        raise LandmarkEmotionError("SVM training needs at least two classes present")
     X = scaler.transform(train.X)
     # on ties the larger class sorts first: it is the -1 label of every pair it is in
     order = canonical_order(X, -train.y)
@@ -332,7 +332,7 @@ def svm_decision_votes(model: SVMModel, X: np.ndarray) -> np.ndarray:
     """Vote counts per global class for each raw row of ``X``; the model's scaler applies."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.dimension:
-        raise DimensionMismatchError(f"expected {model.dimension} columns, got {X.shape[1]}")
+        raise LandmarkEmotionError(f"expected {model.dimension} columns, got {X.shape[1]}")
     X = model.scaler.transform(X)
     K = rbf_kernel_matrix(X, model.vectors, model.gamma) if len(model.vectors) else np.zeros((X.shape[0], 0))
     return _count_votes(K, model.machines)
@@ -380,11 +380,11 @@ def grid_search(
     the kernels and one solve step over every C once per gamma.
     """
     if len(val) == 0:
-        raise DimensionMismatchError("grid search needs a non-empty validation set")
+        raise LandmarkEmotionError("grid search needs a non-empty validation set")
     if not C_grid or not gamma_grid:
-        raise DimensionMismatchError("grids must be non-empty")
+        raise LandmarkEmotionError("grids must be non-empty")
     if val.dimension != train.dimension:
-        raise DimensionMismatchError(
+        raise LandmarkEmotionError(
             f"validation rows have {val.dimension} columns, training rows {train.dimension}"
         )
     C_grid = tuple(float(c) for c in C_grid)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, FormatError, LandmarkEmotionError
+from .errors import LandmarkEmotionError
 from .features.extract import (
     POINT_TEXTURE_ORIENTATIONS,
     POINT_TEXTURE_SCALES,
@@ -78,19 +78,21 @@ class DatasetManifest:
     def __post_init__(self):
         seen = set()
         for e in self.entries:
+            if not e.sample_id or any(c in e.sample_id for c in "\t\n\r"):  # predict prints one "id<TAB>label" line each
+                raise LandmarkEmotionError(f"sample id {e.sample_id!r} is empty or holds a tab or line break")
             if e.sample_id in seen:
-                raise FormatError(f"duplicate sample id {e.sample_id!r} in manifest")
+                raise LandmarkEmotionError(f"duplicate sample id {e.sample_id!r} in manifest")
             seen.add(e.sample_id)
             if e.split not in SPLITS:
-                raise FormatError(f"entry {e.sample_id!r} has unknown split {e.split!r}")
+                raise LandmarkEmotionError(f"entry {e.sample_id!r} has unknown split {e.split!r}")
             if e.label and e.label not in CLASSES:
-                raise FormatError(f"entry {e.sample_id!r} has unknown label {e.label!r}")
+                raise LandmarkEmotionError(f"entry {e.sample_id!r} has unknown label {e.label!r}")
             if "\0" in e.pts_path + e.image_path:  # no file system accepts it in a name
-                raise FormatError(f"entry {e.sample_id!r} has a NUL character in a file path")
+                raise LandmarkEmotionError(f"entry {e.sample_id!r} has a NUL character in a file path")
 
     def for_split(self, split: str) -> tuple[ManifestEntry, ...]:
         if split not in SPLITS:
-            raise ConfigError(f"unknown split {split!r}")
+            raise LandmarkEmotionError(f"unknown split {split!r}")
         return tuple(e for e in self.entries if e.split == split)
 
 
@@ -98,24 +100,24 @@ MANIFEST_HEADER = ["id", "pts_path", "image_path", "label", "split"]
 
 
 def read_utf8(path: str | Path) -> str:
-    """The text of a UTF-8 file; any other encoding is a FormatError."""
+    """The text of a UTF-8 file, less one leading BOM; any other encoding is a LandmarkEmotionError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path} is not UTF-8 text") from exc
+        raise LandmarkEmotionError(f"{path} is not UTF-8 text") from exc
 
 
 def read_manifest(path: str | Path) -> DatasetManifest:
     reader = csv.reader(io.StringIO(read_utf8(path)))
     rows = list(reader)
     if not rows or rows[0] != MANIFEST_HEADER:
-        raise FormatError(f"manifest must start with header {','.join(MANIFEST_HEADER)!r}")
+        raise LandmarkEmotionError(f"manifest must start with header {','.join(MANIFEST_HEADER)!r}")
     entries = []
     for line_no, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 5:
-            raise FormatError(f"manifest line {line_no} has {len(row)} fields, expected 5")
+            raise LandmarkEmotionError(f"manifest line {line_no} has {len(row)} fields, expected 5")
         entries.append(ManifestEntry(*(f.strip() for f in row)))
     return DatasetManifest(entries=tuple(entries))
 
@@ -148,31 +150,31 @@ class PipelineConfig:
 
     def __post_init__(self):
         if not self.features:
-            raise ConfigError("select at least one feature family")
+            raise LandmarkEmotionError("select at least one feature family")
         for f in self.features:
             if f not in FEATURE_FAMILIES:
-                raise ConfigError(f"unknown feature family {f!r}; choose from {FEATURE_FAMILIES}")
+                raise LandmarkEmotionError(f"unknown feature family {f!r}; choose from {FEATURE_FAMILIES}")
         if self.model not in ("gb", "svm"):
-            raise ConfigError(f"model must be 'gb' or 'svm', got {self.model!r}")
+            raise LandmarkEmotionError(f"model must be 'gb' or 'svm', got {self.model!r}")
         if self.eval_split not in SPLITS:
-            raise ConfigError(f"eval_split must be one of {SPLITS}")
+            raise LandmarkEmotionError(f"eval_split must be one of {SPLITS}")
         if (self.svm_c is None) != (self.svm_gamma is None):
-            raise ConfigError("set both svm_c and svm_gamma for a fixed SVM, or neither for a grid search")
+            raise LandmarkEmotionError("set both svm_c and svm_gamma for a fixed SVM, or neither for a grid search")
         svm_values = [("svm_c_grid", self.svm_c_grid), ("svm_gamma_grid", self.svm_gamma_grid)]
         if self.svm_c is not None:
             svm_values += [("svm_c", (self.svm_c,)), ("svm_gamma", (self.svm_gamma,))]
         for key, values in svm_values:
             if not values:
-                raise ConfigError(f"{key} must list at least one value")
+                raise LandmarkEmotionError(f"{key} must list at least one value")
             # C = inf is a hard margin; an infinite gamma makes the RBF kernel NaN
             gamma = key.startswith("svm_gamma")
             for v in values:
                 if not (v > 0 and (v < np.inf or not gamma)):
-                    raise ConfigError(f"{key} must be in {'(0, inf)' if gamma else '(0, inf]'}, got {v}")
+                    raise LandmarkEmotionError(f"{key} must be in {'(0, inf)' if gamma else '(0, inf]'}, got {v}")
         if not 0 < self.shrinkage <= 1:
-            raise ConfigError(f"shrinkage must be in (0, 1], got {self.shrinkage}")
+            raise LandmarkEmotionError(f"shrinkage must be in (0, 1], got {self.shrinkage}")
         if self.max_trees < 1:
-            raise ConfigError(f"max_trees must be at least 1, got {self.max_trees}")
+            raise LandmarkEmotionError(f"max_trees must be at least 1, got {self.max_trees}")
 
     def needs_images(self) -> bool:
         return "bif" in self.features or "point_texture" in self.features
@@ -205,14 +207,14 @@ def parse_config(text: str) -> PipelineConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"config line {line_no} is not 'key = value': {raw!r}")
+            raise LandmarkEmotionError(f"config line {line_no} is not 'key = value': {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         if key in values:
-            raise ConfigError(f"duplicate config key {key!r}")
+            raise LandmarkEmotionError(f"duplicate config key {key!r}")
         values[key] = val
     unknown = sorted(values.keys() - _FIELD_PARSERS.keys())
     if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}")
+        raise LandmarkEmotionError(f"unknown config keys: {unknown}")
     kwargs = {}
     for key, raw in values.items():
         try:
@@ -223,7 +225,7 @@ def parse_config(text: str) -> PipelineConfig:
                 problem = f"needs an integer, got {raw!r}"
             except ValueError:
                 problem = f"has a non-numeric value {raw!r}"
-            raise ConfigError(f"config key {key!r} {problem}") from exc
+            raise LandmarkEmotionError(f"config key {key!r} {problem}") from exc
     return PipelineConfig(**kwargs)
 
 
@@ -365,7 +367,7 @@ def load_dataset(
     if config.needs_images():
         for e in manifest.entries:
             if e.split in entries and not e.absent and not e.image_path:
-                raise ConfigError(
+                raise LandmarkEmotionError(
                     f"feature set {config.features} needs images but entry {e.sample_id!r} has no image path"
                 )
     parsed: dict[str, list[_ParsedEntry]] = {s: [] for s in entries}
@@ -392,7 +394,7 @@ def load_dataset(
         mean = None
     elif mean is None:
         if len(shapes.get("train", ())) == 0:
-            raise ConfigError("axis features need at least one training shape for the mean")
+            raise LandmarkEmotionError("axis features need at least one training shape for the mean")
         mean = mean_shape(shapes["train"])
 
     datasets: dict[str, LabeledDataset | None] = {}
@@ -402,7 +404,7 @@ def load_dataset(
             continue
         X = _extract_features(shapes[split], texture.get(split), config, mean)
         if X.shape[1] != spec.total_dimension:
-            raise DimensionMismatchError(
+            raise LandmarkEmotionError(
                 f"X has {X.shape[1]} columns but spec declares {spec.total_dimension}"
             )
         y = np.array(
@@ -435,7 +437,7 @@ def predict_with_fallback(
         elif isinstance(model, GBModel):
             indices = gb_predict_batch(model, dataset.X)
         else:
-            raise ConfigError(f"cannot predict with object of type {type(model).__name__}")
+            raise LandmarkEmotionError(f"cannot predict with object of type {type(model).__name__}")
         ids = dataset.ids if dataset.ids else tuple(str(i) for i in range(len(dataset)))
         for sid, idx in zip(ids, indices):
             out[sid] = CLASSES[int(idx)]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateShapeError, DimensionMismatchError, FormatError, UnsupportedTopologyError
+from .errors import LandmarkEmotionError
 
 POINT_COUNT = 68  # points in the iBUG layout
 LEFT_EYE = slice(36, 42)
@@ -30,9 +30,9 @@ MOUTH_CORNERS = (48, 54)
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise DimensionMismatchError(f"expected an (n, 2) point array, got shape {pts.shape}")
+        raise LandmarkEmotionError(f"expected an (n, 2) point array, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
-        raise FormatError("landmark coordinates must be finite")
+        raise LandmarkEmotionError("landmark coordinates must be finite")
     pts = pts.copy()
     pts.flags.writeable = False
     return pts
@@ -47,7 +47,7 @@ class LandmarkSet:
     def __post_init__(self):
         object.__setattr__(self, "points", _as_points(self.points))
         if self.point_count == 0:
-            raise FormatError("a landmark set needs at least one point")
+            raise LandmarkEmotionError("a landmark set needs at least one point")
 
     @property
     def point_count(self) -> int:
@@ -67,28 +67,28 @@ def centroid_size(points: np.ndarray) -> np.ndarray:
 def parse_pts(text: str) -> LandmarkSet:
     """Parse an iBUG 300-W ``.pts`` file (version line, ``n_points:``, braces).
 
-    Raises FormatError when the declared point count disagrees with the
+    Raises LandmarkEmotionError when the declared point count disagrees with the
     number of coordinate lines or a coordinate is not numeric.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("//")]
     if not lines or not lines[0].lower().startswith("version"):
-        raise FormatError("missing 'version' header line")
+        raise LandmarkEmotionError("missing 'version' header line")
     if len(lines) < 2 or not lines[1].lower().startswith("n_points"):
-        raise FormatError("missing 'n_points' header line")
+        raise LandmarkEmotionError("missing 'n_points' header line")
     try:
         declared = int(lines[1].split(":", 1)[1])
     except (IndexError, ValueError) as exc:
-        raise FormatError(f"unreadable n_points line: {lines[1]!r}") from exc
+        raise LandmarkEmotionError(f"unreadable n_points line: {lines[1]!r}") from exc
     if declared <= 0:
-        raise FormatError(f"n_points must be positive, got {declared}")
+        raise LandmarkEmotionError(f"n_points must be positive, got {declared}")
 
     body = lines[2:]
     if not body or body[0] != "{" or body[-1] != "}":
-        raise FormatError("points must be enclosed in '{' and '}'")
+        raise LandmarkEmotionError("points must be enclosed in '{' and '}'")
     coord_lines = body[1:-1]
     if len(coord_lines) != declared:
-        raise FormatError(f"declared n_points: {declared} but found {len(coord_lines)} point lines")
+        raise LandmarkEmotionError(f"declared n_points: {declared} but found {len(coord_lines)} point lines")
 
     rows = [ln.split() for ln in coord_lines]
     points = None
@@ -101,11 +101,11 @@ def parse_pts(text: str) -> LandmarkSet:
         # name the first bad line, as a line-by-line reading meets it
         for i, (ln, parts) in enumerate(zip(coord_lines, rows)):
             if len(parts) != 2:
-                raise FormatError(f"point line {i} must hold exactly 'x y', got {ln!r}")
+                raise LandmarkEmotionError(f"point line {i} must hold exactly 'x y', got {ln!r}")
             try:
                 float(parts[0]), float(parts[1])
             except ValueError as exc:
-                raise FormatError(f"non-numeric coordinate on point line {i}: {ln!r}") from exc
+                raise LandmarkEmotionError(f"non-numeric coordinate on point line {i}: {ln!r}") from exc
     return LandmarkSet(points.reshape(declared, 2))
 
 
@@ -130,13 +130,13 @@ def normalize_size(points: np.ndarray) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.shape[-2] < 2:
-        raise DegenerateShapeError("size normalization needs at least 2 points")
+        raise LandmarkEmotionError("size normalization needs at least 2 points")
     size = centroid_size(pts)
     for value in np.ravel(size).tolist():
         if not math.isfinite(value):
-            raise DegenerateShapeError(f"centroid size {value} is not finite")
+            raise LandmarkEmotionError(f"centroid size {value} is not finite")
         if value <= 1e-12:
-            raise DegenerateShapeError("all points coincide; centroid size is zero")
+            raise LandmarkEmotionError("all points coincide; centroid size is zero")
     normalized = (pts - pts.mean(axis=-2, keepdims=True)) / size[..., None, None]
     # kill residual floating-point drift so the invariants hold exactly
     normalized = normalized - normalized.mean(axis=-2, keepdims=True)
@@ -157,7 +157,7 @@ def upright(points: np.ndarray) -> np.ndarray:
     """
     points = np.asarray(points, dtype=np.float64)
     if points.shape[-2] != POINT_COUNT:
-        raise UnsupportedTopologyError(
+        raise LandmarkEmotionError(
             f"up-righting requires the {POINT_COUNT}-point layout, got {points.shape[-2]} points"
         )
     left, right = eye_centers(points)
@@ -167,7 +167,7 @@ def upright(points: np.ndarray) -> np.ndarray:
     # the angle per face with math, not numpy: np.arctan2's bits depend on the CPU's SIMD level
     for (dx, dy), span in zip(delta.reshape(-1, 2).tolist(), np.ravel(spans).tolist()):
         if span <= 1e-12:
-            raise DegenerateShapeError("eye centers coincide; orientation is undefined")
+            raise LandmarkEmotionError("eye centers coincide; orientation is undefined")
         angle = math.atan2(dy, dx)
         cos, sin = math.cos(-angle), math.sin(-angle)
         rot.append([[cos, -sin], [sin, cos]])
@@ -184,7 +184,7 @@ def mean_shape(shapes: np.ndarray) -> np.ndarray:
     try:
         stack = np.asarray(shapes, dtype=np.float64)
     except ValueError as exc:  # a sequence of shapes with different point counts
-        raise DimensionMismatchError("cannot average shapes with different point counts") from exc
+        raise LandmarkEmotionError("cannot average shapes with different point counts") from exc
     if stack.ndim != 3 or len(stack) == 0 or stack.shape[-1] != 2:
-        raise DimensionMismatchError(f"need a non-empty (m, n, 2) stack of shapes, got shape {stack.shape}")
+        raise LandmarkEmotionError(f"need a non-empty (m, n, 2) stack of shapes, got shape {stack.shape}")
     return normalize_size(stack.mean(axis=0))

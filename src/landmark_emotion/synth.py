@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import LandmarkEmotionError
 from .learners.dataset import CLASSES
 from .pipeline import DatasetManifest, ManifestEntry, write_manifest
 from .shapes import LandmarkSet, write_pts
@@ -124,7 +124,7 @@ def class_displacement(label: str) -> np.ndarray:
         _shift(d, brows, dy=4.0)
         _shift(d, (17, 21, 22, 26), dy=1.5)
     else:
-        raise ConfigError(f"unknown class label {label!r}")
+        raise LandmarkEmotionError(f"unknown class label {label!r}")
     return d
 
 
@@ -156,9 +156,9 @@ def _split_sizes(per_class: int) -> tuple[int, int, int]:
 def synth_dataset(out_dir: str | Path, seed: int, per_class_count: int) -> Path:
     """Write `.pts` files plus `manifest.csv` under ``out_dir``; returns the manifest path."""
     if per_class_count < 1:
-        raise ConfigError("per_class_count must be at least 1")
+        raise LandmarkEmotionError("per_class_count must be at least 1")
     if seed < 0:
-        raise ConfigError(f"seed must be at least 0, got {seed}")
+        raise LandmarkEmotionError(f"seed must be at least 0, got {seed}")
     out_dir = Path(out_dir)
     pts_dir = out_dir / "pts"
     pts_dir.mkdir(parents=True, exist_ok=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from landmark_emotion.errors import DimensionMismatchError
+from landmark_emotion.errors import LandmarkEmotionError
 from landmark_emotion.learners.svm import _TAU, DEFAULT_MAX_ITER, DEFAULT_TOL, _compute_bias
 
 
@@ -28,7 +28,7 @@ def reference_smo_solve(
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[0]
     if K.shape != (n, n):
-        raise DimensionMismatchError(f"kernel matrix {K.shape} does not match {n} labels")
+        raise LandmarkEmotionError(f"kernel matrix {K.shape} does not match {n} labels")
     Q = (y[:, None] * y[None, :]) * K
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of the dual objective at alpha = 0

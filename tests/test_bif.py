@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from landmark_emotion.errors import DimensionMismatchError
+from landmark_emotion.errors import LandmarkEmotionError
 from landmark_emotion.features.extract import bif_block, bif_features
 from landmark_emotion.features.gabor import Band, build_gabor_bank, gabor_kernel_pair
 from landmark_emotion.features.image import GrayImage
@@ -140,8 +140,8 @@ def test_default_bank_matches_reference(rng):
 
 def test_wrong_image_size_rejected(rng):
     bank = build_gabor_bank()
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(LandmarkEmotionError, match="60x60 crop, got 60x59"):
         bif_features(GrayImage(rng.random((59, 60))), bank)
     toy = build_gabor_bank(**TOY_SINGLE)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(LandmarkEmotionError, match="4x4 crop, got 60x60"):
         bif_features(GrayImage(rng.random((60, 60))), toy)

@@ -388,6 +388,22 @@ def test_non_utf8_inputs_fail_cleanly(synth_dir, tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("error: ") and "UTF-8" in err[0], err
 
 
+@pytest.mark.parametrize("bommed", ["config", "manifest", "pts"])
+def test_a_leading_byte_order_mark_is_ignored(bommed, synth_dir, tmp_path, capsys):
+    data = _copy_data(synth_dir, tmp_path)
+    manifest = data / "manifest.csv"
+    cfg = tmp_path / "gb.cfg"
+    cfg.write_text(FAST_GB_CONFIG.lstrip().format(manifest=manifest))
+    plain = tmp_path / "plain.model"
+    assert main(["train", "--config", str(cfg), "--model", str(plain)]) == 0
+    target = {"config": cfg, "manifest": manifest, "pts": data / read_manifest(manifest).entries[0].pts_path}[bommed]
+    target.write_bytes(b"\xef\xbb\xbf" + target.read_bytes())  # as Windows Notepad saves UTF-8
+    bommed_model = tmp_path / "bommed.model"
+    assert main(["train", "--config", str(cfg), "--model", str(bommed_model)]) == 0
+    assert capsys.readouterr().err == ""
+    assert bommed_model.read_bytes() == plain.read_bytes()
+
+
 def test_influence_rejects_svm_model(synth_dir, tmp_path, capsys):
     cfg = write_config(synth_dir, FAST_SVM_CONFIG)
     model_path = tmp_path / "svm2.model"

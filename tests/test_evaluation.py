@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from landmark_emotion.errors import DimensionMismatchError
+from landmark_emotion.errors import LandmarkEmotionError
 from landmark_emotion.evaluation import (
     ConfusionMatrix,
     accuracy_line,
@@ -66,11 +66,11 @@ def test_confusion_single_sample():
 
 
 def test_confusion_errors():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(LandmarkEmotionError, match="1 predictions vs 2 truth labels"):
         confusion(["Happy"], ["Happy", "Sad"])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(LandmarkEmotionError, match="zero samples"):
         confusion([], [])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(LandmarkEmotionError, match="empty confusion matrix"):
         overall_accuracy(ConfusionMatrix(counts=np.zeros((7, 7), dtype=int)))
 
 
@@ -180,7 +180,7 @@ def test_influence_requires_distance_block(rng):
     spec = FeatureSpec(blocks=(landmark_block("axis", 20, 10),))
     ds = LabeledDataset(X=rng.random((20, 20)), y=np.array([0, 3] * 10))
     model = gb_train(ds, ds, max_trees=2)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(LandmarkEmotionError, match="distance block"):
         influence_report(model, spec, top_k=3)
 
 

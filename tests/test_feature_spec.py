@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from landmark_emotion.errors import DimensionMismatchError
+from landmark_emotion.errors import LandmarkEmotionError
 from landmark_emotion.features.extract import point_texture_block
 from landmark_emotion.features.spec import FeatureSpec, pair_enumeration
 from landmark_emotion.learners.dataset import LabeledDataset
@@ -45,7 +45,7 @@ def test_spec_dimensions():
 )
 def test_labeled_dataset_rejects_bad_rows(X):
     assert len(LabeledDataset(X=np.zeros((1, 6)), y=[0])) == 1
-    with pytest.raises(DimensionMismatchError, match="finite"):
+    with pytest.raises(LandmarkEmotionError, match="finite"):
         LabeledDataset(X=X, y=[0])
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from landmark_emotion.errors import ConfigError
+from landmark_emotion.errors import LandmarkEmotionError
 from landmark_emotion.features.gabor import (
     Band,
     build_gabor_bank,
@@ -81,9 +81,9 @@ def test_orientation_pi_symmetry(size, theta):
 
 
 def test_even_size_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(LandmarkEmotionError, match="odd and positive, got 8"):
         gabor_kernel_pair(8, 0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(LandmarkEmotionError, match="odd and positive, got 6"):
         build_gabor_bank((Band(sizes=(6, 8), cell=4, step=2),))
 
 
@@ -95,7 +95,7 @@ def test_sigma_lambda_schedule():
 
 
 def test_bad_configs():
-    with pytest.raises(ConfigError):
+    with pytest.raises(LandmarkEmotionError, match="at least one orientation"):
         build_gabor_bank(orientations=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(LandmarkEmotionError, match=r"bad pooling cell geometry \(61, 3\)"):
         build_gabor_bank((Band(sizes=(7, 9), cell=61, step=3),))  # cell wider than the crop

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gb_oracle
-from landmark_emotion.errors import DimensionMismatchError
+from landmark_emotion.errors import LandmarkEmotionError
 from landmark_emotion.learners.dataset import CLASSES, LabeledDataset, canonical_order
 from landmark_emotion.learners import gb
 from landmark_emotion.learners.gb import Split, gb_influence, gb_predict_batch, gb_scores, gb_train
@@ -47,7 +47,7 @@ def test_single_feature_split_fixture():
 
 def test_single_class_rejected():
     ds = dataset(np.random.default_rng(0).random((6, 3)), [4] * 6)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(LandmarkEmotionError, match="at least two classes"):
         gb_train(ds, ds)
 
 
@@ -127,7 +127,7 @@ def test_argmax_invariant_to_score_shift():
 def test_dimension_mismatch_rejected():
     train, val = blob_fixture(n_per=10)
     model = gb_train(train, val, max_trees=3)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(LandmarkEmotionError, match="expected 2 columns, got 5"):
         gb_predict_batch(model, np.zeros(5))
 
 

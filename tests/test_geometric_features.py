@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from conftest import apply_similarity, make_face, random_similarity
-from landmark_emotion.errors import DimensionMismatchError
+from landmark_emotion.errors import LandmarkEmotionError
 from landmark_emotion.features.extract import axis_distances, point_distances
 from landmark_emotion.features.spec import pair_enumeration
 from landmark_emotion.shapes import mean_shape, normalize_size, upright
@@ -98,7 +98,7 @@ def test_axis_interleaving(rng):
 def test_axis_point_count_mismatch(rng):
     shape = normalize_size(rng.standard_normal((68, 2)))
     small = normalize_size(rng.standard_normal((4, 2)))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(LandmarkEmotionError, match=r"mean shape \(4, 2\)"):
         axis_distances(shape, small)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import face_with_anchors
-from landmark_emotion.errors import DegenerateShapeError, FormatError, UnsupportedTopologyError
+from landmark_emotion.errors import LandmarkEmotionError
 from landmark_emotion.features.image import (
     GrayImage,
     SimilarityTransform,
@@ -37,22 +37,23 @@ def test_pgm_maxval_scaling():
     assert img.pixels[0, 1] == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize(
-    "data",
-    [
-        b"P2\n2 2\n255\n....",  # ascii PGM not supported
-        b"P5\n2 2\n255\n" + bytes([0, 0, 0]),  # truncated raster
-        b"P5\n2 2\n70000\n" + bytes([0] * 4),  # 16-bit depth
-        b"P5\n2\n255\n",  # missing height
-    ],
-)
+# malformed PGM bytes -> the error message they must raise
+MALFORMED_PGM = {
+    b"P2\n2 2\n255\n....": "missing P5 magic",  # ascii PGM not supported
+    b"P5\n2 2\n255\n" + bytes([0, 0, 0]): "raster shorter than width",
+    b"P5\n2 2\n70000\n" + bytes([0] * 4): r"only 8-bit PGM supported \(maxval 70000\)",
+    b"P5\n2\n255\n": "truncated PGM header",  # missing height
+}
+
+
+@pytest.mark.parametrize("data", list(MALFORMED_PGM))
 def test_pgm_malformed(data):
-    with pytest.raises(FormatError):
+    with pytest.raises(LandmarkEmotionError, match=MALFORMED_PGM[data]):
         read_pgm(data)
 
 
 def test_gray_image_validation():
-    with pytest.raises(FormatError):
+    with pytest.raises(LandmarkEmotionError, match="pixel intensities"):
         GrayImage(np.array([[0.0, 2.0]]))
     with pytest.raises(Exception):
         GrayImage(np.zeros((0, 4)))
@@ -83,7 +84,7 @@ def test_fit_similarity_recovers_exact(rng):
 
 def test_fit_similarity_degenerate():
     src = np.zeros((3, 2))
-    with pytest.raises(DegenerateShapeError):
+    with pytest.raises(LandmarkEmotionError, match="source points coincide"):
         fit_similarity(src, np.ones((3, 2)))
 
 
@@ -111,11 +112,11 @@ def test_align_face_maps_eye_to_canonical():
 def test_align_face_errors(rng):
     img = GrayImage(np.zeros((50, 50)))
     degenerate = face_with_anchors((10, 10), (10, 10), (10, 30))
-    with pytest.raises(DegenerateShapeError):
+    with pytest.raises(LandmarkEmotionError, match="eye centers coincide"):
         align_face(img, degenerate)
     from landmark_emotion.shapes import LandmarkSet
 
-    with pytest.raises(UnsupportedTopologyError, match="68-point"):
+    with pytest.raises(LandmarkEmotionError, match="68-point"):
         align_face(img, LandmarkSet(np.random.default_rng(0).random((10, 2))))
 
 

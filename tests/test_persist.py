@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from landmark_emotion.cli import main
-from landmark_emotion.errors import FormatError
+from landmark_emotion.errors import LandmarkEmotionError
 from landmark_emotion.features.spec import FeatureBlock, FeatureSpec
 from landmark_emotion.learners.dataset import LabeledDataset
 from landmark_emotion.learners.gb import gb_predict_batch, gb_scores, gb_train
@@ -100,7 +100,7 @@ def test_digest_mismatch_rejected(rng):
     model = replace(model, spec_digest=plain_spec(2).digest())
     text = save_model(model)
     other = build_feature_spec(PipelineConfig(features=("distances",))).digest()
-    with pytest.raises(FormatError, match="digest"):
+    with pytest.raises(LandmarkEmotionError, match="digest"):
         load_model(text, expected_spec_digest=other)
 
 
@@ -108,13 +108,13 @@ def test_malformed_model_files(rng):
     ds = three_class(rng)
     model = gb_train(ds, ds, max_trees=2)
     text = save_model(model)
-    with pytest.raises(FormatError):
+    with pytest.raises(LandmarkEmotionError, match="not a model file"):
         load_model("not a model\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(LandmarkEmotionError, match="unknown model kind 'forest'"):
         load_model(text.replace("kind: gb", "kind: forest"))
     # truncated tree section
     truncated = "\n".join(text.splitlines()[:-1])
-    with pytest.raises(FormatError):
+    with pytest.raises(LandmarkEmotionError, match="expected 1 trees for each of 3 classes, found 2 lines"):
         load_model(truncated)
 
 
@@ -194,85 +194,111 @@ def _drop_trees(text):
     return re.sub(r"(?m)^tree .*\n", "", text)
 
 
-# (model kind, edit of a valid model file, raw exception the FormatError wraps, or None
-# when a check rejects the file before any parsing step fails)
+# (model kind, edit of a valid model file, raw exception the LandmarkEmotionError wraps, or None
+# when a check rejects the file before any parsing step fails, what the error message says)
 MALFORMED = {
-    "v1_header": ("gb", _sub_first("landmark-emotion-model v3", "landmark-emotion-model v1"), None),
-    "v2_header": ("gb", _sub_first("landmark-emotion-model v3", "landmark-emotion-model v2"), None),
+    "v1_header": ("gb", _sub_first("landmark-emotion-model v3", "landmark-emotion-model v1"), None, "format v1"),
+    "v2_header": ("gb", _sub_first("landmark-emotion-model v3", "landmark-emotion-model v2"), None, "format v2"),
     # a tree's class follows from its position, so a v2 class field is unknown
-    "tree_class_field": ("gb", _sub_first(r"(?m)^tree ", "tree class=0 "), None),
-    "tree_count_mismatch": ("gb", _sub_first(r"tree_count: \d+", "tree_count: 3"), None),
-    "truncated_tree_line": ("gb", _sub_first(r"(?m)^tree .*$", "tree"), KeyError),
-    "classes_not_numbers": ("gb", _sub_first("classes: 0,3,6", "classes: a"), ValueError),
-    "split_without_gain": ("gb", _sub_first(r"(root=\d+,[^,]+),\S+", r"\1"), ValueError),
-    "empty_last_tree": ("gb", _sub_first(r"values=\S+(.*\n)\Z", r"values=\1"), ValueError),
-    "blank_line_after_vectors": ("svm", _sub_first(r"(?m)^machine ", "\nmachine "), None),
-    "gb_class_out_of_range": ("gb", _sub_first("classes: 0,3,6", "classes: 0,3,9"), None),
+    "tree_class_field": ("gb", _sub_first(r"(?m)^tree ", "tree class=0 "), None, "repeated or unknown field"),
+    "tree_count_mismatch": ("gb", _sub_first(r"tree_count: \d+", "tree_count: 3"), None, "found 3 lines"),
+    "truncated_tree_line": ("gb", _sub_first(r"(?m)^tree .*$", "tree"), KeyError, r"\(KeyError: 'values'\)"),
+    "classes_not_numbers": ("gb", _sub_first("classes: 0,3,6", "classes: a"), ValueError, r"int\(\) with base 10: 'a'"),
+    "split_without_gain": ("gb", _sub_first(r"(root=\d+,[^,]+),\S+", r"\1"), ValueError, "not enough values to unpack"),
+    "empty_last_tree": ("gb", _sub_first(r"values=\S+(.*\n)\Z", r"values=\1"), ValueError, "to float: ''"),
+    "blank_line_after_vectors": ("svm", _sub_first(r"(?m)^machine ", "\nmachine "), None, "classes 0 and 3, got ''"),
+    "gb_class_out_of_range": ("gb", _sub_first("classes: 0,3,6", "classes: 0,3,9"), None, r"\[0, 3, 9\] must be"),
     # the file holds one machine more than its three classes have pairs
-    "repeated_machine_pair": ("svm", _sub_first(r"(?m)^(machine .*\nsv_indices: .*\ncoef: .*\n)", r"\1\1"), None),
-    "line_after_last_machine": ("svm", lambda text: text + "coef: 1.0\n", None),
-    "negative_sv_index": ("svm", _sub_first(r"(?m)^sv_indices: \d+", "sv_indices: -1"), None),
-    "svm_class_out_of_range": ("svm", _sub_first("classes: 0,3,6", "classes: 0,3,9"), None),
-    "vector_count_past_end": ("svm", _sub_first(r"vectors: b64 \d+", "vectors: b64 10000000000000"), None),
-    "svm_without_scaler": ("svm", _sub_first(r"scaler_lo: .*\nscaler_hi: .*\n", ""), None),
+    "repeated_machine_pair": (
+        "svm",
+        _sub_first(r"(?m)^(machine .*\nsv_indices: .*\ncoef: .*\n)", r"\1\1"),
+        None,
+        "after the last machine: 'machine ",
+    ),
+    "line_after_last_machine": ("svm", lambda text: text + "coef: 1.0\n", None, "after the last machine: 'coef: 1.0'"),
+    "negative_sv_index": ("svm", _sub_first(r"(?m)^sv_indices: \d+", "sv_indices: -1"), None, "sv index outside"),
+    "svm_class_out_of_range": ("svm", _sub_first("classes: 0,3,6", "classes: 0,3,9"), None, r"\[0, 3, 9\] must be"),
+    "vector_count_past_end": (
+        "svm",
+        _sub_first(r"vectors: b64 \d+", "vectors: b64 10000000000000"),
+        None,
+        "not 10000000000000 x 2 float64",
+    ),
+    "svm_without_scaler": ("svm", _sub_first(r"scaler_lo: .*\nscaler_hi: .*\n", ""), None, "expected 'scaler_lo' line"),
     # the scaler block's shape check must refute the dimension before anything is decoded
-    "huge_dimension": ("svm", _sub_first(r"dimension: \d+", "dimension: 10000000000000"), None),
+    "huge_dimension": (
+        "svm",
+        _sub_first(r"dimension: \d+", "dimension: 10000000000000"),
+        None,
+        r"expected \(1, 10000000000000\)",
+    ),
     # otherwise valid files of one class, which training never makes
-    "one_class_svm": ("svm", _keep_one_class, None),
-    "one_class_gb": ("gb", _keep_one_class, None),
+    "one_class_svm": ("svm", _keep_one_class, None, r"two classes, got \[3\]"),
+    "one_class_gb": ("gb", _keep_one_class, None, r"two classes, got \[3\]"),
     # no tree lines: gb_train always keeps at least one tree
-    "zero_trees": ("gb", _drop_trees, None),
+    "zero_trees": ("gb", _drop_trees, None, "one tree per class, got tree_count 0"),
     # tree lines: the first tree of the GB fixture has its inner split on the root's left child
-    "tree_unknown_field": ("gb", _sub_first(r"(?m)^(tree .*)$", r"\1 iter=0"), None),
-    "repeated_tree_field": ("gb", _sub_first(r"( root=\S+)", r"\1\1"), None),
+    "tree_unknown_field": ("gb", _sub_first(r"(?m)^(tree .*)$", r"\1 iter=0"), None, "repeated or unknown field"),
+    "repeated_tree_field": ("gb", _sub_first(r"( root=\S+)", r"\1\1"), None, "repeated or unknown field"),
     # an inner split with no root above it
-    "unreachable_split": ("gb", _sub_first(r" root=\S+ inner_left=", " inner_left="), None),
+    "unreachable_split": ("gb", _sub_first(r" root=\S+ inner_left=", " inner_left="), None, "needs a root"),
     # a root and both inner keys, with a leaf value for each of the three splits
     "three_split_tree": (
         "gb",
         _sub_first(r"(?m)(values=\S+)( .* inner_left=(\S+))$", r"\1,1.0\2 inner_right=\3"),
         None,
+        "needs a root and at most one inner split",
     ),
-    "leaf_count_mismatch": ("gb", _sub_first(r"values=(\S+)", r"values=\1,1.0"), None),
+    "leaf_count_mismatch": ("gb", _sub_first(r"values=(\S+)", r"values=\1,1.0"), None, "has 4 leaf values"),
     # parameter ranges, and finiteness of every other stored float
-    "shrinkage_nan": ("gb", _sub_first(r"shrinkage: \S+", "shrinkage: nan"), None),
-    "shrinkage_zero": ("gb", _sub_first(r"shrinkage: \S+", "shrinkage: 0.0"), None),
-    "shrinkage_above_one": ("gb", _sub_first(r"shrinkage: \S+", "shrinkage: 1.5"), None),
-    "init_score_inf": ("gb", _set_first_value("init_scores", math.inf), None),
-    "threshold_nan": ("gb", _sub_first(r"root=(\d+),[^,]+,", r"root=\1,nan,"), None),
-    "gain_inf": ("gb", _sub_first(r"(root=\d+,[^,]+),\S+", r"\1,inf"), None),
-    "leaf_value_nan": ("gb", _sub_first(r"values=[^,\s]+", "values=nan"), None),
-    "gamma_inf": ("svm", _sub_first(r"gamma: \S+", "gamma: inf"), None),
-    "gamma_nan": ("svm", _sub_first(r"gamma: \S+", "gamma: nan"), None),
-    "gamma_zero": ("svm", _sub_first(r"gamma: \S+", "gamma: 0.0"), None),
-    "C_zero": ("svm", _sub_first(r"(?m)^C: \S+", "C: 0.0"), None),
-    "C_nan": ("svm", _sub_first(r"(?m)^C: \S+", "C: nan"), None),
-    "scaler_inf": ("svm", _set_first_value("scaler_lo", -math.inf), None),
-    "vector_nan": ("svm", _set_first_value("vectors", math.nan), None),
-    "coef_inf": ("svm", _set_first_value("coef", math.inf), None),
-    "bias_nan": ("svm", _sub_first(r"bias=\S+", "bias=nan"), None),
-    "mean_shape_inf": ("gb", _set_first_value("mean_shape", math.inf), None),
+    "shrinkage_nan": ("gb", _sub_first(r"shrinkage: \S+", "shrinkage: nan"), None, r"\(0, 1\], got nan"),
+    "shrinkage_zero": ("gb", _sub_first(r"shrinkage: \S+", "shrinkage: 0.0"), None, r"\(0, 1\], got 0\.0"),
+    "shrinkage_above_one": ("gb", _sub_first(r"shrinkage: \S+", "shrinkage: 1.5"), None, r"\(0, 1\], got 1\.5"),
+    "init_score_inf": ("gb", _set_first_value("init_scores", math.inf), None, "init_scores must be finite"),
+    "threshold_nan": ("gb", _sub_first(r"root=(\d+),[^,]+,", r"root=\1,nan,"), None, "threshold must be finite"),
+    "gain_inf": ("gb", _sub_first(r"(root=\d+,[^,]+),\S+", r"\1,inf"), None, "gain must be finite"),
+    "leaf_value_nan": ("gb", _sub_first(r"values=[^,\s]+", "values=nan"), None, "leaf value must be finite"),
+    "gamma_inf": ("svm", _sub_first(r"gamma: \S+", "gamma: inf"), None, "and finite, got inf"),
+    "gamma_nan": ("svm", _sub_first(r"gamma: \S+", "gamma: nan"), None, "and finite, got nan"),
+    "gamma_zero": ("svm", _sub_first(r"gamma: \S+", "gamma: 0.0"), None, r"and finite, got 0\.0"),
+    "C_zero": ("svm", _sub_first(r"(?m)^C: \S+", "C: 0.0"), None, r"C must be positive, got 0\.0"),
+    "C_nan": ("svm", _sub_first(r"(?m)^C: \S+", "C: nan"), None, "C must be positive, got nan"),
+    "scaler_inf": ("svm", _set_first_value("scaler_lo", -math.inf), None, "scaler_lo must be finite"),
+    "vector_nan": ("svm", _set_first_value("vectors", math.nan), None, "vectors must be finite"),
+    "coef_inf": ("svm", _set_first_value("coef", math.inf), None, "coef must be finite"),
+    "bias_nan": ("svm", _sub_first(r"bias=\S+", "bias=nan"), None, "bias must be finite"),
+    "mean_shape_inf": ("gb", _set_first_value("mean_shape", math.inf), None, "mean_shape must be finite"),
     # float blocks: b64 <rows> <cols> <base64 of little-endian float64>
-    "block_not_base64": ("svm", _sub_first(r"(?m)^(vectors: b64 \d+ \d+ \S{8})\S", r"\1!"), ValueError),
-    "block_length_mismatch": ("svm", _sub_first(r"vectors: b64 \d+ ", "vectors: b64 1 "), None),
-    "block_negative_rows": ("svm", _sub_first(r"vectors: b64 \d+ ", "vectors: b64 -3 "), None),
-    "block_fractional_cols": ("gb", _sub_first(r"init_scores: b64 1 3 ", "init_scores: b64 1 2.5 "), ValueError),
-    "block_truncated": ("svm", _sub_first(r"(?m)^(vectors: .*)\S{4}$", r"\1"), None),
-    "block_without_tag": ("gb", _sub_first(r"init_scores: b64 ", "init_scores: "), None),
-    "mean_shape_wrong_shape": ("gb", _sub_first(r"mean_shape: b64 68 2 ", "mean_shape: b64 34 4 "), None),
+    "block_not_base64": ("svm", _sub_first(r"(?m)^(vectors: b64 \d+ \d+ \S{8})\S", r"\1!"), ValueError, "base64"),
+    "block_length_mismatch": ("svm", _sub_first(r"vectors: b64 \d+ ", "vectors: b64 1 "), None, "144 bytes, not 1 x 2"),
+    "block_negative_rows": ("svm", _sub_first(r"vectors: b64 \d+ ", "vectors: b64 -3 "), None, r"shape \(-3, 2\)"),
+    "block_fractional_cols": (
+        "gb",
+        _sub_first(r"init_scores: b64 1 3 ", "init_scores: b64 1 2.5 "),
+        ValueError,
+        r"int\(\) with base 10: '2\.5'",
+    ),
+    "block_truncated": ("svm", _sub_first(r"(?m)^(vectors: .*)\S{4}$", r"\1"), None, "141 bytes, not 9 x 2"),
+    "block_without_tag": ("gb", _sub_first(r"init_scores: b64 ", "init_scores: "), None, "init_scores is not a 'b64"),
+    "mean_shape_wrong_shape": (
+        "gb",
+        _sub_first(r"mean_shape: b64 68 2 ", "mean_shape: b64 34 4 "),
+        None,
+        r"mean_shape has shape \(34, 4\), expected \(68, 2\)",
+    ),
 }
 
 
 def test_v1_model_file_names_its_version(valid_model_texts):
     for version in ("v1", "v2"):
         text = valid_model_texts["gb"].replace("model v3", f"model {version}", 1)
-        with pytest.raises(FormatError, match=f"format {version} is no longer read; retrain"):
+        with pytest.raises(LandmarkEmotionError, match=f"format {version} is no longer read; retrain"):
             load_model(text)
 
 
 def test_save_rejects_machines_out_of_pair_order(valid_model_texts):
     model = load_model(valid_model_texts["svm"])
-    with pytest.raises(FormatError, match="pair"):
+    with pytest.raises(LandmarkEmotionError, match="pair"):
         save_model(replace(model, machines=model.machines[::-1]))
 
 
@@ -291,9 +317,9 @@ def valid_model_texts():
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_model_raises_only_format_error(case, valid_model_texts, tmp_path, capsys):
-    kind, edit, leaked = MALFORMED[case]
+    kind, edit, leaked, message = MALFORMED[case]
     text = edit(valid_model_texts[kind])
-    with pytest.raises(FormatError) as caught:
+    with pytest.raises(LandmarkEmotionError, match=message) as caught:
         load_model(text)
     if leaked is not None:
         assert isinstance(caught.value.__cause__, leaked)

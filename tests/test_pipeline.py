@@ -8,7 +8,7 @@ import pytest
 from conftest import face_with_anchors
 from ingest_reference import reference_features, reference_upright
 from landmark_emotion import pipeline
-from landmark_emotion.errors import ConfigError, DimensionMismatchError, FormatError
+from landmark_emotion.errors import LandmarkEmotionError
 from landmark_emotion.features.image import GrayImage, write_pgm
 from landmark_emotion.learners.dataset import CLASSES, UNLABELED, LabeledDataset
 from landmark_emotion.learners.gb import gb_train
@@ -61,19 +61,19 @@ def test_manifest_validation(tmp_path):
     header = "id,pts_path,image_path,label,split\n"
     bad_header = tmp_path / "a.csv"
     bad_header.write_text("id,pts\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(LandmarkEmotionError, match="must start with header"):
         read_manifest(bad_header)
     dup = tmp_path / "b.csv"
     dup.write_text(header + "x,a.pts,,Happy,train\nx,b.pts,,Sad,test\n")
-    with pytest.raises(FormatError, match="duplicate"):
+    with pytest.raises(LandmarkEmotionError, match="duplicate"):
         read_manifest(dup)
     bad_label = tmp_path / "c.csv"
     bad_label.write_text(header + "x,a.pts,,Joyful,train\n")
-    with pytest.raises(FormatError, match="Joyful"):
+    with pytest.raises(LandmarkEmotionError, match="Joyful"):
         read_manifest(bad_label)
     bad_split = tmp_path / "d.csv"
     bad_split.write_text(header + "x,a.pts,,Happy,holdout\n")
-    with pytest.raises(FormatError, match="holdout"):
+    with pytest.raises(LandmarkEmotionError, match="holdout"):
         read_manifest(bad_split)
 
 
@@ -83,7 +83,16 @@ def test_manifest_validation(tmp_path):
 def test_manifest_rejects_nul_in_paths(tmp_path, row):
     path = tmp_path / "manifest.csv"
     path.write_text("id,pts_path,image_path,label,split\n" + row + "\n")
-    with pytest.raises(FormatError, match="NUL character"):
+    with pytest.raises(LandmarkEmotionError, match="NUL character"):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize("sample_id", ["", "Angry\n020", "Angry\t021", "Angry\r022"])
+def test_manifest_rejects_ids_predict_cannot_print(tmp_path, sample_id):
+    # a CSV-quoted id may hold a tab or a line break; a predict line holds exactly id, tab, label
+    path = tmp_path / "manifest.csv"
+    path.write_text('id,pts_path,image_path,label,split\n"' + sample_id + '",a.pts,,Angry,validate\n', newline="")
+    with pytest.raises(LandmarkEmotionError, match="is empty or holds a tab or line break"):
         read_manifest(path)
 
 
@@ -138,7 +147,7 @@ def test_load_dataset_checks_feature_width(tmp_path, rng, monkeypatch):
         raise AssertionError("a dataset was built before its width was checked")
 
     monkeypatch.setattr(pipeline, "LabeledDataset", never_built)
-    with pytest.raises(DimensionMismatchError, match="2277 columns"):
+    with pytest.raises(LandmarkEmotionError, match="2277 columns"):
         load_dataset(path, PipelineConfig(manifest=str(path)))
 
 
@@ -228,7 +237,7 @@ def test_load_dataset_reads_only_its_splits(tmp_path, rng):
     config = PipelineConfig(manifest=str(path), features=("distances", "axis"))
     full = load_dataset(path, config)
     (tmp_path / "s00.pts").write_text("not a landmark file")
-    with pytest.raises(ConfigError, match="training shape"):
+    with pytest.raises(LandmarkEmotionError, match="training shape"):
         load_dataset(path, config, ("test",))
 
     result = load_dataset(path, config, ("test",), full.mean)
@@ -255,7 +264,7 @@ def test_texture_features_through_pipeline(tmp_path, rng):
 def test_images_required_for_texture(tmp_path, rng):
     path = write_fixture_dataset(tmp_path, rng, [("Happy", "train")], with_images=False)
     config = PipelineConfig(manifest=str(path), features=("bif",))
-    with pytest.raises(ConfigError, match="image"):
+    with pytest.raises(LandmarkEmotionError, match="image"):
         load_dataset(path, config)
 
 
@@ -358,7 +367,7 @@ def test_readme_config_table_names_every_field():
     ],
 )
 def test_parse_config_rejects(text, match):
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(LandmarkEmotionError, match=match):
         parse_config(text)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_face
-from landmark_emotion.errors import DimensionMismatchError
+from landmark_emotion.errors import LandmarkEmotionError
 from landmark_emotion.features.extract import point_texture, point_texture_block, point_texture_sizes
 from landmark_emotion.features.gabor import gabor_kernel_pair
 from landmark_emotion.features.image import GrayImage
@@ -80,6 +80,6 @@ def test_out_of_bounds_landmark_clamped(rng):
 
 def test_bad_arguments(rng):
     img = GrayImage(rng.random((10, 10)))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(LandmarkEmotionError, match="scales and orientations must be positive"):
         point_texture(img, LandmarkSet(np.array([[1.0, 1.0]])), scales=0, orientations=3)
     assert point_texture_block(68, 8, 12).dimension == 6528

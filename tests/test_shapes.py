@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import apply_similarity, face_with_anchors, make_face, random_similarity
-from landmark_emotion.errors import (
-    DegenerateShapeError,
-    DimensionMismatchError,
-    FormatError,
-    UnsupportedTopologyError,
-)
+from landmark_emotion.errors import LandmarkEmotionError
 from landmark_emotion.shapes import (
     LandmarkSet,
     centroid_size,
@@ -45,26 +40,27 @@ def test_parse_pts_68(rng):
 
 def test_parse_pts_declared_actual_mismatch():
     text = PTS_3.replace("n_points: 3", "n_points: 4")
-    with pytest.raises(FormatError, match="4"):
+    with pytest.raises(LandmarkEmotionError, match="4"):
         parse_pts(text)
 
 
 def test_parse_pts_non_numeric():
-    with pytest.raises(FormatError, match="non-numeric"):
+    with pytest.raises(LandmarkEmotionError, match="non-numeric"):
         parse_pts(PTS_3.replace("3.5", "x"))
 
 
-@pytest.mark.parametrize(
-    "mutation",
-    [
-        lambda t: t.replace("version: 1\n", ""),
-        lambda t: t.replace("{\n", ""),
-        lambda t: t.replace("\n}", ""),
-        lambda t: t.replace("1.0 2.0", "1.0 2.0 3.0"),
-    ],
-)
+# edit of a valid .pts text -> the error message it must raise
+MALFORMED_PTS = {
+    lambda t: t.replace("version: 1\n", ""): "missing 'version' header line",
+    lambda t: t.replace("{\n", ""): "enclosed in '{' and '}'",
+    lambda t: t.replace("\n}", ""): "enclosed in '{' and '}'",
+    lambda t: t.replace("1.0 2.0", "1.0 2.0 3.0"): "point line 0 must hold exactly 'x y'",
+}
+
+
+@pytest.mark.parametrize("mutation", list(MALFORMED_PTS))
 def test_parse_pts_malformed(mutation):
-    with pytest.raises(FormatError):
+    with pytest.raises(LandmarkEmotionError, match=MALFORMED_PTS[mutation]):
         parse_pts(mutation(PTS_3))
 
 
@@ -113,12 +109,12 @@ def test_normalize_idempotent(rng):
 
 
 def test_normalize_degenerate():
-    with pytest.raises(DegenerateShapeError):
+    with pytest.raises(LandmarkEmotionError, match="all points coincide"):
         normalize_size([(3.0, 4.0)] * 5)
-    with pytest.raises(DegenerateShapeError):
+    with pytest.raises(LandmarkEmotionError, match="at least 2 points"):
         normalize_size([(3.0, 4.0)])
     # finite coordinates whose centroid size overflows to inf
-    with np.errstate(over="ignore"), pytest.raises(DegenerateShapeError):
+    with np.errstate(over="ignore"), pytest.raises(LandmarkEmotionError, match="centroid size inf is not finite"):
         normalize_size([(0.0, 0.0), (1e200, 1e200), (-1e200, 3e200)])
 
 
@@ -166,10 +162,10 @@ def test_upright_rotation_invariance(rng):
 
 def test_upright_errors(rng):
     small = normalize_size(rng.standard_normal((10, 2)))
-    with pytest.raises(UnsupportedTopologyError):
+    with pytest.raises(LandmarkEmotionError, match="68-point layout, got 10 points"):
         upright(small)
     degenerate = face_with_anchors((5.0, 5.0), (5.0, 5.0), (5.0, 9.0))
-    with pytest.raises(DegenerateShapeError):
+    with pytest.raises(LandmarkEmotionError, match="eye centers coincide"):
         upright(normalize_size(degenerate.points))
 
 
@@ -190,11 +186,11 @@ def test_mean_shape_midpoint(rng):
 
 
 def test_mean_shape_errors(rng):
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(LandmarkEmotionError, match="non-empty"):
         mean_shape([])
     a = normalize_size(rng.standard_normal((68, 2)))
     b = normalize_size(rng.standard_normal((4, 2)))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(LandmarkEmotionError, match="different point counts"):
         mean_shape([a, b])
 
 
@@ -236,10 +232,10 @@ def test_a_stack_raises_the_error_of_its_first_failing_face(rng):
     good = normalize_size(make_face(rng, jitter=1.0).points)
     no_size = np.full((68, 2), 3.0)
     no_eyes = face_with_anchors((5.0, 5.0), (5.0, 5.0), (5.0, 9.0)).points
-    with pytest.raises(DegenerateShapeError, match="all points coincide"):
+    with pytest.raises(LandmarkEmotionError, match="all points coincide"):
         normalize_size(np.stack([good, no_size, 1e200 * good]))
     # the overflow is no numpy warning, even where warnings are errors
-    with np.errstate(over="raise"), pytest.raises(DegenerateShapeError, match="centroid size inf"):
+    with np.errstate(over="raise"), pytest.raises(LandmarkEmotionError, match="centroid size inf"):
         normalize_size(np.stack([good, 1e200 * good, no_size]))
-    with pytest.raises(DegenerateShapeError, match="eye centers coincide"):
+    with pytest.raises(LandmarkEmotionError, match="eye centers coincide"):
         upright(np.stack([good, good, no_eyes]))

@@ -8,7 +8,7 @@ import pytest
 from conftest import outputs_under_blas_threads
 from qp_oracle import dual_value, kkt_violation, qp_max_enumerate, rbf_kernel
 from smo_reference import reference_smo_solve
-from landmark_emotion.errors import DimensionMismatchError
+from landmark_emotion.errors import LandmarkEmotionError
 from landmark_emotion.learners.dataset import CLASSES, LabeledDataset, canonical_order
 from landmark_emotion.learners import svm as svm_module
 from landmark_emotion.learners.persist import save_model
@@ -175,16 +175,16 @@ def test_stacked_smo_matches_reference_bit_for_bit(rng):
 
 
 @pytest.mark.parametrize(
-    "K_shape, y_shape, C",
+    "K_shape, y_shape, C, message",
     [
-        ((3, 5, 5), (3, 5), [[1.0, 2.0, 3.0]]),
-        ((3, 5, 5), (3, 5), 1.0),
-        ((3, 5, 5), (2, 5), [1.0, 2.0]),
-        ((3, 5, 6), (3, 5), [1.0, 2.0, 3.0]),
-        ((3, 5, 5), (3, 6), [1.0, 2.0, 3.0]),
-        ((5, 5), (3, 5), [1.0, 2.0, 3.0]),
-        ((5, 5), (5,), [1.0]),
-        ((5, 5), (6,), [1.0]),
+        ((3, 5, 5), (3, 5), [[1.0, 2.0, 3.0]], r"C must be a list of values, got shape \(1, 3\)"),
+        ((3, 5, 5), (3, 5), 1.0, r"C must be a list of values, got shape \(\)"),
+        ((3, 5, 5), (2, 5), [1.0, 2.0], r"kernel matrix \(3, 5, 5\) does not match labels \(2, 5\)"),
+        ((3, 5, 6), (3, 5), [1.0, 2.0, 3.0], r"kernel matrix \(3, 5, 6\) does not match labels \(3, 5\)"),
+        ((3, 5, 5), (3, 6), [1.0, 2.0, 3.0], r"kernel matrix \(3, 5, 5\) does not match labels \(3, 6\)"),
+        ((5, 5), (3, 5), [1.0, 2.0, 3.0], r"kernel matrix \(5, 5\) does not match labels \(3, 5\)"),
+        ((5, 5), (5,), [1.0], r"kernel matrix \(5, 5\) does not match labels \(5,\)"),
+        ((5, 5), (6,), [1.0], r"kernel matrix \(5, 5\) does not match labels \(6,\)"),
     ],
     ids=[
         "C-2d",
@@ -197,8 +197,8 @@ def test_stacked_smo_matches_reference_bit_for_bit(rng):
         "K-2d-too-small",
     ],
 )
-def test_smo_shape_mismatch(K_shape, y_shape, C):
-    with pytest.raises(DimensionMismatchError):
+def test_smo_shape_mismatch(K_shape, y_shape, C, message):
+    with pytest.raises(LandmarkEmotionError, match=message):
         smo_solve(np.zeros(K_shape), np.ones(y_shape), C)
 
 
@@ -236,14 +236,14 @@ def test_svm_model_invariants(rng):
 
 def test_svm_single_class_rejected(rng):
     ds = dataset(rng.standard_normal((6, 2)), [4] * 6)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(LandmarkEmotionError, match="at least two classes"):
         svm_train(ds, C=1.0, gamma=1.0, scaler=fit_scaler(ds))
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
 def test_svm_gamma_must_be_positive_and_finite(rng, gamma):
     ds = dataset(rng.standard_normal((6, 2)), [0, 1] * 3)
-    with pytest.raises(DimensionMismatchError, match="gamma"):
+    with pytest.raises(LandmarkEmotionError, match="gamma"):
         svm_train(ds, C=1.0, gamma=gamma, scaler=fit_scaler(ds))
 
 
@@ -414,7 +414,7 @@ def test_grid_search_exhaustive_oracle(rng):
 def test_grid_search_empty_validation(rng):
     train = separable_three_class(rng)
     empty = LabeledDataset(X=np.empty((0, 2)), y=np.empty(0, dtype=int))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(LandmarkEmotionError, match="non-empty validation set"):
         grid_search(train, empty)
 
 
@@ -439,7 +439,7 @@ def test_grid_search_checks_every_value_before_solving(rng, monkeypatch, C_grid,
     # the bad value sits last, after a cell that could be trained
     monkeypatch.setattr(svm_module, "smo_solve", never_solve)
     train = separable_three_class(rng)
-    with pytest.raises(DimensionMismatchError, match="gamma"):
+    with pytest.raises(LandmarkEmotionError, match="gamma"):
         grid_search(train, train, C_grid, gamma_grid)
 
 
@@ -447,7 +447,7 @@ def test_grid_search_rejects_validation_width_mismatch(rng, monkeypatch):
     monkeypatch.setattr(svm_module, "smo_solve", never_solve)
     train = separable_three_class(rng)
     val = dataset(rng.standard_normal((4, 3)), [0, 1, 2, 0])
-    with pytest.raises(DimensionMismatchError, match="columns"):
+    with pytest.raises(LandmarkEmotionError, match="columns"):
         grid_search(train, val, [1.0], [0.5])
 
 

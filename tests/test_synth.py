@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from landmark_emotion.errors import ConfigError
+from landmark_emotion.errors import LandmarkEmotionError
 from landmark_emotion.learners.dataset import CLASSES
 from landmark_emotion.pipeline import read_manifest
 from landmark_emotion.shapes import parse_pts
@@ -28,7 +28,7 @@ def test_template_is_valid_68_point_face():
     # every class pattern returns a full displacement field
     for label in CLASSES:
         assert class_displacement(label).shape == (68, 2)
-    with pytest.raises(ConfigError):
+    with pytest.raises(LandmarkEmotionError, match="unknown class label 'Bored'"):
         class_displacement("Bored")
 
 
@@ -66,5 +66,5 @@ def test_synth_pts_roundtrip(tmp_path):
 
 
 def test_synth_rejects_bad_count(tmp_path):
-    with pytest.raises(ConfigError):
+    with pytest.raises(LandmarkEmotionError, match="per_class_count must be at least 1"):
         synth_dataset(tmp_path, seed=0, per_class_count=0)
