@@ -280,6 +280,8 @@ def gb_train(
     max_trees: int = DEFAULT_MAX_TREES,
 ) -> GBModel:
     """Boost two-split trees; keep the tree count with the best validation accuracy."""
+    if len(val) == 0:
+        raise LandmarkEmotionError("gradient boosting needs a non-empty validation set")
     train.require_labeled()
     val.require_labeled()
     if max_trees < 1:

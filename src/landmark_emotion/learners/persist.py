@@ -126,9 +126,9 @@ def _svm_lines(model: SVMModel) -> list[str]:
         "scaler_hi: " + _fmt_block(model.scaler.hi),
         "vectors: " + _fmt_block(model.vectors),
     ]
-    # the loader gives each machine its class pair from this order
-    if [(m.pos_class, m.neg_class) for m in model.machines] != list(combinations(model.classes, 2)):
-        raise LandmarkEmotionError("expected one machine per pair of model classes, in class order")
+    # machine b decides pair b of combinations(classes, 2), and the loader reads one per pair
+    if len(model.machines) != math.comb(len(model.classes), 2):
+        raise LandmarkEmotionError("expected one machine per pair of model classes")
     for m in model.machines:
         lines.append(f"machine bias={m.bias!r}")
         lines.append("sv_indices: " + " ".join(str(int(i)) for i in m.sv_indices))
@@ -301,7 +301,7 @@ def _load_svm(reader: _LineReader, dimension: int, common: dict) -> SVMModel:
         coef = _parse_block(reader.expect_key("coef"), "coef", 1, len(sv_indices))[0]
         if np.any((sv_indices < 0) | (sv_indices >= len(vectors))):
             raise LandmarkEmotionError("machine sv index outside the vector table")
-        machines.append(BinaryMachine(pos, neg, sv_indices, coef, bias))
+        machines.append(BinaryMachine(sv_indices, coef, bias))
     if reader.peek() is not None:
         raise LandmarkEmotionError(f"unexpected line after the last machine: {reader.peek()!r}")
     return SVMModel(vectors=vectors, machines=tuple(machines), gamma=gamma, C=C, scaler=scaler, **common)

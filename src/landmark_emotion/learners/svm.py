@@ -208,10 +208,8 @@ def _compute_bias(y: np.ndarray, alpha: np.ndarray, grad: np.ndarray, C: float) 
 
 @dataclass(frozen=True)
 class BinaryMachine:
-    """One class-pair classifier: positive decisions vote for ``pos_class``."""
+    """Machine ``b`` decides pair ``b`` of ``combinations(classes, 2)``; positive votes for its first class."""
 
-    pos_class: int
-    neg_class: int
     sv_indices: np.ndarray  # into SVMModel.vectors
     coef: np.ndarray  # alpha_i * y_i per support vector
     bias: float
@@ -247,13 +245,13 @@ def _check_hyperparameters(C: float, gamma: float) -> None:
 class _TrainingData:
     """What training needs from the rows alone, whatever C and gamma are.
 
-    Pair ``b`` of ``pairs`` owns row ``b`` of ``sqdist`` and ``labels``: its
-    rows' squared distances and +-1 labels, zero-padded to the largest pair.
+    Pair ``b`` of ``combinations(classes, 2)`` owns entry ``b`` of ``pairs``, ``sqdist`` and
+    ``labels``: its rows, their squared distances and +-1 labels, zero-padded to the largest pair.
     """
 
     classes: tuple[int, ...]
     X: np.ndarray  # scaled training rows in canonical order
-    pairs: tuple[tuple[int, int, np.ndarray], ...]  # (pos, neg, rows of X)
+    pairs: tuple[np.ndarray, ...]  # rows of X
     sqdist: np.ndarray  # (pairs, size, size)
     labels: np.ndarray  # (pairs, size); 0 marks a padding row
 
@@ -268,13 +266,11 @@ def _prepare(train: LabeledDataset, scaler: Scaler) -> _TrainingData:
     # on ties the larger class sorts first: it is the -1 label of every pair it is in
     order = canonical_order(X, -train.y)
     X, y = X[order], train.y[order]
-    pairs = [
-        (pos, neg, np.flatnonzero((y == pos) | (y == neg))) for pos, neg in combinations(classes, 2)
-    ]
-    size = max(len(rows) for _, _, rows in pairs)
+    pairs = [np.flatnonzero((y == pos) | (y == neg)) for pos, neg in combinations(classes, 2)]
+    size = max(len(rows) for rows in pairs)
     full = squared_distances(X, X)
     sqdist, labels = np.zeros((len(pairs), size, size)), np.zeros((len(pairs), size))
-    for b, (pos, _, rows) in enumerate(pairs):
+    for b, ((pos, _), rows) in enumerate(zip(combinations(classes, 2), pairs)):
         sqdist[b, : len(rows), : len(rows)] = full[np.ix_(rows, rows)]
         labels[b, : len(rows)] = np.where(y[rows] == pos, 1.0, -1.0)
     return _TrainingData(classes=classes, X=X, pairs=tuple(pairs), sqdist=sqdist, labels=labels)
@@ -295,14 +291,13 @@ def _solve(
     solved = []
     for alpha, bias in zip(alphas.reshape(len(Cs), *data.labels.shape), biases.reshape(len(Cs), -1)):
         found = []
-        for (pos, neg, rows), labels, a, b in zip(data.pairs, data.labels, alpha, bias):
+        for rows, labels, a, b in zip(data.pairs, data.labels, alpha, bias):
             a = a[: len(rows)]
             sv = np.flatnonzero(a > 1e-12)
-            found.append((pos, neg, rows[sv], (a * labels[: len(rows)])[sv], b))
-        used = np.unique(np.concatenate([sv_rows for _, _, sv_rows, _, _ in found]))
+            found.append((rows[sv], (a * labels[: len(rows)])[sv], b))
+        used = np.unique(np.concatenate([sv_rows for sv_rows, _, _ in found]))
         machines = tuple(
-            BinaryMachine(pos, neg, np.searchsorted(used, sv_rows), coef, float(b))
-            for pos, neg, sv_rows, coef, b in found
+            BinaryMachine(np.searchsorted(used, sv_rows), coef, float(b)) for sv_rows, coef, b in found
         )
         solved.append((used, machines))
     return solved
@@ -318,13 +313,13 @@ def svm_train(train: LabeledDataset, C: float, gamma: float, scaler: Scaler) -> 
     )
 
 
-def _count_votes(K: np.ndarray, machines: Sequence[BinaryMachine]) -> np.ndarray:
+def _count_votes(K: np.ndarray, classes: Sequence[int], machines: Sequence[BinaryMachine]) -> np.ndarray:
     """Vote counts per global class, from the kernel between rows and the support-vector table."""
     votes = np.zeros((K.shape[0], len(CLASSES)), dtype=np.int64)
-    for m in machines:
+    for (pos, neg), m in zip(combinations(classes, 2), machines, strict=True):
         dec = K[:, m.sv_indices] @ m.coef + m.bias
-        votes[:, m.pos_class] += dec > 0
-        votes[:, m.neg_class] += ~(dec > 0)
+        votes[:, pos] += dec > 0
+        votes[:, neg] += ~(dec > 0)
     return votes
 
 
@@ -335,7 +330,7 @@ def svm_decision_votes(model: SVMModel, X: np.ndarray) -> np.ndarray:
         raise LandmarkEmotionError(f"expected {model.dimension} columns, got {X.shape[1]}")
     X = model.scaler.transform(X)
     K = rbf_kernel_matrix(X, model.vectors, model.gamma) if len(model.vectors) else np.zeros((X.shape[0], 0))
-    return _count_votes(K, model.machines)
+    return _count_votes(K, model.classes, model.machines)
 
 
 def svm_predict_batch(model: SVMModel, X: np.ndarray) -> np.ndarray:
@@ -401,7 +396,7 @@ def grid_search(
     for gi, gamma in enumerate(gamma_grid):
         K_val = np.exp(-gamma * val_sqdist)
         for ci, (used, machines) in enumerate(_solve(data, np.exp(-gamma * data.sqdist), C_grid)):
-            pred = np.argmax(_count_votes(K_val[:, used], machines), axis=1)
+            pred = np.argmax(_count_votes(K_val[:, used], data.classes, machines), axis=1)
             accuracy[ci, gi] = float(np.mean(pred == val.y))
 
     best_acc = float(accuracy.max())

@@ -349,7 +349,8 @@ def load_dataset(
 ) -> LoadResult:
     """Parse landmark files, run the shape pipeline, extract configured features.
 
-    Only the entries of ``splits`` are read.  ``axis`` features are measured
+    The manifest is ``manifest_path``; ``config.manifest`` is not read.  Only
+    the entries of ``splits`` are read.  ``axis`` features are measured
     from ``mean`` when it is given, else from the mean of the training
     shapes, and then ``splits`` must include ``train``.  Per-entry failures
     (unreadable or malformed files, degenerate shapes) are collected in

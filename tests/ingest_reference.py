@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from landmark_emotion.errors import LandmarkEmotionError
-from landmark_emotion.pipeline import SPLITS, read_manifest
+from landmark_emotion.pipeline import SPLITS, read_manifest, read_utf8
 from landmark_emotion.shapes import normalize_size, parse_pts, upright
 
 
@@ -28,9 +28,9 @@ def reference_upright(manifest_path: str | Path) -> tuple[dict, list[tuple[str, 
         if entry.absent:
             continue
         try:
-            landmarks = parse_pts((manifest_path.parent / entry.pts_path).read_text(encoding="utf-8"))
+            landmarks = parse_pts(read_utf8(manifest_path.parent / entry.pts_path))
             shapes[entry.split][entry.sample_id] = upright(normalize_size(landmarks.points))
-        except (LandmarkEmotionError, OSError, UnicodeDecodeError) as exc:
+        except (LandmarkEmotionError, OSError) as exc:
             errors.append((entry.sample_id, str(exc)))
     return shapes, errors
 

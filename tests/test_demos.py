@@ -9,6 +9,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 ENV = dict(os.environ)
 ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), ENV.get("PYTHONPATH")]))
+ENV["PYTHONWARNINGS"] = "error::RuntimeWarning"  # as pyproject's filterwarnings does for the tests
 
 DEMOS = [
     "01_shapes_and_normalization.py",

@@ -51,6 +51,13 @@ def test_single_class_rejected():
         gb_train(ds, ds)
 
 
+def test_empty_validation_set_rejected():
+    train, _ = blob_fixture(n_per=10)
+    empty = LabeledDataset(np.zeros((0, train.dimension)), [])
+    with pytest.raises(LandmarkEmotionError, match="gradient boosting needs a non-empty validation set"):
+        gb_train(train, empty)
+
+
 def test_blob_fixture_validation_accuracy():
     train, val = blob_fixture()
     model = gb_train(train, val, max_trees=40)

@@ -78,7 +78,7 @@ def test_float_blocks_round_trip_bit_exact():
     model = SVMModel(
         classes=(0, 4),
         vectors=vectors,
-        machines=(BinaryMachine(0, 4, np.array([0, 1]), coef, -0.0),),
+        machines=(BinaryMachine(np.array([0, 1]), coef, -0.0),),
         gamma=0.5,
         C=math.inf,
         scaler=Scaler(lo=np.array([-0.0, 5e-324, -1e308]), hi=np.array([1e308, 0.5, -0.0])),
@@ -296,10 +296,10 @@ def test_v1_model_file_names_its_version(valid_model_texts):
             load_model(text)
 
 
-def test_save_rejects_machines_out_of_pair_order(valid_model_texts):
+def test_save_rejects_a_wrong_machine_count(valid_model_texts):
     model = load_model(valid_model_texts["svm"])
-    with pytest.raises(LandmarkEmotionError, match="pair"):
-        save_model(replace(model, machines=model.machines[::-1]))
+    with pytest.raises(LandmarkEmotionError, match="one machine per pair"):
+        save_model(replace(model, machines=model.machines[:-1]))
 
 
 @pytest.fixture(scope="module")

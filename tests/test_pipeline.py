@@ -167,13 +167,18 @@ def test_load_dataset_matches_face_by_face_ingestion(tmp_path, rng):
     }
     for sid, text in broken.items():
         (tmp_path / f"{sid}.pts").write_text(text)
+    s00 = tmp_path / "s00.pts"
+    s00.write_text("\ufeff" + s00.read_text(), encoding="utf-8")  # a leading byte order mark is read past
+    s12 = tmp_path / "s12.pts"
+    s12.write_bytes(("\xe9" + s12.read_text()).encode("latin-1"))  # not UTF-8
     (tmp_path / "s13.pts").unlink()  # a missing file
     path.write_text(path.read_text().replace("s09.pts", ""))  # landmarks absent
 
     result = load_dataset(path, PipelineConfig(manifest=str(path), features=("distances", "axis")))
     shapes, errors = reference_upright(path)
     assert result.errors == tuple(errors)
-    assert [sid for sid, _ in errors] == ["s03", "s07", "s08", "s10", "s11", "s13"]
+    assert [sid for sid, _ in errors] == ["s03", "s07", "s08", "s10", "s11", "s12", "s13"]
+    assert errors[5][1].endswith("s12.pts is not UTF-8 text")
     assert result.absent["test"] == ("s09",)
     mean = mean_shape(list(shapes["train"].values()))
     assert result.mean.tobytes() == mean.tobytes()

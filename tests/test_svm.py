@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -318,9 +319,9 @@ def test_svm_pair_rows_follow_their_own_canonical_order(rng):
     scaler = fit_scaler(dataset(X, y))
     model = svm_train(dataset(X, y), C, gamma, scaler)
     X = scaler.transform(X)  # the rows training sees
-    for m in model.machines:
-        rows = np.flatnonzero((y == m.pos_class) | (y == m.neg_class))
-        labels = np.where(y[rows] == m.pos_class, 1.0, -1.0)
+    for (pos, neg), m in zip(combinations(model.classes, 2), model.machines, strict=True):
+        rows = np.flatnonzero((y == pos) | (y == neg))
+        labels = np.where(y[rows] == pos, 1.0, -1.0)
         order = canonical_order(X[rows], labels)
         rows, labels = rows[order], labels[order]
         alpha, bias = solve_one(rbf_kernel_matrix(X[rows], X[rows], gamma), labels, C)
@@ -331,13 +332,14 @@ def test_svm_pair_rows_follow_their_own_canonical_order(rng):
 
 
 def test_vote_tie_breaks_to_earliest_class():
-    # three constant-decision machines produce a three-way 1-1-1 vote tie
-    # between Angry, Happy and Neutral; the fixed order picks Angry
+    # three constant-decision machines, for pairs (0, 3), (0, 4) and (3, 4),
+    # produce a three-way 1-1-1 vote tie between Angry, Happy and Neutral;
+    # the fixed order picks Angry
     dim = 2
     machines = (
-        BinaryMachine(0, 3, np.array([], dtype=np.int64), np.array([]), bias=-1.0),  # Happy
-        BinaryMachine(0, 4, np.array([], dtype=np.int64), np.array([]), bias=+1.0),  # Angry
-        BinaryMachine(3, 4, np.array([], dtype=np.int64), np.array([]), bias=-1.0),  # Neutral
+        BinaryMachine(np.array([], dtype=np.int64), np.array([]), bias=-1.0),  # Happy
+        BinaryMachine(np.array([], dtype=np.int64), np.array([]), bias=+1.0),  # Angry
+        BinaryMachine(np.array([], dtype=np.int64), np.array([]), bias=-1.0),  # Neutral
     )
     model = SVMModel(
         classes=(0, 3, 4),
