@@ -230,6 +230,8 @@ def _parse_split(text: str, dimension: int) -> Split:
     split = Split(int(feature), _parse_float(threshold, "split threshold"), _parse_float(gain, "split gain"))
     if not 0 <= split.feature < dimension:
         raise LandmarkEmotionError(f"split feature index {split.feature} out of range")
+    if split.gain < 0:  # training clips every gain at 0; influence shares assume it
+        raise LandmarkEmotionError(f"split gain must be non-negative, got {gain!r}")
     return split
 
 

@@ -214,8 +214,31 @@ def as_split(found):
     return None if found is None else Split(feature=found[1], threshold=found[2], gain=found[0])
 
 
-def test_split_search_matches_exhaustive_oracle():
+def count_child_searches(monkeypatch):
+    """Record, for each tree with a root split, how many of its children were searched."""
+    per_search = {}  # child searches so far of the tree each search is growing
+    searched = []
+    child_split, fit = gb._SplitSearch.child_split, gb._fit_two_split_tree
+
+    def counting_child_split(search, member):
+        per_search[id(search)] += 1
+        return child_split(search, member)
+
+    def counting_fit(search, *args):
+        per_search[id(search)] = 0
+        tree = fit(search, *args)
+        if tree.root is not None:
+            searched.append(per_search[id(search)])
+        return tree
+
+    monkeypatch.setattr(gb._SplitSearch, "child_split", counting_child_split)
+    monkeypatch.setattr(gb, "_fit_two_split_tree", counting_fit)
+    return searched
+
+
+def test_split_search_matches_exhaustive_oracle(monkeypatch):
     child_sizes = set()
+    searched = count_child_searches(monkeypatch)
     for ds in oracle_cases():
         model = gb_train(ds, ds, max_trees=3)
         for t in (1, 3):
@@ -230,6 +253,44 @@ def test_split_search_matches_exhaustive_oracle():
                     assert tree.inner_right == inner_right
                 child_sizes.update(sizes)
     assert 1 in child_sizes  # the cases reach a one-row child
+    # the oracle judges trees whose second child was skipped and trees whose children were both searched
+    assert {1, 2} <= set(searched)
+
+
+def two_child_tree(X, residual):
+    """The tree ``_fit_two_split_tree`` grows over rows ``X``, checked against the exhaustive oracle."""
+    X = np.asarray(X, dtype=np.float64)
+    residual = np.asarray(residual, dtype=np.float64)
+    search = gb._SplitSearch(gb._SortedColumns(X))
+    tree = gb._fit_two_split_tree(search, residual, np.full(len(X), 0.25), 2)
+    root, inner, inner_right, _ = gb_oracle.two_split_tree(X.tolist(), residual.tolist())
+    assert (tree.root, tree.inner, tree.inner_right) == (as_split(root), as_split(inner), inner_right)
+    return tree
+
+
+def test_skip_needs_a_gain_strictly_above_the_other_bound():
+    # the root splits on feature 0; each child then splits on feature 1 only, and every sum is exact.
+    # Left child: residuals 4, 4, 2, 2, squared-error bound 40 - 144/4 = 4, best split perfect, gain 4.
+    # Right child: residuals -1, -5, -3, -3, bound 44 - 144/4 = 8, so it is searched first; its best
+    # split gains 16/2 + 64/2 - 144/4 = 4, exactly the left bound, so the left child must still be
+    # searched, and the equal gains expand the left child.
+    X = [[0, 0], [0, 0], [0, 1], [0, 1], [1, 0], [1, 1], [1, 0], [1, 1]]
+    tree = two_child_tree(X, [4, 4, 2, 2, -1, -5, -3, -3])
+    assert tree.root.feature == 0 and tree.inner.gain == 4.0 and not tree.inner_right
+
+
+def test_zero_bound_child_is_searched_after_a_zero_gain():
+    # left child: residuals all 2, bound 0, best split gains 0; right child: bound 4, best split gains 0
+    X = [[0, 0], [0, 1], [0, 1], [1, 0], [1, 0], [1, 1], [1, 1]]
+    tree = two_child_tree(X, [2, 2, 2, 0, -2, -2, 0])
+    assert tree.root.feature == 0 and tree.inner.gain == 0.0 and not tree.inner_right
+
+
+def test_empty_child_has_a_zero_bound():
+    # the midpoint of two neighbouring floats rounds to the upper one, so every row goes left
+    lo = 1.0 + 2.0**-52
+    tree = two_child_tree([[lo], [np.nextafter(lo, 2.0)]], [0.5, -0.5])
+    assert tree.root.threshold == np.nextafter(lo, 2.0) and not tree.inner_right
 
 
 PINNED_DIGEST = "53cafb0f43464a19077bbbccba3731d42e14a0c1fcaa98026a37a72eebd86e30"
@@ -254,6 +315,14 @@ def assert_pinned(model):
 def test_gb_model_bytes_pinned(pinned_splits):
     """Any drift in the split search shows here as changed model bytes."""
     assert_pinned(gb_train(*pinned_splits, max_trees=3))
+
+
+def test_child_search_skipped_without_changing_bytes(pinned_splits, monkeypatch):
+    searched = count_child_searches(monkeypatch)
+    assert_pinned(gb_train(*pinned_splits, max_trees=3))
+    # 21 trees with a root split: searching both children of each would take 42 child searches
+    assert len(searched) == 3 * len(CLASSES)
+    assert sum(searched) == 27 < 2 * len(searched)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 8])

@@ -257,6 +257,8 @@ MALFORMED = {
     "init_score_inf": ("gb", _set_first_value("init_scores", math.inf), None, "init_scores must be finite"),
     "threshold_nan": ("gb", _sub_first(r"root=(\d+),[^,]+,", r"root=\1,nan,"), None, "threshold must be finite"),
     "gain_inf": ("gb", _sub_first(r"(root=\d+,[^,]+),\S+", r"\1,inf"), None, "gain must be finite"),
+    # training clips every gain at 0, and gb_influence normalises only a positive total
+    "gain_negative": ("gb", _sub_first(r"(root=\d+,[^,]+),\S+", r"\1,-1e6"), None, "non-negative, got '-1e6'"),
     "leaf_value_nan": ("gb", _sub_first(r"values=[^,\s]+", "values=nan"), None, "leaf value must be finite"),
     "gamma_inf": ("svm", _sub_first(r"gamma: \S+", "gamma: inf"), None, "and finite, got inf"),
     "gamma_nan": ("svm", _sub_first(r"gamma: \S+", "gamma: nan"), None, "and finite, got nan"),
