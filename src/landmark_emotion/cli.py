@@ -191,8 +191,6 @@ def _cmd_influence(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    if args.per_class < 1:
-        raise LandmarkEmotionError(f"--per-class must be at least 1, got {args.per_class}")
     out_dir = args.out or "synth_data"
     manifest_path = synth_dataset(out_dir, seed=args.seed, per_class_count=args.per_class)
     print(f"synthetic dataset written: {manifest_path} ({args.per_class} per class, seed {args.seed})")

@@ -72,6 +72,27 @@ class LabeledDataset:
             raise LandmarkEmotionError("dataset contains unlabeled samples")
 
 
+def check_fit_inputs(train: LabeledDataset, val: LabeledDataset | None = None) -> tuple[int, ...]:
+    """The classes present in ``train``, once it is checked that a learner can fit on it.
+
+    ``train`` must be labelled, with at least one column and two classes
+    present; ``val``, when given, must be non-empty, labelled and as wide.
+    """
+    train.require_labeled()
+    if train.dimension < 1:
+        raise LandmarkEmotionError("training rows have no feature columns")
+    classes = train.classes_present()
+    if len(classes) < 2:
+        raise LandmarkEmotionError(f"training needs at least two classes present, got {list(classes)}")
+    if val is not None:
+        if len(val) == 0:
+            raise LandmarkEmotionError("training needs a non-empty validation set")
+        val.require_labeled()
+        if val.dimension != train.dimension:
+            raise LandmarkEmotionError(f"validation rows have {val.dimension} columns, training rows {train.dimension}")
+    return classes
+
+
 def canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row order independent of how the caller shuffled the samples.
 

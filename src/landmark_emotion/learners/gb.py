@@ -4,7 +4,8 @@ One tree per class per iteration is fit to the negative gradient of the
 multinomial deviance; leaf values take the per-leaf Newton step.  Trees are
 grown best-first to exactly two internal splits (three leaves) by exact
 greedy search over every feature, thresholds at midpoints between distinct
-sorted values.  All tie-breaks are deterministic (lowest feature index, then
+sorted values, or at the lower value where the midpoint does not round into
+[lower, upper).  All tie-breaks are deterministic (lowest feature index, then
 lowest threshold), and training rows are put into a canonical order first so
 results do not depend on how the caller shuffled the samples.
 
@@ -38,6 +39,8 @@ the stripes really run at once.  A one-CPU process starts no thread.  Trees
 are kept and scores updated in class order after the round, so the model
 does not depend on the thread count; a failure in any stripe is raised once
 the other stripes of its round have finished.
+
+The config, ``gb_train`` and the model loader share ``check_gb_parameters``.
 """
 from __future__ import annotations
 
@@ -48,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import LandmarkEmotionError
-from .dataset import LabeledDataset, canonical_order
+from .dataset import LabeledDataset, canonical_order, check_fit_inputs
 
 DEFAULT_SHRINKAGE = 0.1
 DEFAULT_MAX_TREES = 100
@@ -115,6 +118,14 @@ def _softmax(F: np.ndarray) -> np.ndarray:
     shifted = F - F.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def check_gb_parameters(shrinkage: float, tree_count: int) -> None:
+    """Reject a shrinkage outside (0, 1] or fewer than one tree per class."""
+    if not 0 < shrinkage <= 1:
+        raise LandmarkEmotionError(f"shrinkage must be in (0, 1], got {shrinkage}")
+    if tree_count < 1:
+        raise LandmarkEmotionError(f"tree count must be at least 1, got {tree_count}")
 
 
 class _SortedColumns:
@@ -209,10 +220,12 @@ class _SplitSearch:
         # the threshold lies between the winning position and the next; at the
         # root, m == n and the flat root positions are the layout's own
         pair = slice(f * m + pos, f * m + pos + 2)
-        lo, hi = self.X[self.columns.order.ravel()[pair if picked is None else picked[pair]], f]
-        threshold = 0.5 * (lo + hi)
+        lo, hi = self.X[self.columns.order.ravel()[pair if picked is None else picked[pair]], f].tolist()
+        # the midpoint of neighbouring floats can round onto hi, and lo + hi can overflow
+        mid = 0.5 * (lo + hi)
+        threshold = mid if lo <= mid < hi else lo
         # the improvement is non-negative in exact arithmetic; clip fp dust
-        return max(float(gain[f, pos]), 0.0), int(f), float(threshold)
+        return max(float(gain[f, pos]), 0.0), int(f), threshold
 
 
 def _newton_value(rows: np.ndarray, residual: np.ndarray, weight: np.ndarray, k_classes: int) -> float:
@@ -253,11 +266,10 @@ def _fit_two_split_tree(
     # whatever the feature.  The computed gain and bound each stray from exact
     # arithmetic by about 10 * m * 2**-53 * S (1e-13 * S at m = 952), far
     # inside the 1e-6 * S margin, so the skip never changes which child is
-    # expanded.  An empty child (a midpoint that rounds onto the upper value)
-    # has bound 0.
+    # expanded.
     parts = [residual[rows] for rows in children]
     squares = [float(r @ r) for r in parts]
-    bounds = [s - r.sum() ** 2 / max(len(r), 1) for r, s in zip(parts, squares)]
+    bounds = [s - r.sum() ** 2 / len(r) for r, s in zip(parts, squares)]
     first = 0 if bounds[0] >= bounds[1] else 1
     other = 1 - first
     candidates = [None, None]
@@ -309,19 +321,8 @@ def gb_train(
     max_trees: int = DEFAULT_MAX_TREES,
 ) -> GBModel:
     """Boost two-split trees; keep the tree count with the best validation accuracy."""
-    if len(val) == 0:
-        raise LandmarkEmotionError("gradient boosting needs a non-empty validation set")
-    train.require_labeled()
-    val.require_labeled()
-    if max_trees < 1:
-        raise LandmarkEmotionError("max_trees must be at least 1")
-    if not 0 < shrinkage <= 1:
-        raise LandmarkEmotionError(f"shrinkage must be in (0, 1], got {shrinkage}")
-    classes = train.classes_present()
-    if len(classes) < 2:
-        raise LandmarkEmotionError("gradient boosting needs at least two classes present")
-    if val.dimension != train.dimension:
-        raise LandmarkEmotionError("train and validation dimensions differ")
+    check_gb_parameters(shrinkage, max_trees)
+    classes = check_fit_inputs(train, val)
 
     order = canonical_order(train.X, train.y)
     X = np.ascontiguousarray(train.X[order])

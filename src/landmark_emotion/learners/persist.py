@@ -7,8 +7,9 @@ output is byte-identical for equal models.  A model file records the digest
 of the FeatureSpec it was trained on; loading against a different spec
 digest is an error.  When the model was trained on ``axis`` features, the
 header also holds the training mean shape those features are measured from.
-A model has at least two classes, and an SVM file always holds the bounds
-of its scaler; a file without them is a LandmarkEmotionError.
+A model has at least two classes and one dimension, its learner parameters
+pass the checks training applies, and an SVM file always holds the bounds of
+its scaler; any other file is a LandmarkEmotionError.
 
 Each fact is stored once.  A boosted tree is one line holding its leaf values
 and its splits by position (``root``, ``inner_left`` or ``inner_right``);
@@ -27,8 +28,8 @@ import numpy as np
 from ..errors import LandmarkEmotionError
 from ..shapes import POINT_COUNT
 from .dataset import CLASSES
-from .gb import GBModel, Split, Tree
-from .svm import BinaryMachine, Scaler, SVMModel
+from .gb import GBModel, Split, Tree, check_gb_parameters
+from .svm import BinaryMachine, Scaler, SVMModel, check_svm_parameters
 
 _FORMAT_NAME = "landmark-emotion-model"
 FORMAT_HEADER = _FORMAT_NAME + " v3"
@@ -209,6 +210,8 @@ def _parse_model(text: str, expected_spec_digest: str | None) -> GBModel | SVMMo
     if len(classes) < 2:
         raise LandmarkEmotionError(f"a model needs at least two classes, got {list(classes)}")
     dimension = int(reader.expect_key("dimension"))
+    if dimension < 1:
+        raise LandmarkEmotionError(f"dimension must be at least 1, got {dimension}")
     mean = reader.optional_key("mean_shape")
     common = {
         "classes": classes,
@@ -255,11 +258,8 @@ def _parse_tree(line: str, dimension: int) -> Tree:
 
 def _load_gb(reader: _LineReader, dimension: int, common: dict) -> GBModel:
     shrinkage = float(reader.expect_key("shrinkage"))
-    if not 0 < shrinkage <= 1:
-        raise LandmarkEmotionError(f"shrinkage must be in (0, 1], got {shrinkage!r}")
     tree_count = int(reader.expect_key("tree_count"))
-    if tree_count < 1:
-        raise LandmarkEmotionError(f"a GB model needs at least one tree per class, got tree_count {tree_count}")
+    check_gb_parameters(shrinkage, tree_count)
     k = len(common["classes"])
     init_scores = _parse_block(reader.expect_key("init_scores"), "init_scores", 1, k)[0]
     lines = []
@@ -282,11 +282,7 @@ def _load_gb(reader: _LineReader, dimension: int, common: dict) -> GBModel:
 def _load_svm(reader: _LineReader, dimension: int, common: dict) -> SVMModel:
     C = float(reader.expect_key("C"))
     gamma = float(reader.expect_key("gamma"))
-    # C = inf is a hard margin, as svm_train allows
-    if not C > 0:
-        raise LandmarkEmotionError(f"C must be positive, got {C!r}")
-    if not 0 < gamma < math.inf:
-        raise LandmarkEmotionError(f"gamma must be positive and finite, got {gamma!r}")
+    check_svm_parameters([C], [gamma])
     scaler = Scaler(
         lo=_parse_block(reader.expect_key("scaler_lo"), "scaler_lo", 1, dimension)[0],
         hi=_parse_block(reader.expect_key("scaler_hi"), "scaler_hi", 1, dimension)[0],

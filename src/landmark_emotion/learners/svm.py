@@ -26,6 +26,8 @@ C values and solves every (C, pair) dual in one ``smo_solve`` call.
 once per grid, and per gamma builds the pair and validation kernels and runs
 the solve step once over every C, so the cells of one gamma share one copy
 of each pair kernel.
+
+The config, both trainers and the model loader share ``check_svm_parameters``.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from ..errors import LandmarkEmotionError
-from .dataset import CLASSES, LabeledDataset, canonical_order
+from .dataset import CLASSES, LabeledDataset, canonical_order, check_fit_inputs
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 1_000_000
@@ -233,12 +235,17 @@ class SVMModel:
         return self.vectors.shape[1]
 
 
-def _check_hyperparameters(C: float, gamma: float) -> None:
+def check_svm_parameters(C_values: Sequence[float], gamma_values: Sequence[float]) -> None:
+    """Reject an empty list, a C outside (0, inf] or a gamma outside (0, inf)."""
+    if len(C_values) == 0 or len(gamma_values) == 0:
+        raise LandmarkEmotionError("C and gamma each need at least one value")
     # C = inf is a valid hard margin; gamma = inf puts inf * 0 = NaN on the kernel diagonal
-    if not C > 0 or not 0 < gamma < np.inf:
-        raise LandmarkEmotionError(
-            f"C must be positive and gamma positive and finite, got C={C}, gamma={gamma}"
-        )
+    for C in C_values:
+        if not C > 0:
+            raise LandmarkEmotionError(f"C must be positive, got {C}")
+    for gamma in gamma_values:
+        if not 0 < gamma < np.inf:
+            raise LandmarkEmotionError(f"gamma must be positive and finite, got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -258,10 +265,7 @@ class _TrainingData:
 
 def _prepare(train: LabeledDataset, scaler: Scaler) -> _TrainingData:
     """The data step: scale, order canonically, and lay out each class pair's dual."""
-    train.require_labeled()
-    classes = train.classes_present()
-    if len(classes) < 2:
-        raise LandmarkEmotionError("SVM training needs at least two classes present")
+    classes = check_fit_inputs(train)
     X = scaler.transform(train.X)
     # on ties the larger class sorts first: it is the -1 label of every pair it is in
     order = canonical_order(X, -train.y)
@@ -305,7 +309,7 @@ def _solve(
 
 def svm_train(train: LabeledDataset, C: float, gamma: float, scaler: Scaler) -> SVMModel:
     """Train one-vs-one binary machines on raw rows, scaled by ``scaler``."""
-    _check_hyperparameters(C, gamma)
+    check_svm_parameters([C], [gamma])
     data = _prepare(train, scaler)
     [(used, machines)] = _solve(data, np.exp(-gamma * data.sqdist), [C])
     return SVMModel(
@@ -374,20 +378,10 @@ def grid_search(
     scores it as ``svm_predict_batch`` would.  The data step runs once, and
     the kernels and one solve step over every C once per gamma.
     """
-    if len(val) == 0:
-        raise LandmarkEmotionError("grid search needs a non-empty validation set")
-    if not C_grid or not gamma_grid:
-        raise LandmarkEmotionError("grids must be non-empty")
-    if val.dimension != train.dimension:
-        raise LandmarkEmotionError(
-            f"validation rows have {val.dimension} columns, training rows {train.dimension}"
-        )
     C_grid = tuple(float(c) for c in C_grid)
     gamma_grid = tuple(float(g) for g in gamma_grid)
-    for C in C_grid:
-        for gamma in gamma_grid:
-            _check_hyperparameters(C, gamma)
-    val.require_labeled()
+    check_svm_parameters(C_grid, gamma_grid)
+    check_fit_inputs(train, val)
 
     scaler = fit_scaler(train)
     data = _prepare(train, scaler)

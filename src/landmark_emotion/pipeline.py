@@ -43,8 +43,8 @@ from .features.gabor import FilterBank, build_gabor_bank
 from .features.image import GrayImage, align_face, read_pgm
 from .features.spec import FeatureBlock, FeatureSpec
 from .learners.dataset import CLASSES, UNLABELED, LabeledDataset, label_index
-from .learners.gb import DEFAULT_MAX_TREES, DEFAULT_SHRINKAGE, GBModel, gb_predict_batch
-from .learners.svm import DEFAULT_C_GRID, DEFAULT_GAMMA_GRID, SVMModel, svm_predict_batch
+from .learners.gb import DEFAULT_MAX_TREES, DEFAULT_SHRINKAGE, GBModel, check_gb_parameters, gb_predict_batch
+from .learners.svm import DEFAULT_C_GRID, DEFAULT_GAMMA_GRID, SVMModel, check_svm_parameters, svm_predict_batch
 from .shapes import (
     POINT_COUNT,
     LandmarkSet,
@@ -160,21 +160,10 @@ class PipelineConfig:
             raise LandmarkEmotionError(f"eval_split must be one of {SPLITS}")
         if (self.svm_c is None) != (self.svm_gamma is None):
             raise LandmarkEmotionError("set both svm_c and svm_gamma for a fixed SVM, or neither for a grid search")
-        svm_values = [("svm_c_grid", self.svm_c_grid), ("svm_gamma_grid", self.svm_gamma_grid)]
+        check_svm_parameters(self.svm_c_grid, self.svm_gamma_grid)
         if self.svm_c is not None:
-            svm_values += [("svm_c", (self.svm_c,)), ("svm_gamma", (self.svm_gamma,))]
-        for key, values in svm_values:
-            if not values:
-                raise LandmarkEmotionError(f"{key} must list at least one value")
-            # C = inf is a hard margin; an infinite gamma makes the RBF kernel NaN
-            gamma = key.startswith("svm_gamma")
-            for v in values:
-                if not (v > 0 and (v < np.inf or not gamma)):
-                    raise LandmarkEmotionError(f"{key} must be in {'(0, inf)' if gamma else '(0, inf]'}, got {v}")
-        if not 0 < self.shrinkage <= 1:
-            raise LandmarkEmotionError(f"shrinkage must be in (0, 1], got {self.shrinkage}")
-        if self.max_trees < 1:
-            raise LandmarkEmotionError(f"max_trees must be at least 1, got {self.max_trees}")
+            check_svm_parameters([self.svm_c], [self.svm_gamma])
+        check_gb_parameters(self.shrinkage, self.max_trees)
 
     def needs_images(self) -> bool:
         return "bif" in self.features or "point_texture" in self.features

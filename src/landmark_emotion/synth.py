@@ -156,7 +156,7 @@ def _split_sizes(per_class: int) -> tuple[int, int, int]:
 def synth_dataset(out_dir: str | Path, seed: int, per_class_count: int) -> Path:
     """Write `.pts` files plus `manifest.csv` under ``out_dir``; returns the manifest path."""
     if per_class_count < 1:
-        raise LandmarkEmotionError("per_class_count must be at least 1")
+        raise LandmarkEmotionError(f"per-class count must be at least 1, got {per_class_count}")
     if seed < 0:
         raise LandmarkEmotionError(f"seed must be at least 0, got {seed}")
     out_dir = Path(out_dir)

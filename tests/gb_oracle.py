@@ -1,7 +1,7 @@
 """Plain-Python exhaustive split search: the judge for the GB split search.
 
 For every feature, rows are sorted by value with ties in row order, and
-every midpoint between two distinct neighbouring values is scored.  Prefix
+every threshold between two distinct neighbouring values is scored.  Prefix
 sums are accumulated one row at a time in that sorted order, and the gain is
 ``left**2/k + right**2/(m-k) - total**2/m`` evaluated in that order, so a
 correct vectorised search returns the very same floats.  A candidate
@@ -14,6 +14,12 @@ from __future__ import annotations
 def square(v: float) -> float:
     # numpy evaluates ``a**2`` as ``a*a``; libm ``pow`` need not round the same way
     return v * v
+
+
+def threshold(lo, hi):
+    """The split between neighbouring values: their midpoint, or ``lo`` where it rounds out of [lo, hi)."""
+    mid = 0.5 * (lo + hi)
+    return mid if lo <= mid < hi else lo
 
 
 def best_split(X, rows, residual):
@@ -41,7 +47,7 @@ def best_split(X, rows, residual):
             right = total - left
             gain = square(left) / k + square(right) / (m - k) - square(total) / m
             if best is None or gain > best[0]:
-                best = (gain, f, 0.5 * (values[k - 1] + values[k]))
+                best = (gain, f, threshold(values[k - 1], values[k]))
     if best is None:
         return None
     return max(best[0], 0.0), best[1], best[2]

@@ -101,7 +101,7 @@ def test_synth_rejects_zero_per_class(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "data"), "--per-class", "0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --per-class must be at least 1, got 0\n"
+    assert captured.err == "error: per-class count must be at least 1, got 0\n"
     assert not (tmp_path / "data").exists()
 
 

@@ -54,7 +54,7 @@ def test_single_class_rejected():
 def test_empty_validation_set_rejected():
     train, _ = blob_fixture(n_per=10)
     empty = LabeledDataset(np.zeros((0, train.dimension)), [])
-    with pytest.raises(LandmarkEmotionError, match="gradient boosting needs a non-empty validation set"):
+    with pytest.raises(LandmarkEmotionError, match="training needs a non-empty validation set"):
         gb_train(train, empty)
 
 
@@ -286,11 +286,20 @@ def test_zero_bound_child_is_searched_after_a_zero_gain():
     assert tree.root.feature == 0 and tree.inner.gain == 0.0 and not tree.inner_right
 
 
-def test_empty_child_has_a_zero_bound():
-    # the midpoint of two neighbouring floats rounds to the upper one, so every row goes left
-    lo = 1.0 + 2.0**-52
-    tree = two_child_tree([[lo], [np.nextafter(lo, 2.0)]], [0.5, -0.5])
-    assert tree.root.threshold == np.nextafter(lo, 2.0) and not tree.inner_right
+def test_neighbouring_values_split_one_row_each_side():
+    # the midpoint of two neighbouring floats rounds onto the upper one, and a sum past the
+    # largest float overflows to +-inf: the threshold is then the lower value
+    neighbours = (1.0 + 2.0**-52, np.nextafter(1.0 + 2.0**-52, 2.0))
+    for lo, hi in (neighbours, (1e308, 1.7e308), (-1.7e308, -1e308)):
+        tree = two_child_tree([[lo], [hi]], [0.5, -0.5])
+        assert tree.root.threshold == lo
+        assert tree.predict(np.array([[lo], [hi]])).tolist() == list(tree.values)
+
+
+def test_zero_columns_rejected():
+    ds = dataset(np.zeros((6, 0)), [0, 3] * 3)
+    with pytest.raises(LandmarkEmotionError, match="training rows have no feature columns"):
+        gb_train(ds, ds)
 
 
 PINNED_DIGEST = "53cafb0f43464a19077bbbccba3731d42e14a0c1fcaa98026a37a72eebd86e30"

@@ -194,6 +194,16 @@ def _drop_trees(text):
     return re.sub(r"(?m)^tree .*\n", "", text)
 
 
+def _without_splits(dimension):
+    """The GB file with ``dimension: <dimension>`` and every tree a single leaf, which no split index refutes."""
+
+    def edit(text):
+        text = _sub_first(r"dimension: \d+", f"dimension: {dimension}")(text)
+        return re.sub(r"(?m)^tree .*$", "tree values=0.0", text)
+
+    return edit
+
+
 # (model kind, edit of a valid model file, raw exception the LandmarkEmotionError wraps, or None
 # when a check rejects the file before any parsing step fails, what the error message says)
 MALFORMED = {
@@ -236,7 +246,9 @@ MALFORMED = {
     "one_class_svm": ("svm", _keep_one_class, None, r"two classes, got \[3\]"),
     "one_class_gb": ("gb", _keep_one_class, None, r"two classes, got \[3\]"),
     # no tree lines: gb_train always keeps at least one tree
-    "zero_trees": ("gb", _drop_trees, None, "one tree per class, got tree_count 0"),
+    "zero_trees": ("gb", _drop_trees, None, "tree count must be at least 1, got 0"),
+    "dimension_zero": ("gb", _without_splits(0), None, "dimension must be at least 1, got 0"),
+    "dimension_negative": ("gb", _without_splits(-5), None, "dimension must be at least 1, got -5"),
     # tree lines: the first tree of the GB fixture has its inner split on the root's left child
     "tree_unknown_field": ("gb", _sub_first(r"(?m)^(tree .*)$", r"\1 iter=0"), None, "repeated or unknown field"),
     "repeated_tree_field": ("gb", _sub_first(r"( root=\S+)", r"\1\1"), None, "repeated or unknown field"),

@@ -358,13 +358,13 @@ def test_readme_config_table_names_every_field():
         ("aspect_factor = inf", "aspect_factor"),
         ("svm_c = 8", "svm_gamma"),
         ("svm_gamma = 0.5", "svm_c"),
-        ("svm_c = 0\nsvm_gamma = 1", "svm_c must"),
-        ("svm_c = 1\nsvm_gamma = inf", "svm_gamma must"),
-        ("svm_c_grid = ", "svm_c_grid must"),
-        ("svm_gamma_grid = -1", "svm_gamma_grid must"),
+        ("svm_c = 0\nsvm_gamma = 1", "C must be positive, got 0"),
+        ("svm_c = 1\nsvm_gamma = inf", "gamma must be positive and finite, got inf"),
+        ("svm_c_grid = ", "C and gamma each need at least one value"),
+        ("svm_gamma_grid = -1", "gamma must be positive and finite, got -1"),
         ("shrinkage = 0", "shrinkage"),
         ("shrinkage = 1.5", "shrinkage"),
-        ("max_trees = 0", "max_trees"),
+        ("max_trees = 0", "tree count must be at least 1, got 0"),
         ("texture_scales = 0", "texture_scales"),
         ("texture_scales = 17", "texture_scales"),
         ("texture_orientations = 0", "texture_orientations"),

@@ -241,6 +241,14 @@ def test_svm_single_class_rejected(rng):
         svm_train(ds, C=1.0, gamma=1.0, scaler=fit_scaler(ds))
 
 
+def test_zero_columns_rejected():
+    ds = dataset(np.zeros((6, 0)), [0, 1] * 3)
+    with pytest.raises(LandmarkEmotionError, match="training rows have no feature columns"):
+        svm_train(ds, C=1.0, gamma=1.0, scaler=fit_scaler(ds))
+    with pytest.raises(LandmarkEmotionError, match="training rows have no feature columns"):
+        grid_search(ds, ds, [1.0], [0.5])
+
+
 @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
 def test_svm_gamma_must_be_positive_and_finite(rng, gamma):
     ds = dataset(rng.standard_normal((6, 2)), [0, 1] * 3)
@@ -426,22 +434,24 @@ def never_solve(*args, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "C_grid, gamma_grid",
+    "C_grid, gamma_grid, message",
     [
-        ((1.0, 0.0), (0.5,)),
-        ((1.0, -1.0), (0.5,)),
-        ((1.0, math.nan), (0.5,)),
-        ((1.0,), (0.5, 0.0)),
-        ((1.0,), (0.5, math.nan)),
-        ((1.0,), (0.5, math.inf)),
+        ((1.0, 0.0), (0.5,), r"C must be positive, got 0\.0"),
+        ((1.0, -1.0), (0.5,), r"C must be positive, got -1\.0"),
+        ((1.0, math.nan), (0.5,), "C must be positive, got nan"),
+        ((1.0,), (0.5, 0.0), r"gamma must be positive and finite, got 0\.0"),
+        ((1.0,), (0.5, math.nan), "gamma must be positive and finite, got nan"),
+        ((1.0,), (0.5, math.inf), "gamma must be positive and finite, got inf"),
+        ((), (0.5,), "C and gamma each need at least one value"),
+        ((1.0,), (), "C and gamma each need at least one value"),
     ],
-    ids=["C=0", "C=-1", "C=nan", "gamma=0", "gamma=nan", "gamma=inf"],
+    ids=["C=0", "C=-1", "C=nan", "gamma=0", "gamma=nan", "gamma=inf", "no-C", "no-gamma"],
 )
-def test_grid_search_checks_every_value_before_solving(rng, monkeypatch, C_grid, gamma_grid):
-    # the bad value sits last, after a cell that could be trained
+def test_grid_search_checks_every_value_before_solving(rng, monkeypatch, C_grid, gamma_grid, message):
+    # a bad value sits last, after a cell that could be trained, or a grid is empty
     monkeypatch.setattr(svm_module, "smo_solve", never_solve)
     train = separable_three_class(rng)
-    with pytest.raises(LandmarkEmotionError, match="gamma"):
+    with pytest.raises(LandmarkEmotionError, match=message):
         grid_search(train, train, C_grid, gamma_grid)
 
 

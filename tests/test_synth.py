@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,15 @@ def test_synth_counts_and_splits(tmp_path):
         assert splits.count("test") == 2
 
 
+def test_default_synth_bytes_pinned(tmp_path):
+    """The bench ``gb_shape`` inputs (seed 7, 30 per class), hashed as ``bench/run.py`` hashes a set-up."""
+    synth_dataset(tmp_path / "data", seed=7, per_class_count=30)
+    digest = hashlib.sha256()
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        digest.update(str(path.relative_to(tmp_path)).encode("utf-8") + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == "a03ed6306df76f2c51b4ff47e69d735d91ab255dcd6898ca58109900871fd3b6"
+
+
 def test_synth_pts_roundtrip(tmp_path):
     manifest_path = synth_dataset(tmp_path / "e", seed=5, per_class_count=2)
     manifest = read_manifest(manifest_path)
@@ -66,5 +76,5 @@ def test_synth_pts_roundtrip(tmp_path):
 
 
 def test_synth_rejects_bad_count(tmp_path):
-    with pytest.raises(LandmarkEmotionError, match="per_class_count must be at least 1"):
+    with pytest.raises(LandmarkEmotionError, match="per-class count must be at least 1, got 0"):
         synth_dataset(tmp_path, seed=0, per_class_count=0)
