@@ -36,7 +36,6 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ..errors import LandmarkEmotionError
 from .dataset import CLASSES, LabeledDataset, canonical_order, check_fit_inputs
@@ -53,8 +52,13 @@ def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, each a sum of squared coordinate differences.
 
     Not ``|a|^2 + |b|^2 - 2 a.b``: the bits of a BLAS product depend on the
-    thread count, and these distances fix the model's bytes.
+    thread count, and these distances fix the model's bytes.  ``cdist`` is
+    the only scipy the package uses, so it is imported here and not at module
+    top: ``scipy.spatial`` loads about 175 modules, and a process that never
+    computes an RBF kernel (GB, ``synth``, ``influence``) never loads them.
     """
+    from scipy.spatial.distance import cdist
+
     return cdist(np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64), "sqeuclidean")
 
 
@@ -81,6 +85,7 @@ class Scaler:
 
 
 def fit_scaler(train: LabeledDataset) -> Scaler:
+    check_fit_inputs(train)
     return Scaler(lo=train.X.min(axis=0), hi=train.X.max(axis=0))
 
 
@@ -266,6 +271,8 @@ class _TrainingData:
 def _prepare(train: LabeledDataset, scaler: Scaler) -> _TrainingData:
     """The data step: scale, order canonically, and lay out each class pair's dual."""
     classes = check_fit_inputs(train)
+    if len(scaler.lo) != train.dimension:
+        raise LandmarkEmotionError(f"scaler has {len(scaler.lo)} columns, training rows {train.dimension}")
     X = scaler.transform(train.X)
     # on ties the larger class sorts first: it is the -1 label of every pair it is in
     order = canonical_order(X, -train.y)

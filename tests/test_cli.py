@@ -546,8 +546,8 @@ def test_out_flag_writes_reports(synth_dir, tmp_path, capsys):
 @pytest.mark.parametrize(
     "module, unloaded",
     [
-        # scipy.signal costs about 0.9 s at start-up; no command needs it
-        ("landmark_emotion.cli", ["scipy.signal"]),
+        # scipy.spatial alone loads about 175 scipy modules; only an RBF kernel needs it
+        ("landmark_emotion.cli", ["scipy"]),
         # shape work needs neither a learner nor scipy
         ("landmark_emotion.shapes", ["landmark_emotion.learners", "scipy"]),
     ],
@@ -564,3 +564,33 @@ def test_cli_import_leaves_scipy_signal_unloaded(module, unloaded):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_gb_commands_load_no_scipy_and_svm_train_does(tmp_path):
+    # one process: every command without an RBF kernel runs first, then a
+    # fixed SVM train must load the kernel's scipy, so the check is not vacuous
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    (tmp_path / "cfg_gb").write_text(FAST_GB_CONFIG.format(manifest=tmp_path / "data" / "manifest.csv"))
+    (tmp_path / "cfg_svm").write_text(f"manifest = {tmp_path / 'data' / 'manifest.csv'}\n{FIXED_SVM}")
+    code = f"""
+import contextlib, io, sys
+from landmark_emotion.cli import main
+
+def scipy_loaded():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+root, model = {str(tmp_path)!r}, {str(tmp_path / "m.model")!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["synth", "--out", root + "/data", "--seed", "3", "--per-class", "8"]) == 0
+    for cmd in ("train", "evaluate", "predict", "influence"):
+        assert main([cmd, "--config", root + "/cfg_gb", "--model", model]) == 0, cmd
+print(scipy_loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["train", "--config", root + "/cfg_svm", "--model", model]) == 0
+print("scipy.spatial.distance" in scipy_loaded())
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "True"]

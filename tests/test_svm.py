@@ -80,6 +80,18 @@ def test_scaler_endpoints_and_constant(rng):
     assert np.allclose(lows, [-1, -1, 0, -1])
 
 
+def test_fit_scaler_rejects_zero_rows():
+    with pytest.raises(LandmarkEmotionError, match="at least two classes"):
+        fit_scaler(LabeledDataset(np.zeros((0, 3)), []))
+
+
+def test_svm_train_rejects_scaler_of_another_width(rng):
+    train = dataset(rng.standard_normal((6, 3)), [0, 1] * 3)
+    other = dataset(rng.standard_normal((6, 5)), [0, 1] * 3)
+    with pytest.raises(LandmarkEmotionError, match="scaler has 5 columns, training rows 3"):
+        svm_train(train, C=1.0, gamma=1.0, scaler=fit_scaler(other))
+
+
 # --- SMO --------------------------------------------------------------------
 
 
