@@ -11,13 +11,19 @@ results do not depend on how the caller shuffled the samples.
 
 Every column is sorted once per training run (XGBoost's exact greedy search
 over pre-sorted columns).  A root search takes the residual into that sorted
-(features × rows) layout; a child's layout is a stable partition of the
-root's, never a fresh gather from the feature matrix.  A child finds its
-tied neighbours from the ranks of the distinct sorted values, and a split's
-threshold is read from the feature matrix at the winning pair only.  The
-prefix sums and the gain formula run in work buffers allocated once per
-run; a child search allocates only the index of its positions in the root
-layout.
+(features × rows) layout, the one full-size table a search keeps; a child's
+layout is a stable partition of the root's, never a fresh gather from the
+feature matrix.  A child finds its tied neighbours from the ranks of the
+distinct sorted values, and a split's threshold is read from the feature
+matrix at the winning pair only.  Both walk the features in blocks of about
+``_BLOCK_ENTRIES`` entries (XGBoost's column blocks): a child's positions,
+residual and ranks, the prefix sums and the gain formula use work buffers of
+one block, allocated once per run.  A block's best replaces the best so far
+only when strictly greater, so ties still go to the lowest feature, then the
+lowest threshold.  Each feature's prefix sums are one 1-D running sum over
+the block, reset to exactly zero between features, so they hold the same
+floats as a per-feature cumsum while numpy releases the GIL.  The sort
+itself also runs one block at a time, so no temporary is full-size.
 
 No split of a node can gain more than the node's squared error about its
 mean, S - (sum r)**2 / m, whatever the feature.  So the two children of the
@@ -31,9 +37,10 @@ both children.
 
 The K trees of one round depend only on that round's residuals, so W =
 min(CPUs this process may use, K) searches fit them together, each with its
-own work buffers over the shared sorted layout.  Search s fits the stripe of
-classes s, s + W, s + 2W, … every round: search 0 on the calling thread, the
-others on the W − 1 threads of one helper pool that lives for the whole run.
+own residual table and work buffers over the shared sorted layout.  Search s
+fits the stripe of classes s, s + W, s + 2W, … every round: search 0 on the
+calling thread, the others on the W − 1 threads of one helper pool that
+lives for the whole run.
 numpy releases the GIL in the gathers, prefix sums and gain arithmetic, so
 the stripes really run at once.  A one-CPU process starts no thread.  Trees
 are kept and scores updated in class order after the round, so the model
@@ -55,6 +62,13 @@ from .dataset import LabeledDataset, canonical_order, check_fit_inputs
 
 DEFAULT_SHRINKAGE = 0.1
 DEFAULT_MAX_TREES = 100
+# entries in one block of a split search's work buffers (features × node rows); 2**15 was
+# slower at 952 rows on two threads and 2**17 held more memory (BENCH_34.json)
+_BLOCK_ENTRIES = 1 << 16
+# Each feature's residual in a search's sorted layout is led by +_RESET, -_RESET.  A running sum
+# x with |x| < 2**946 gives x + _RESET == _RESET and then exactly 0, so one 1-D cumsum restarts
+# from zero at every feature.  gb_train's residuals lie in [-1, 1], so its sums are that small.
+_RESET = 2.0**1000
 
 
 @dataclass(frozen=True)
@@ -131,82 +145,140 @@ def check_gb_parameters(shrinkage: float, tree_count: int) -> None:
 class _SortedColumns:
     """Every column of ``X`` sorted once per training run; read-only, shared by every search.
 
-    ``order`` is (d, n): feature f's row numbers sorted by value, ties in
-    row order.  ``rank`` numbers the distinct values of each sorted column
-    from 0, so two positions hold equal values exactly when their ranks are
-    equal; ``tied`` marks the neighbours in ``order`` with no threshold
-    between them.
+    ``order`` is (d, n + 2): two pad positions, then feature f's row numbers
+    sorted by value, ties in row order.  The pads point past the last row,
+    at n and n + 1, where a search puts the running-sum resets after the
+    residual and True after a child's rows.  ``rank`` (the same layout, pads
+    0) numbers the distinct values of each sorted column from 0, so two
+    positions hold equal values exactly when their ranks are equal;
+    ``tied`` (d, n - 1) marks the neighbours with no threshold between them.
     """
 
     def __init__(self, X: np.ndarray):
         n, d = X.shape
         self.X, self.n, self.d = X, n, d
-        self.order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
-        values = np.take_along_axis(X.T, self.order, axis=1)
-        self.tied = values[:, 1:] == values[:, :-1]
-        self.rank = np.zeros((d, n), dtype=np.int32)
-        np.cumsum(~self.tied, axis=1, out=self.rank[:, 1:])
+        self.order = np.empty((d, n + 2), dtype=np.intp)
+        self.order[:, :2] = (n, n + 1)
+        self.tied = np.empty((d, n - 1), dtype=bool)
+        self.rank = np.zeros((d, n + 2), dtype=np.int32)
+        self.width = max(1, _BLOCK_ENTRIES // n)  # features per block, here and in every search
+        # one block at a time, so no temporary is full-size; a stable sort has one answer, the
+        # same as argsort(X, axis=0).T
+        for f0 in range(0, d, self.width):
+            block = slice(f0, f0 + self.width)
+            order = np.argsort(X.T[block], axis=1, kind="stable")
+            self.order[block, 2:] = order
+            values = np.take_along_axis(X.T[block], order, axis=1)
+            tied = np.equal(values[:, 1:], values[:, :-1], out=self.tied[block])
+            np.cumsum(~tied, axis=1, out=self.rank[block, 3:])
 
 
 class _SplitSearch:
-    """Exact greedy split search over the shared sorted columns, in its own work buffers.
+    """Exact greedy split search over the shared sorted columns, one block of features at a time.
 
-    A root search takes the residual into the sorted (d, n) layout; a
-    child's layout is the stable partition of the root's by the child's
-    rows, so it stays sorted with ties in row order.  Every (d, n) buffer is
-    allocated here and reused by each search of the run; a node of m rows
-    views the first d*m entries as (d, m).  One thread uses one search.
+    A root search takes the residual, each feature's led by its resets, into
+    the sorted (d, n + 2) layout, the one table a search keeps; a child's
+    layout is the stable partition of the root's by the child's rows and the
+    pads, so it stays sorted with ties in row order.  Both walk the features
+    in blocks of ``_BLOCK_ENTRIES // n`` (at least one): a child gathers its
+    block's rows, positions, residual and ranks, and every block's prefix
+    sums, gains and ties run in work buffers of one block, allocated here
+    and reused by every search of the run.  One thread uses one search.
     """
 
     def __init__(self, columns: _SortedColumns):
         d, n = columns.d, columns.n
         self.columns, self.X, self.n, self.d = columns, columns.X, n, d
-        self.residual = np.empty((d, n))  # the current tree's residual in the root layout
-        self._member = np.empty(d * n, dtype=bool)  # a child's rows in the root layout, then its ties
-        # a child's residual, then the gain of every node: cumsum has read the residual by then
-        self._residual = np.empty(d * n)
-        # a child's ranks (as int32), then prefix sums, then the right-hand sums of the gain
-        self._sums = np.empty(d * n)
+        self.residual = np.empty((d, n + 2))  # the current tree's residual and resets in the root layout
+        size = min(columns.width, d) * (n + 2)
+        self._member = np.empty(size, dtype=bool)  # a child's rows in the block's root layout, then its ties
+        self._padded = np.empty(size)  # a child's residual and resets, then the gains
+        # a child's ranks (as int32), then the running sums, then the right-hand sums of the gain
+        self._sums = np.empty(size)
         self._counts = np.arange(1, n, dtype=np.float64)
 
-    def _view(self, buffer: np.ndarray, columns: int) -> np.ndarray:
-        return buffer[: self.d * columns].reshape(self.d, columns)
+    def _view(self, buffer: np.ndarray, rows: int, columns: int) -> np.ndarray:
+        return buffer[: rows * columns].reshape(rows, columns)
 
     def root_split(self, residual: np.ndarray):
         """Best split over all rows; keeps ``residual`` for the child searches."""
         # mode="clip" lets take write straight into ``out``; the indices are in range
-        np.take(residual, self.columns.order, out=self.residual, mode="clip")
-        return self._best(self.residual, self.columns.tied, None)
+        np.take(np.append(residual, (_RESET, -_RESET)), self.columns.order, out=self.residual, mode="clip")
+        return self._search(None, self.n)
 
     def child_split(self, member: np.ndarray):
         """Best split over the rows where ``member`` is true, a child of the last root."""
         m = int(np.count_nonzero(member))
         if m < 2:
             return None
-        np.take(member, self.columns.order.ravel(), out=self._member, mode="clip")
-        picked = np.flatnonzero(self._member)  # m positions per feature, in sorted order
-        residual = self._view(self._residual, m)
-        rank = self._view(self._sums.view(np.int32), m)
-        np.take(self.residual.ravel(), picked, out=residual.ravel(), mode="clip")
-        np.take(self.columns.rank.ravel(), picked, out=rank.ravel(), mode="clip")
-        tied = np.equal(rank[:, 1:], rank[:, :-1], out=self._view(self._member, m - 1))
-        return self._best(residual, tied, picked)
+        return self._search(np.append(member, (True, True)), m)
 
-    def _best(self, residual: np.ndarray, tied: np.ndarray, picked: np.ndarray | None):
-        """Best (gain, feature, threshold) of one node's sorted layout, or None.
+    def _search(self, member: np.ndarray | None, m: int):
+        """Best (gain, feature, threshold) of a node of m >= 2 rows, or None.
 
-        The node has at least two rows; ``picked`` holds a child's positions
-        in the flat root layout, and is None at the root.  Ties resolve to
-        the lowest feature index, then the lowest threshold.
+        ``member`` marks a child's rows and the pads, and is None at the
+        root.  A block's best replaces the best so far only when strictly
+        greater, so ties resolve to the lowest feature index, then the lowest
+        threshold, as one argmax over all features would.
         """
-        m = residual.shape[1]
-        sums = np.cumsum(residual, axis=1, out=self._view(self._sums, m))
+        best, where = -np.inf, None
+        width = self.columns.width
+        for f0 in range(0, self.d, width):
+            f1 = min(f0 + width, self.d)
+            if member is None:
+                residual, tied = self.residual[f0:f1], self.columns.tied[f0:f1]
+            else:
+                residual, tied = self._gather(member, m, f0, f1)
+            gain = self._gains(residual, tied)
+            at = int(np.argmax(gain))
+            value = float(gain.flat[at])
+            if not value < np.inf:  # nan or +inf: an argmax over all features stops at the first of them
+                return None
+            if value > best:
+                best, where = value, (f0 + at // (m - 1), at % (m - 1))
+        if where is None:
+            return None
+        # the threshold lies between the winning position and the next
+        f, pos = where
+        rows = self.columns.order[f, 2:]
+        if member is not None:
+            rows = rows[member[rows]]
+        lo, hi = self.X[rows[pos : pos + 2], f].tolist()
+        # the midpoint of neighbouring floats can round onto hi, and lo + hi can overflow
+        mid = 0.5 * (lo + hi)
+        threshold = mid if lo <= mid < hi else lo
+        # the improvement is non-negative in exact arithmetic; clip fp dust
+        return max(best, 0.0), f, threshold
+
+    def _gather(self, member: np.ndarray, m: int, f0: int, f1: int):
+        """A child's sorted residual and ties over features f0..f1, in the block buffers."""
+        w, n = f1 - f0, self.n
+        block = self._view(self._member, w, n + 2)
+        np.take(member, self.columns.order[f0:f1], out=block, mode="clip")
+        picked = np.flatnonzero(block)  # the two pads and m positions per feature, in sorted order
+        residual = self._view(self._padded, w, m + 2)
+        rank = self._view(self._sums.view(np.int32), w, m + 2)
+        np.take(self.residual[f0:f1].ravel(), picked, out=residual.ravel(), mode="clip")
+        np.take(self.columns.rank[f0:f1].ravel(), picked, out=rank.ravel(), mode="clip")
+        tied = np.equal(rank[:, 3:], rank[:, 2:-1], out=self._view(self._member, w, m - 1))
+        return residual, tied
+
+    def _gains(self, residual: np.ndarray, tied: np.ndarray) -> np.ndarray:
+        """The gain of every threshold of a block's (w, m + 2) sorted layout, -inf where tied."""
+        w, m = residual.shape[0], residual.shape[1] - 2
+        # One running sum over the whole block restarts from exactly 0 at each
+        # feature's resets, so each feature's prefix sums are those of its own
+        # cumsum (a leading -0.0 becomes +0.0, which squares the same).  numpy
+        # 2.4 holds the GIL through a cumsum along an axis of a 2-D array but
+        # not through a 1-D one, so searches on other threads keep running.
+        sums = self._view(self._sums, w, m + 2)
+        np.cumsum(residual.ravel(), out=sums.ravel())
         total = sums[:, -1:]
-        left = sums[:, :-1]
+        left = sums[:, 2:-1]
         k = self._counts[: m - 1]
         # left**2/k + right**2/(m-k) - total**2/m, step by step in that order so
         # every float equals the plain expression's
-        gain = np.square(left, out=self._view(self._residual, m - 1))
+        gain = np.square(left, out=self._view(self._padded, w, m - 1))
         gain /= k
         right = np.subtract(total, left, out=left)
         np.square(right, out=right)
@@ -214,18 +286,7 @@ class _SplitSearch:
         gain += right
         gain -= total**2 / m
         np.copyto(gain, -np.inf, where=tied)
-        f, pos = divmod(int(np.argmax(gain)), m - 1)
-        if not np.isfinite(gain[f, pos]):
-            return None
-        # the threshold lies between the winning position and the next; at the
-        # root, m == n and the flat root positions are the layout's own
-        pair = slice(f * m + pos, f * m + pos + 2)
-        lo, hi = self.X[self.columns.order.ravel()[pair if picked is None else picked[pair]], f].tolist()
-        # the midpoint of neighbouring floats can round onto hi, and lo + hi can overflow
-        mid = 0.5 * (lo + hi)
-        threshold = mid if lo <= mid < hi else lo
-        # the improvement is non-negative in exact arithmetic; clip fp dust
-        return max(float(gain[f, pos]), 0.0), int(f), threshold
+        return gain
 
 
 def _newton_value(rows: np.ndarray, residual: np.ndarray, weight: np.ndarray, k_classes: int) -> float:

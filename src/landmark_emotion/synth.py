@@ -10,6 +10,7 @@ repeated runs are byte-identical.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -135,9 +136,17 @@ def _random_similarity(rng: np.random.Generator) -> tuple[float, float, np.ndarr
     return angle, scale, translation
 
 
+@lru_cache(maxsize=None)
+def _class_shape(label: str) -> np.ndarray:
+    """The template plus the class displacement, built once per class; read-only."""
+    pts = face_template() + class_displacement(label)
+    pts.flags.writeable = False
+    return pts
+
+
 def synth_shape(label: str, rng: np.random.Generator) -> LandmarkSet:
     """One jittered, randomly placed face of the given class."""
-    pts = face_template() + class_displacement(label)
+    pts = _class_shape(label)
     pts = pts + rng.normal(0.0, JITTER_SIGMA, size=pts.shape)
     angle, scale, translation = _random_similarity(rng)
     rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,6 +295,63 @@ def test_neighbouring_values_split_one_row_each_side():
         tree = two_child_tree([[lo], [hi]], [0.5, -0.5])
         assert tree.root.threshold == lo
         assert tree.predict(np.array([[lo], [hi]])).tolist() == list(tree.values)
+
+
+@pytest.mark.parametrize("width", [1, 3, 4])
+def test_split_search_across_feature_blocks(monkeypatch, width):
+    """Eleven features in blocks of ``width`` (a partial last block at 3 and 4): root and inner
+    splits match the oracle, and each winning column ties with its copy in a later block and wins."""
+    crossed = {"root": 0, "inner": 0}
+    rng = np.random.default_rng(34)
+    for _ in range(12):
+        n = int(rng.integers(6, 14))
+        monkeypatch.setattr(gb, "_BLOCK_ENTRIES", width * n + n - 1)  # ``width`` features per block
+        base = rng.integers(0, 4, size=(n, 7)).astype(np.float64)
+        residual = rng.normal(size=n)
+        root, inner, _, _ = gb_oracle.two_split_tree(base.tolist(), residual.tolist())
+        if inner is None:
+            continue
+        # constant columns never split, so the copies of the winners at 8 and 9 only tie with them
+        constant = np.ones((n, 1))
+        X = np.hstack([base, constant, base[:, [root[1], inner[1]]], constant])
+        tree = two_child_tree(X, residual)
+        assert (tree.root.feature, tree.inner.feature) == (root[1], inner[1])
+        crossed["root"] += root[1] // width < 8 // width
+        crossed["inner"] += inner[1] // width < 9 // width
+    assert min(crossed.values()) >= 5
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_overflowing_gain_in_a_later_block_means_no_split(monkeypatch, width):
+    # feature 0 ties the two huge residuals, so its one threshold gains a finite amount; feature 1
+    # separates them and its gain overflows to inf.  One argmax over all features stopped at that
+    # inf and found no split, so the blocks must too.
+    monkeypatch.setattr(gb, "_BLOCK_ENTRIES", 3 * width)
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 2.0]])
+    search = gb._SplitSearch(gb._SortedColumns(X))
+    with np.errstate(over="ignore"):
+        assert search.root_split(np.array([0.5, 1e200, -1e200])) is None
+
+
+def test_extra_search_holds_one_residual_table(monkeypatch):
+    """Each extra thread's search keeps one (features × rows) residual table and block-sized buffers."""
+    rng = np.random.default_rng(7)
+    n, d = 200, 5000  # 1e6 entries per table, far more than one block
+    train = dataset(rng.normal(size=(n, d)), np.repeat([0, 2, 3, 6], n // 4))
+    table_bytes = d * n * 8
+
+    def peak_growth(cpus):
+        monkeypatch.setattr(gb, "_cpu_count", lambda: cpus)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            gb_train(train, train, max_trees=1)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    # four classes on four CPUs: three searches more than on one CPU
+    assert peak_growth(4) - peak_growth(1) < 3 * 2 * table_bytes
 
 
 def test_zero_columns_rejected():
