@@ -219,11 +219,11 @@ def count_child_searches(monkeypatch):
     """Record, for each tree with a root split, how many of its children were searched."""
     per_search = {}  # child searches so far of the tree each search is growing
     searched = []
-    child_split, fit = gb._SplitSearch.child_split, gb._fit_two_split_tree
+    split, fit = gb._SplitSearch.split, gb._fit_two_split_tree
 
-    def counting_child_split(search, member):
-        per_search[id(search)] += 1
-        return child_split(search, member)
+    def counting_split(search, residual, member=None):
+        per_search[id(search)] += member is not None
+        return split(search, residual, member)
 
     def counting_fit(search, *args):
         per_search[id(search)] = 0
@@ -232,7 +232,7 @@ def count_child_searches(monkeypatch):
             searched.append(per_search[id(search)])
         return tree
 
-    monkeypatch.setattr(gb._SplitSearch, "child_split", counting_child_split)
+    monkeypatch.setattr(gb._SplitSearch, "split", counting_split)
     monkeypatch.setattr(gb, "_fit_two_split_tree", counting_fit)
     return searched
 
@@ -330,11 +330,12 @@ def test_overflowing_gain_in_a_later_block_means_no_split(monkeypatch, width):
     X = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 2.0]])
     search = gb._SplitSearch(gb._SortedColumns(X))
     with np.errstate(over="ignore"):
-        assert search.root_split(np.array([0.5, 1e200, -1e200])) is None
+        assert search.split(np.array([0.5, 1e200, -1e200])) is None
 
 
-def test_extra_search_holds_one_residual_table(monkeypatch):
-    """Each extra thread's search keeps one (features × rows) residual table and block-sized buffers."""
+def test_extra_searches_hold_less_than_one_table(monkeypatch):
+    """A search keeps only block-sized buffers, so three extra searches together hold less than
+    one (features × rows) table."""
     rng = np.random.default_rng(7)
     n, d = 200, 5000  # 1e6 entries per table, far more than one block
     train = dataset(rng.normal(size=(n, d)), np.repeat([0, 2, 3, 6], n // 4))
@@ -351,7 +352,26 @@ def test_extra_search_holds_one_residual_table(monkeypatch):
             tracemalloc.stop()
 
     # four classes on four CPUs: three searches more than on one CPU
-    assert peak_growth(4) - peak_growth(1) < 3 * 2 * table_bytes
+    assert peak_growth(4) - peak_growth(1) < table_bytes
+
+
+def test_search_keeps_no_state_between_nodes(monkeypatch):
+    """Calls for nodes of different trees interleave on one search, and each finds its node's
+    best split: a child with no root search before it, another residual's root, the other child."""
+    monkeypatch.setattr(gb, "_BLOCK_ENTRIES", 3 * 14)  # several blocks, a partial last one
+    rng = np.random.default_rng(35)
+    n = 14
+    X = rng.integers(0, 4, size=(n, 8)).astype(np.float64)
+    a, b = rng.normal(size=n), rng.normal(size=n)
+    search = gb._SplitSearch(gb._SortedColumns(X))
+    left = X[:, 2] <= 1.5
+    rows = X.tolist()
+    calls = [(a, left), (b, None), (a, ~left)]
+    for residual, member in calls:
+        node = range(n) if member is None else np.flatnonzero(member).tolist()
+        expected = gb_oracle.best_split(rows, list(node), residual.tolist())
+        assert expected is not None
+        assert search.split(residual, member) == expected
 
 
 def test_zero_columns_rejected():
