@@ -10,16 +10,17 @@ lowest threshold), and training rows are put into a canonical order first so
 results do not depend on how the caller shuffled the samples.
 
 Every column is sorted once per training run (XGBoost's exact greedy search
-over pre-sorted columns), and every search of the run reads that one sorted
-(features × rows) layout.  A search keeps nothing between nodes: it walks
-the features in blocks of about ``_BLOCK_ENTRIES`` entries (XGBoost's column
-blocks) and builds each block in work buffers of one block, allocated once
-per run.  A root block is the sorted layout as it is; a child's is its
-stable partition by the child's rows, never a fresh sort.  The residual is
-gathered through the block's row numbers, and tied neighbours are found from
-the ranks of the distinct sorted values, at the root as in a child.  A
-split's threshold is read from the feature matrix at the winning pair only.
-A block's best replaces the best so far only when strictly greater, so ties
+over pre-sorted columns), and every search of the run, on any thread, reads
+that one read-only sorted (features × rows) layout.  A search is a function
+call that keeps nothing between nodes: it walks the features in blocks of
+about ``_BLOCK_ENTRIES`` entries (XGBoost's column blocks), and a block's
+rows, ranks, ties, residual, prefix sums and gains are temporaries of one
+block.  A root block is the sorted layout as it is; a child's is its stable
+partition by the child's rows, never a fresh sort.  The residual is gathered
+through the block's row numbers, and tied neighbours are found from the
+ranks of the distinct sorted values, at the root as in a child.  A split's
+threshold is read from the feature matrix at the winning pair only.  A
+block's best replaces the best so far only when strictly greater, so ties
 still go to the lowest feature, then the lowest threshold.  Each feature's
 prefix sums are one 1-D running sum over the block, reset to exactly zero
 between features, so they hold the same floats as a per-feature cumsum while
@@ -37,15 +38,15 @@ expanded: the trees, their gains and the model bytes are those of searching
 both children.
 
 The K trees of one round depend only on that round's residuals, so W =
-min(CPUs this process may use, K) searches fit them together, each with its
-own work buffers over the shared sorted layout.  Search s fits the stripe of
-classes s, s + W, s + 2W, … every round: search 0 on the calling thread, the
-others on the W − 1 threads of one helper pool that lives for the whole run.
-numpy releases the GIL in the gathers, prefix sums and gain arithmetic, so
-the stripes really run at once.  A one-CPU process starts no thread.  Trees
-are kept and scores updated in class order after the round, so the model
-does not depend on the thread count; a failure in any stripe is raised once
-the other stripes of its round have finished.
+min(CPUs this process may use, K) threads fit them together over the shared
+sorted layout.  Thread s fits the stripe of classes s, s + W, s + 2W, …
+every round: stripe 0 on the calling thread, the others on the W − 1
+threads of one helper pool that lives for the whole run.  numpy releases
+the GIL in the gathers, prefix sums and gain arithmetic, so the stripes
+really run at once.  A one-CPU process starts no thread.  Trees are kept and
+scores updated in class order after the round, so the model does not depend
+on the thread count; a failure in any stripe is raised once the other
+stripes of its round have finished.
 
 The config, ``gb_train`` and the model loader share ``check_gb_parameters``.
 """
@@ -62,7 +63,7 @@ from .dataset import LabeledDataset, canonical_order, check_fit_inputs
 
 DEFAULT_SHRINKAGE = 0.1
 DEFAULT_MAX_TREES = 100
-# entries in one block of a split search's work buffers (features × node rows); 2**15 was
+# entries in one block of a split search's temporaries (features × node rows); 2**15 was
 # slower at 952 rows on two threads and 2**17 held more memory (BENCH_34.json)
 _BLOCK_ENTRIES = 1 << 16
 # Each feature's residual in a search's sorted layout is led by +_RESET, -_RESET.  A running sum
@@ -143,14 +144,15 @@ def check_gb_parameters(shrinkage: float, tree_count: int) -> None:
 
 
 class _SortedColumns:
-    """Every column of ``X`` sorted once per training run; read-only, shared by every search.
+    """Every column of ``X`` sorted once per training run, shared by every search on every thread.
 
     ``order`` is (d, n + 2): two pad positions, then feature f's row numbers
     sorted by value, ties in row order.  The pads point past the last row,
     at n and n + 1, where a search puts the running-sum resets after the
     residual and True after a child's rows.  ``rank`` (the same layout, pads
     0) numbers the distinct values of each sorted column from 0, so two
-    positions hold equal values exactly when their ranks are equal.
+    positions hold equal values exactly when their ranks are equal.  Both
+    are made read-only once built.
     """
 
     def __init__(self, X: np.ndarray):
@@ -168,115 +170,90 @@ class _SortedColumns:
             self.order[block, 2:] = order
             values = np.take_along_axis(X.T[block], order, axis=1)
             np.cumsum(values[:, 1:] != values[:, :-1], axis=1, out=self.rank[block, 3:])
+        self.order.flags.writeable = self.rank.flags.writeable = False
 
 
-class _SplitSearch:
-    """Exact greedy split search over the shared sorted columns, one block of features at a time.
+def _split(columns: _SortedColumns, residual: np.ndarray, member: np.ndarray | None = None):
+    """Best (gain, feature, threshold) over the rows where ``member`` is true, or every row.
 
-    A search keeps nothing between nodes: each call of ``split`` lays out one
-    block of features at a time and drops it before the next.  A root block
-    is the sorted columns' own; a child's is their stable partition by the
-    child's rows and the pads, so it stays sorted with ties in row order.
-    The block's residual, each feature's led by its resets, is gathered
-    through its row numbers, and its ties are read from its ranks.  The
-    rows, ranks, ties, residual, prefix sums and gains live in work buffers
-    of one block of ``_BLOCK_ENTRIES // n`` features (at least one),
-    allocated here and reused by every call.  One thread uses one search.
+    None when the node has fewer than two rows or no split.  The features are
+    searched one block at a time (``_block``, then ``_gains``), and a block's
+    best replaces the best so far only when strictly greater, so ties
+    resolve to the lowest feature index, then the lowest threshold, as one
+    argmax over all features would.
     """
-
-    def __init__(self, columns: _SortedColumns):
-        d, n = columns.d, columns.n
-        self.columns, self.X, self.n, self.d = columns, columns.X, n, d
-        size = min(columns.width, d) * (n + 2)
-        self._member = np.empty(size, dtype=bool)  # a child's rows in the block's root layout, then the ties
-        self._padded = np.empty(size)  # a child's ranks (as int32), then the residual, then the gains
-        # a child's row numbers (as intp), then the running sums, then the right-hand sums of the gain
-        self._sums = np.empty(size)
-        self._counts = np.arange(1, n, dtype=np.float64)
-
-    def _view(self, buffer: np.ndarray, rows: int, columns: int, dtype=np.float64) -> np.ndarray:
-        return buffer.view(dtype)[: rows * columns].reshape(rows, columns)
-
-    def split(self, residual: np.ndarray, member: np.ndarray | None = None):
-        """Best (gain, feature, threshold) over the rows where ``member`` is true, or every row.
-
-        None when the node has fewer than two rows or no split.  A block's
-        best replaces the best so far only when strictly greater, so ties
-        resolve to the lowest feature index, then the lowest threshold, as
-        one argmax over all features would.
-        """
-        m = self.n if member is None else int(np.count_nonzero(member))
-        if m < 2:
+    m = columns.n if member is None else int(np.count_nonzero(member))
+    if m < 2:
+        return None
+    padded = np.append(residual, (_RESET, -_RESET))
+    if member is not None:
+        member = np.append(member, (True, True))
+    best, where = -np.inf, None
+    for f0 in range(0, columns.d, columns.width):
+        f1 = min(f0 + columns.width, columns.d)
+        gain = _gains(*_block(columns, padded, member, m, f0, f1))
+        at = int(np.argmax(gain))
+        value = float(gain.flat[at])
+        del gain  # dropped before the next block's temporaries are built, to keep the peak low
+        if not value < np.inf:  # nan or +inf: an argmax over all features stops at the first of them
             return None
-        padded = np.append(residual, (_RESET, -_RESET))
-        if member is not None:
-            member = np.append(member, (True, True))
-        best, where = -np.inf, None
-        width = self.columns.width
-        for f0 in range(0, self.d, width):
-            f1 = min(f0 + width, self.d)
-            gain = self._gains(*self._block(padded, member, m, f0, f1))
-            at = int(np.argmax(gain))
-            value = float(gain.flat[at])
-            if not value < np.inf:  # nan or +inf: an argmax over all features stops at the first of them
-                return None
-            if value > best:
-                best, where = value, (f0 + at // (m - 1), at % (m - 1))
-        if where is None:
-            return None
-        # the threshold lies between the winning position and the next
-        f, pos = where
-        rows = self.columns.order[f, 2:]
-        if member is not None:
-            rows = rows[member[rows]]
-        lo, hi = self.X[rows[pos : pos + 2], f].tolist()
-        # the midpoint of neighbouring floats can round onto hi, and lo + hi can overflow
-        mid = 0.5 * (lo + hi)
-        threshold = mid if lo <= mid < hi else lo
-        # the improvement is non-negative in exact arithmetic; clip fp dust
-        return max(best, 0.0), f, threshold
+        if value > best:
+            best, where = value, (f0 + at // (m - 1), at % (m - 1))
+    if where is None:
+        return None
+    # the threshold lies between the winning position and the next
+    f, pos = where
+    rows = columns.order[f, 2:]
+    if member is not None:
+        rows = rows[member[rows]]
+    lo, hi = columns.X[rows[pos : pos + 2], f].tolist()
+    # the midpoint of neighbouring floats can round onto hi, and lo + hi can overflow
+    mid = 0.5 * (lo + hi)
+    threshold = mid if lo <= mid < hi else lo
+    # the improvement is non-negative in exact arithmetic; clip fp dust
+    return max(best, 0.0), f, threshold
 
-    def _block(self, padded: np.ndarray, member: np.ndarray | None, m: int, f0: int, f1: int):
-        """The node's sorted residual and ties over features f0..f1, in the block buffers."""
-        w = f1 - f0
-        rows, rank = self.columns.order[f0:f1], self.columns.rank[f0:f1]
-        # mode="clip" lets take write straight into ``out``; the indices are in range
-        if member is not None:
-            block = self._view(self._member, w, self.n + 2, bool)
-            np.take(member, rows, out=block, mode="clip")
-            # the flat positions of the two pads and the m rows of each feature, in sorted order
-            picked = np.flatnonzero(block).reshape(w, m + 2)
-            rows = np.take(rows, picked, out=self._view(self._sums, w, m + 2, np.intp), mode="clip")
-            rank = np.take(rank, picked, out=self._view(self._padded, w, m + 2, np.int32), mode="clip")
-        tied = np.equal(rank[:, 3:], rank[:, 2:-1], out=self._view(self._member, w, m - 1, bool))
-        residual = np.take(padded, rows, out=self._view(self._padded, w, m + 2), mode="clip")
-        return residual, tied
 
-    def _gains(self, residual: np.ndarray, tied: np.ndarray) -> np.ndarray:
-        """The gain of every threshold of a block's (w, m + 2) sorted layout, -inf where tied."""
-        w, m = residual.shape[0], residual.shape[1] - 2
-        # One running sum over the whole block restarts from exactly 0 at each
-        # feature's resets, so each feature's prefix sums are those of its own
-        # cumsum (a leading -0.0 becomes +0.0, which squares the same).  numpy
-        # 2.4 holds the GIL through a cumsum along an axis of a 2-D array but
-        # not through a 1-D one, so searches on other threads keep running.
-        sums = self._view(self._sums, w, m + 2)
-        np.cumsum(residual.ravel(), out=sums.ravel())
-        total = sums[:, -1:]
-        left = sums[:, 2:-1]
-        k = self._counts[: m - 1]
-        # left**2/k + right**2/(m-k) - total**2/m, step by step in that order so
-        # every float equals the plain expression's
-        gain = np.square(left, out=self._view(self._padded, w, m - 1))
-        gain /= k
-        right = np.subtract(total, left, out=left)
-        np.square(right, out=right)
-        right /= m - k
-        gain += right
-        gain -= total**2 / m
-        # putmask sets the entries copyto(..., where=tied) would, in about two thirds of its time
-        np.putmask(gain, tied, -np.inf)
-        return gain
+def _block(columns: _SortedColumns, padded: np.ndarray, member: np.ndarray | None, m: int, f0: int, f1: int):
+    """The node's sorted residual, each feature's led by its resets, and ties over features f0..f1.
+
+    A root block is the sorted columns' own.  A child's is their stable
+    partition by the child's rows and the pads, so it stays sorted with ties
+    in row order.
+    """
+    # gathers through ``rows`` index with [], as np.take first copies a read-only index array
+    rows, rank = columns.order[f0:f1], columns.rank[f0:f1]
+    if member is not None:
+        # the flat positions of the two pads and the m rows of each feature, in sorted order
+        picked = np.flatnonzero(member[rows]).reshape(f1 - f0, m + 2)
+        rows, rank = np.take(rows, picked), np.take(rank, picked)
+    return padded[rows], rank[:, 3:] == rank[:, 2:-1]
+
+
+def _gains(residual: np.ndarray, tied: np.ndarray) -> np.ndarray:
+    """The gain of every threshold of a block's (w, m + 2) sorted layout, -inf where tied."""
+    m = residual.shape[1] - 2
+    # One running sum over the whole block restarts from exactly 0 at each
+    # feature's resets, so each feature's prefix sums are those of its own
+    # cumsum (a leading -0.0 becomes +0.0, which squares the same).  numpy
+    # 2.4 holds the GIL through a cumsum along an axis of a 2-D array but
+    # not through a 1-D one, so searches on other threads keep running.
+    sums = np.cumsum(residual.ravel()).reshape(residual.shape)
+    total = sums[:, -1:]
+    left = sums[:, 2:-1]
+    k = np.arange(1, m, dtype=np.float64)
+    # left**2/k + right**2/(m-k) - total**2/m, step by step in that order so
+    # every float equals the plain expression's
+    gain = np.square(left)
+    gain /= k
+    right = np.subtract(total, left, out=left)
+    np.square(right, out=right)
+    right /= m - k
+    gain += right
+    gain -= total**2 / m
+    # putmask sets the entries copyto(..., where=tied) would, in about two thirds of its time
+    np.putmask(gain, tied, -np.inf)
+    return gain
 
 
 def _newton_value(rows: np.ndarray, residual: np.ndarray, weight: np.ndarray, k_classes: int) -> float:
@@ -288,7 +265,7 @@ def _newton_value(rows: np.ndarray, residual: np.ndarray, weight: np.ndarray, k_
 
 
 def _fit_two_split_tree(
-    search: _SplitSearch,
+    columns: _SortedColumns,
     residual: np.ndarray,
     weight: np.ndarray,
     k_classes: int,
@@ -299,14 +276,14 @@ def _fit_two_split_tree(
     the other is skipped when the first's best gain beats that child's bound
     by more than 1e-6 * S: the skipped child could not have been expanded.
     """
-    X = search.X
+    X = columns.X
 
     def leaf_value(rows):
         return _newton_value(rows, residual, weight, k_classes)
 
-    root_split = search.split(residual)
+    root_split = _split(columns, residual)
     if root_split is None:
-        return Tree(values=(leaf_value(np.ones(search.n, dtype=bool)),))
+        return Tree(values=(leaf_value(np.ones(columns.n, dtype=bool)),))
 
     gain0, f0, t0 = root_split
     root = Split(feature=f0, threshold=t0, gain=gain0)
@@ -324,9 +301,9 @@ def _fit_two_split_tree(
     first = 0 if bounds[0] >= bounds[1] else 1
     other = 1 - first
     candidates = [None, None]
-    candidates[first] = search.split(residual, children[first])
+    candidates[first] = _split(columns, residual, children[first])
     if candidates[first] is None or not candidates[first][0] > bounds[other] + 1e-6 * squares[other]:
-        candidates[other] = search.split(residual, children[other])
+        candidates[other] = _split(columns, residual, children[other])
     # expand the child whose best split improves more; ties expand the left child
     if candidates[0] is None and candidates[1] is None:
         return Tree(values=tuple(leaf_value(rows) for rows in children), root=root)
@@ -358,11 +335,11 @@ def _cpu_count() -> int:
 
 
 def _fit_stripe(
-    search: _SplitSearch, s: int, w: int, residual_all: np.ndarray, weight_all: np.ndarray
+    columns: _SortedColumns, s: int, w: int, residual_all: np.ndarray, weight_all: np.ndarray
 ) -> list[Tree]:
-    """The round's trees of classes s, s + w, s + 2w, …, in that order, all on one search."""
+    """The round's trees of classes s, s + w, s + 2w, …, in that order."""
     kc = residual_all.shape[1]
-    return [_fit_two_split_tree(search, residual_all[:, k], weight_all[:, k], kc) for k in range(s, kc, w)]
+    return [_fit_two_split_tree(columns, residual_all[:, k], weight_all[:, k], kc) for k in range(s, kc, w)]
 
 
 def gb_train(
@@ -389,20 +366,19 @@ def gb_train(
 
     columns = _SortedColumns(X)
     w = min(_cpu_count(), kc)
-    searches = [_SplitSearch(columns) for _ in range(w)]  # allocated here, on the calling thread
     trees: list[list[Tree]] = [[] for _ in range(kc)]
     train_deviance: list[float] = []
     val_accuracy: list[float] = []
 
-    # an executor starts a thread only on submit, so one search starts none;
+    # an executor starts a thread only on submit, so one stripe starts none;
     # leaving the block, also by an exception, waits for every running stripe
     with ThreadPoolExecutor(max_workers=max(w - 1, 1)) as pool:
         for _ in range(max_trees):
             P = _softmax(F)
             residual_all = Y - P
             weight_all = P * (1.0 - P)
-            running = [pool.submit(_fit_stripe, searches[s], s, w, residual_all, weight_all) for s in range(1, w)]
-            stripes = [_fit_stripe(searches[0], 0, w, residual_all, weight_all)]
+            running = [pool.submit(_fit_stripe, columns, s, w, residual_all, weight_all) for s in range(1, w)]
+            stripes = [_fit_stripe(columns, 0, w, residual_all, weight_all)]
             stripes += [future.result() for future in running]
             for k in range(kc):
                 tree = stripes[k % w][k // w]

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import sys
 import threading
 import tracemalloc
 
@@ -217,22 +218,22 @@ def as_split(found):
 
 def count_child_searches(monkeypatch):
     """Record, for each tree with a root split, how many of its children were searched."""
-    per_search = {}  # child searches so far of the tree each search is growing
+    per_thread = {}  # child searches so far of the tree each thread is growing
     searched = []
-    split, fit = gb._SplitSearch.split, gb._fit_two_split_tree
+    split, fit = gb._split, gb._fit_two_split_tree
 
-    def counting_split(search, residual, member=None):
-        per_search[id(search)] += member is not None
-        return split(search, residual, member)
+    def counting_split(columns, residual, member=None):
+        per_thread[threading.get_ident()] += member is not None
+        return split(columns, residual, member)
 
-    def counting_fit(search, *args):
-        per_search[id(search)] = 0
-        tree = fit(search, *args)
+    def counting_fit(columns, *args):
+        per_thread[threading.get_ident()] = 0
+        tree = fit(columns, *args)
         if tree.root is not None:
-            searched.append(per_search[id(search)])
+            searched.append(per_thread[threading.get_ident()])
         return tree
 
-    monkeypatch.setattr(gb._SplitSearch, "split", counting_split)
+    monkeypatch.setattr(gb, "_split", counting_split)
     monkeypatch.setattr(gb, "_fit_two_split_tree", counting_fit)
     return searched
 
@@ -262,8 +263,7 @@ def two_child_tree(X, residual):
     """The tree ``_fit_two_split_tree`` grows over rows ``X``, checked against the exhaustive oracle."""
     X = np.asarray(X, dtype=np.float64)
     residual = np.asarray(residual, dtype=np.float64)
-    search = gb._SplitSearch(gb._SortedColumns(X))
-    tree = gb._fit_two_split_tree(search, residual, np.full(len(X), 0.25), 2)
+    tree = gb._fit_two_split_tree(gb._SortedColumns(X), residual, np.full(len(X), 0.25), 2)
     root, inner, inner_right, _ = gb_oracle.two_split_tree(X.tolist(), residual.tolist())
     assert (tree.root, tree.inner, tree.inner_right) == (as_split(root), as_split(inner), inner_right)
     return tree
@@ -328,14 +328,13 @@ def test_overflowing_gain_in_a_later_block_means_no_split(monkeypatch, width):
     # inf and found no split, so the blocks must too.
     monkeypatch.setattr(gb, "_BLOCK_ENTRIES", 3 * width)
     X = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 2.0]])
-    search = gb._SplitSearch(gb._SortedColumns(X))
     with np.errstate(over="ignore"):
-        assert search.split(np.array([0.5, 1e200, -1e200])) is None
+        assert gb._split(gb._SortedColumns(X), np.array([0.5, 1e200, -1e200])) is None
 
 
 def test_extra_searches_hold_less_than_one_table(monkeypatch):
-    """A search keeps only block-sized buffers, so three extra searches together hold less than
-    one (features × rows) table."""
+    """Each thread's block temporaries are block-sized, so three extra threads searching at once
+    hold less than one (features × rows) table together."""
     rng = np.random.default_rng(7)
     n, d = 200, 5000  # 1e6 entries per table, far more than one block
     train = dataset(rng.normal(size=(n, d)), np.repeat([0, 2, 3, 6], n // 4))
@@ -351,19 +350,20 @@ def test_extra_searches_hold_less_than_one_table(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    # four classes on four CPUs: three searches more than on one CPU
+    # four classes on four CPUs: three threads more than on one CPU
     assert peak_growth(4) - peak_growth(1) < table_bytes
 
 
 def test_search_keeps_no_state_between_nodes(monkeypatch):
-    """Calls for nodes of different trees interleave on one search, and each finds its node's
-    best split: a child with no root search before it, another residual's root, the other child."""
+    """Calls for nodes of different trees interleave on one sorted layout, and each finds its
+    node's best split: a child with no root search before it, another residual's root, the other
+    child."""
     monkeypatch.setattr(gb, "_BLOCK_ENTRIES", 3 * 14)  # several blocks, a partial last one
     rng = np.random.default_rng(35)
     n = 14
     X = rng.integers(0, 4, size=(n, 8)).astype(np.float64)
     a, b = rng.normal(size=n), rng.normal(size=n)
-    search = gb._SplitSearch(gb._SortedColumns(X))
+    columns = gb._SortedColumns(X)
     left = X[:, 2] <= 1.5
     rows = X.tolist()
     calls = [(a, left), (b, None), (a, ~left)]
@@ -371,7 +371,57 @@ def test_search_keeps_no_state_between_nodes(monkeypatch):
         node = range(n) if member is None else np.flatnonzero(member).tolist()
         expected = gb_oracle.best_split(rows, list(node), residual.tolist())
         assert expected is not None
-        assert search.split(residual, member) == expected
+        assert gb._split(columns, residual, member) == expected
+
+
+def test_threads_search_one_shared_layout(monkeypatch):
+    """Two threads run hundreds of interleaved searches for different nodes, over several
+    feature blocks of one shared sorted layout, and every call finds its node's best split."""
+    monkeypatch.setattr(gb, "_BLOCK_ENTRIES", 3 * 14)  # several blocks, a partial last one
+    rng = np.random.default_rng(36)
+    n, calls = 14, 300
+    X = rng.integers(0, 4, size=(n, 8)).astype(np.float64)
+    columns = gb._SortedColumns(X)
+    rows = X.tolist()
+    nodes = [[], []]  # per thread: (residual, member, oracle's split) of a root and five children
+    for per_thread in nodes:
+        for member in [None] + [rng.random(n) < 0.6 for _ in range(5)]:
+            residual = rng.normal(size=n)
+            node = range(n) if member is None else np.flatnonzero(member).tolist()
+            per_thread.append((residual, member, gb_oracle.best_split(rows, list(node), residual.tolist())))
+    assert sum(expected is not None for per_thread in nodes for _, _, expected in per_thread) >= 10
+    barrier = threading.Barrier(2, timeout=60)
+    found = [[], []]
+
+    def search(t):
+        try:
+            for i in range(calls):
+                residual, member, expected = nodes[t][i % len(nodes[t])]
+                barrier.wait()  # both threads start each call together
+                found[t].append(gb._split(columns, residual, member) == expected)
+        except BaseException:
+            barrier.abort()  # a thread that fails releases the other
+            raise
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=search, args=(t,)) for t in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert found == [[True] * calls, [True] * calls]
+
+
+def test_sorted_columns_are_read_only():
+    columns = gb._SortedColumns(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 2.0]]))
+    for table in (columns.order, columns.rank):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 2] = 0
 
 
 def test_zero_columns_rejected():
@@ -414,33 +464,42 @@ def test_child_search_skipped_without_changing_bytes(pinned_splits, monkeypatch)
 
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 def test_worker_count_keeps_model_bytes(pinned_splits, monkeypatch, cpus):
-    """A run fits its trees on min(CPUs, classes) searches and threads, search s always fitting
-    classes s, s + W, …; the model is the same for any count."""
-    fits = []  # (class, search, thread) per tree; holding the objects keeps them distinct
+    """A run fits each round in W = min(CPUs, classes) stripes on at most W threads, stripe s
+    always fitting classes s, s + W, … and stripe 0 on the calling thread; the model is the same
+    for any count."""
+    calls = []  # (stripe, stripe count, classes fit, thread) per stripe call
+    stripe_classes = threading.local()  # the classes the thread's current stripe call has fit
     running = set()
-    fit = gb._fit_two_split_tree
+    fit, fit_stripe = gb._fit_two_split_tree, gb._fit_stripe
 
-    def recording_fit(search, residual, *args):
+    def recording_fit(columns, residual, *args):
         # each class's residual is a column view of the round's (n, K) residual matrix
-        k = (residual.ctypes.data - residual.base.ctypes.data) // residual.itemsize
-        fits.append((k, search, threading.current_thread()))
+        stripe_classes.fit.append((residual.ctypes.data - residual.base.ctypes.data) // residual.itemsize)
         running.add(threading.active_count())
-        return fit(search, residual, *args)
+        return fit(columns, residual, *args)
+
+    def recording_stripe(columns, s, w, *args):
+        stripe_classes.fit = []
+        trees = fit_stripe(columns, s, w, *args)
+        calls.append((s, w, stripe_classes.fit, threading.current_thread()))
+        return trees
 
     monkeypatch.setattr(gb, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(gb, "_fit_two_split_tree", recording_fit)
+    monkeypatch.setattr(gb, "_fit_stripe", recording_stripe)
     before = threading.active_count()
     assert_pinned(gb_train(*pinned_splits, max_trees=3))
     w = min(cpus, len(CLASSES))
-    assert len(fits) == 3 * len(CLASSES)
+    assert sorted(s for s, *_ in calls) == sorted(list(range(w)) * 3)  # every stripe once a round
+    for s, count, classes, thread in calls:
+        assert count == w
+        assert classes == list(range(s, len(CLASSES), w))
+        if s == 0:
+            assert thread is threading.current_thread()
     # one helper pool for the whole run, not a fresh helper per round
-    assert len({thread for _, _, thread in fits}) <= w
-    stripes: dict[int, set[int]] = {}
-    for k, search, _ in fits:
-        stripes.setdefault(id(search), set()).add(k)
-    assert sorted(map(sorted, stripes.values())) == [list(range(s, len(CLASSES), w)) for s in range(w)]
+    assert len({thread for *_, thread in calls}) <= w
     if cpus == 1:  # no helper thread starts
-        assert {thread for _, _, thread in fits} == {threading.current_thread()}
+        assert {thread for *_, thread in calls} == {threading.current_thread()}
         assert running == {before}
 
 
@@ -448,11 +507,11 @@ def test_worker_count_keeps_model_bytes(pinned_splits, monkeypatch, cpus):
 def test_tree_failure_is_raised_and_helpers_stop(pinned_splits, monkeypatch, failing):
     fit = gb._fit_two_split_tree
 
-    def failing_fit(search, residual, *args):
+    def failing_fit(columns, residual, *args):
         # each class's residual is a column view of the round's (n, K) residual matrix
         if (residual.ctypes.data - residual.base.ctypes.data) // residual.itemsize == failing:
             raise ArithmeticError(f"class {failing} failed")
-        return fit(search, residual, *args)
+        return fit(columns, residual, *args)
 
     monkeypatch.setattr(gb, "_cpu_count", lambda: 8)
     monkeypatch.setattr(gb, "_fit_two_split_tree", failing_fit)
