@@ -98,6 +98,8 @@ def bif_features(image: GrayImage, bank: FilterBank) -> np.ndarray:
     magnitude of the last ``n x n`` window is the quadrature response.  The
     inverse runs as its two 1-D passes, each keeping only what that window
     needs, which gives the bits ``ifft2`` would.
+
+    Every call keeps its own temporaries, so threads may call it at once.
     """
     n = bank.image_size
     if image.height != n or image.width != n:

@@ -23,9 +23,9 @@ threshold is read from the feature matrix at the winning pair only.  A
 block's best replaces the best so far only when strictly greater, so ties
 still go to the lowest feature, then the lowest threshold.  Each feature's
 prefix sums are one 1-D running sum over the block, reset to exactly zero
-between features, so they hold the same floats as a per-feature cumsum while
-numpy releases the GIL.  The sort itself also runs one block at a time, so
-no temporary is full-size.
+between features, so they hold the same floats as a per-feature cumsum;
+numpy releases the GIL in it, as in any cumsum that is not in place.  The
+sort itself also runs one block at a time, so no temporary is full-size.
 
 No split of a node can gain more than the node's squared error about its
 mean, S - (sum r)**2 / m, whatever the feature.  So the two children of the
@@ -52,12 +52,12 @@ The config, ``gb_train`` and the model loader share ``check_gb_parameters``.
 """
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..cpus import usable_cpus
 from ..errors import LandmarkEmotionError
 from .dataset import LabeledDataset, canonical_order, check_fit_inputs
 
@@ -236,8 +236,11 @@ def _gains(residual: np.ndarray, tied: np.ndarray) -> np.ndarray:
     # One running sum over the whole block restarts from exactly 0 at each
     # feature's resets, so each feature's prefix sums are those of its own
     # cumsum (a leading -0.0 becomes +0.0, which squares the same).  numpy
-    # 2.4 holds the GIL through a cumsum along an axis of a 2-D array but
-    # not through a 1-D one, so searches on other threads keep running.
+    # 2.4 releases the GIL in it, as in a cumsum along either axis of a 2-D
+    # array, and holds the GIL only through an in-place np.cumsum(buf,
+    # out=buf): a thread sleeping 1 ms in a loop wakes 63-73 us late next to
+    # a loop of any of the others, as next to an idle one, and 5.9 ms late
+    # next to the in-place one.  So the sums go to a fresh array.
     sums = np.cumsum(residual.ravel()).reshape(residual.shape)
     total = sums[:, -1:]
     left = sums[:, 2:-1]
@@ -326,14 +329,6 @@ def _fit_two_split_tree(
     )
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on; a round fits that many trees at once, at most one per class."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _fit_stripe(
     columns: _SortedColumns, s: int, w: int, residual_all: np.ndarray, weight_all: np.ndarray
 ) -> list[Tree]:
@@ -365,7 +360,7 @@ def gb_train(
     class_lookup = np.array(classes)
 
     columns = _SortedColumns(X)
-    w = min(_cpu_count(), kc)
+    w = min(usable_cpus(), kc)
     trees: list[list[Tree]] = [[] for _ in range(kc)]
     train_deviance: list[float] = []
     val_accuracy: list[float] = []

@@ -52,10 +52,11 @@ def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, each a sum of squared coordinate differences.
 
     Not ``|a|^2 + |b|^2 - 2 a.b``: the bits of a BLAS product depend on the
-    thread count, and these distances fix the model's bytes.  ``cdist`` is
-    the only scipy the package uses, so it is imported here and not at module
-    top: ``scipy.spatial`` loads about 175 modules, and a process that never
-    computes an RBF kernel (GB, ``synth``, ``influence``) never loads them.
+    thread count, and these distances fix the model's bytes.
+    ``scipy.spatial.distance`` is the only scipy the package uses, so it is
+    imported here and in ``_prepare``, not at module top: ``scipy.spatial``
+    loads about 175 modules, and a process that never computes an RBF kernel
+    (GB, ``synth``, ``influence``) never loads them.
     """
     from scipy.spatial.distance import cdist
 
@@ -279,7 +280,10 @@ def _prepare(train: LabeledDataset, scaler: Scaler) -> _TrainingData:
     X, y = X[order], train.y[order]
     pairs = [np.flatnonzero((y == pos) | (y == neg)) for pos, neg in combinations(classes, 2)]
     size = max(len(rows) for rows in pairs)
-    full = squared_distances(X, X)
+    # each unordered pair once; the floats are cdist's, which is symmetric with a zero diagonal
+    from scipy.spatial.distance import pdist, squareform
+
+    full = squareform(pdist(X, "sqeuclidean"))
     sqdist, labels = np.zeros((len(pairs), size, size)), np.zeros((len(pairs), size))
     for b, ((pos, _), rows) in enumerate(zip(combinations(classes, 2), pairs)):
         sqdist[b, : len(rows), : len(rows)] = full[np.ix_(rows, rows)]

@@ -15,19 +15,26 @@ Per split, the landmark steps run once over the stack of its parsed faces:
 and ``mean_shape`` over the training stack.  When a face of the stack fails
 a shape check, the shape steps run again face by face, so each failing entry
 is skipped with the message it gets alone.  The texture families then run
-entry by entry on the faces that passed, and an entry whose image families
-fail (say, its eye centres coincide in pixels) is skipped with its shape
-row.  Skipped entries are reported in manifest order.
+on the faces that passed, split by split, each split's entries striped over
+W = min(CPUs this process may use, entries) threads as ``gb_train`` stripes
+its classes: the calling thread takes entries 0, W, 2W, …, and W - 1 helper
+threads the other stripes; a one-CPU process starts no thread.  An entry
+whose image families fail (say, its eye centres coincide in pixels) is
+skipped with its shape row.  Rows, kept entries and skip messages are
+assembled in entry order, so they do not depend on W.  Skipped entries are
+reported in manifest order.
 """
 from __future__ import annotations
 
 import csv
 import io
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from .cpus import usable_cpus
 from .errors import LandmarkEmotionError
 from .features.extract import (
     POINT_TEXTURE_ORIENTATIONS,
@@ -38,8 +45,9 @@ from .features.extract import (
     point_distances,
     point_texture,
     point_texture_block,
+    point_texture_sizes,
 )
-from .features.gabor import FilterBank, build_gabor_bank
+from .features.gabor import FilterBank, build_gabor_bank, gabor_kernels, gabor_spectra
 from .features.image import GrayImage, align_face, read_pgm
 from .features.spec import FeatureBlock, FeatureSpec
 from .learners.dataset import CLASSES, UNLABELED, LabeledDataset, label_index
@@ -287,6 +295,56 @@ def _upright_split(
     return kept, np.array(shapes).reshape(-1, POINT_COUNT, 2)
 
 
+def _texture_row(p: _ParsedEntry, config: PipelineConfig, bank: FilterBank | None) -> np.ndarray:
+    """One entry's image families, concatenated in spec order."""
+    parts = []
+    if "bif" in config.features:
+        assert bank is not None
+        parts.append(bif_features(align_face(p.image, p.landmarks), bank))
+    if "point_texture" in config.features:
+        parts.append(point_texture(p.image, p.landmarks))
+    return np.concatenate(parts)
+
+
+def _texture_stripe(
+    items: list[_ParsedEntry], s: int, w: int, config: PipelineConfig, bank: FilterBank | None
+) -> list[np.ndarray | LandmarkEmotionError]:
+    """The texture rows of items s, s + w, s + 2w, …, in that order; a failing entry gets its error."""
+    out: list[np.ndarray | LandmarkEmotionError] = []
+    for p in items[s::w]:
+        try:
+            out.append(_texture_row(p, config, bank))
+        except LandmarkEmotionError as exc:
+            out.append(exc)
+    return out
+
+
+def _texture_rows(
+    items: list[_ParsedEntry], config: PipelineConfig, bank: FilterBank | None
+) -> list[np.ndarray | LandmarkEmotionError]:
+    """Each entry's texture row, or the error its image families raised, in entry order.
+
+    W = min(CPUs this process may use, entries) threads share the entries:
+    stripe s is entries s, s + W, s + 2W, …, stripe 0 runs on the calling
+    thread and the others on W - 1 helper threads.  A one-CPU process starts
+    no thread.  An exception other than ``LandmarkEmotionError`` is raised
+    once every helper has stopped.
+    """
+    # the kernel caches are filled here, so no two threads build them at once
+    if bank is not None:
+        gabor_spectra(bank.bands, bank.orientations, bank.image_size)
+    if "point_texture" in config.features:
+        gabor_kernels(point_texture_sizes(POINT_TEXTURE_SCALES), POINT_TEXTURE_ORIENTATIONS)
+    w = max(min(usable_cpus(), len(items)), 1)
+    # an executor starts a thread only on submit, so one stripe starts none;
+    # leaving the block, also by an exception, waits for every running stripe
+    with ThreadPoolExecutor(max_workers=max(w - 1, 1)) as pool:
+        running = [pool.submit(_texture_stripe, items, s, w, config, bank) for s in range(1, w)]
+        stripes = [_texture_stripe(items, 0, w, config, bank)]
+        stripes += [future.result() for future in running]
+    return [stripes[i % w][i // w] for i in range(len(items))]
+
+
 def _texture_split(
     items: list[_ParsedEntry],
     shapes: np.ndarray,
@@ -296,22 +354,15 @@ def _texture_split(
 ) -> tuple[list[_ParsedEntry], np.ndarray, np.ndarray]:
     """The entries whose image families extract, their shapes, and their texture rows.
 
-    The families run entry by entry; ``failed`` gets each failing entry's message.
+    ``failed`` gets each failing entry's message.
     """
     kept, rows = [], []
-    for i, p in enumerate(items):
-        parts = []
-        try:
-            if "bif" in config.features:
-                assert bank is not None
-                parts.append(bif_features(align_face(p.image, p.landmarks), bank))
-            if "point_texture" in config.features:
-                parts.append(point_texture(p.image, p.landmarks))
-        except LandmarkEmotionError as exc:
-            failed[p.entry.sample_id] = str(exc)
+    for i, (p, result) in enumerate(zip(items, _texture_rows(items, config, bank))):
+        if isinstance(result, LandmarkEmotionError):
+            failed[p.entry.sample_id] = str(result)
             continue
         kept.append(i)
-        rows.append(np.concatenate(parts))
+        rows.append(result)
     return [items[i] for i in kept], shapes[kept], np.array(rows)
 
 

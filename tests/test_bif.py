@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -145,3 +148,32 @@ def test_wrong_image_size_rejected(rng):
     toy = build_gabor_bank(**TOY_SINGLE)
     with pytest.raises(LandmarkEmotionError, match="4x4 crop, got 60x60"):
         bif_features(GrayImage(rng.random((60, 60))), toy)
+
+
+def test_concurrent_calls_match_serial(rng):
+    """Two threads filtering different crops at once get the serial bits: a call shares no
+    work array with another.  The barrier starts each pair of calls together, and a short
+    switch interval makes the threads interleave within them."""
+    bank = build_gabor_bank()
+    crops = [GrayImage(rng.random((60, 60))) for _ in range(2)]
+    serial = [bif_features(crop, bank).tobytes() for crop in crops]
+    barrier = threading.Barrier(2, timeout=60)
+    got = [[], []]
+
+    def worker(k):
+        for _ in range(3):
+            barrier.wait()
+            got[k].append(bif_features(crops[k], bank).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[serial[0]] * 3, [serial[1]] * 3]

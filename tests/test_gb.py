@@ -341,7 +341,7 @@ def test_extra_searches_hold_less_than_one_table(monkeypatch):
     table_bytes = d * n * 8
 
     def peak_growth(cpus):
-        monkeypatch.setattr(gb, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(gb, "usable_cpus", lambda: cpus)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -484,7 +484,7 @@ def test_worker_count_keeps_model_bytes(pinned_splits, monkeypatch, cpus):
         calls.append((s, w, stripe_classes.fit, threading.current_thread()))
         return trees
 
-    monkeypatch.setattr(gb, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(gb, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(gb, "_fit_two_split_tree", recording_fit)
     monkeypatch.setattr(gb, "_fit_stripe", recording_stripe)
     before = threading.active_count()
@@ -513,7 +513,7 @@ def test_tree_failure_is_raised_and_helpers_stop(pinned_splits, monkeypatch, fai
             raise ArithmeticError(f"class {failing} failed")
         return fit(columns, residual, *args)
 
-    monkeypatch.setattr(gb, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(gb, "usable_cpus", lambda: 8)
     monkeypatch.setattr(gb, "_fit_two_split_tree", failing_fit)
     before = threading.active_count()
     with pytest.raises(ArithmeticError, match=f"class {failing} failed"):

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from landmark_emotion.pipeline import (
     read_manifest,
     write_manifest,
 )
-from landmark_emotion.shapes import LandmarkSet, mean_shape, write_pts
+from landmark_emotion.shapes import LandmarkSet, mean_shape, parse_pts, write_pts
 from landmark_emotion.synth import synth_shape
 
 
@@ -264,6 +265,91 @@ def test_texture_features_through_pipeline(tmp_path, rng):
     assert result.datasets["train"].dimension == spec.total_dimension
     assert spec.total_dimension == 2278 + 14304 + 6528
     assert result.errors == ()
+
+
+TEXTURE_ROWS = [("Happy", "train"), ("Sad", "train"), ("Angry", "train"), ("Fear", "train"), ("Surprise", "train"),
+                ("Disgust", "train"), ("Neutral", "train"), ("Happy", "test"), ("Sad", "test")]
+TEXTURE_CONFIG = dict(features=("distances", "bif", "point_texture"))
+
+
+def write_texture_dataset(tmp_path, rng, tiny=None):
+    """Nine imaged entries, seven train and two test; entry ``tiny``'s face passes the shape
+    checks but is too small in pixels to align."""
+    path = write_fixture_dataset(tmp_path, rng, TEXTURE_ROWS, with_images=True)
+    if tiny is not None:
+        pts = tmp_path / f"s{tiny:02d}.pts"
+        points = parse_pts(pts.read_text()).points
+        centre = points.mean(axis=0)
+        pts.write_text(write_pts(LandmarkSet(centre + (points - centre) * 1e-11)))
+    return path
+
+
+def test_texture_worker_count_keeps_the_data(tmp_path, rng, monkeypatch):
+    """Each split's image families run in W = min(CPUs, the split's entries) stripes on at
+    most W threads, the split's entry i always in stripe i mod W and stripe 0 on the calling
+    thread; the rows, ids and skip messages are the same for any count."""
+    path = write_texture_dataset(tmp_path, rng, tiny=4)
+    splits = {}  # sample id -> (split, index in the split)
+    for sid, (_, split) in enumerate(TEXTURE_ROWS):
+        splits[f"s{sid:02d}"] = (split, sum(s == split for _, s in TEXTURE_ROWS[:sid]))
+    calls = []  # (entry id, thread, threads alive) per entry
+    row = pipeline._texture_row
+
+    def recording_row(p, *args):
+        calls.append((p.entry.sample_id, threading.current_thread(), threading.active_count()))
+        return row(p, *args)
+
+    monkeypatch.setattr(pipeline, "_texture_row", recording_row)
+    results = []
+    for cpus in (1, 2, 8):
+        calls.clear()
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda cpus=cpus: cpus)
+        before = threading.active_count()
+        results.append(load_dataset(path, PipelineConfig(manifest=str(path), **TEXTURE_CONFIG)))
+        assert sorted(sid for sid, _, _ in calls) == sorted(splits)
+        for split in ("train", "test"):
+            w = min(cpus, sum(s == split for _, s in TEXTURE_ROWS))
+            ran = [(splits[sid][1], thread, alive) for sid, thread, alive in calls if splits[sid][0] == split]
+            stripe_threads = {}
+            for i, thread, _ in ran:
+                stripe_threads.setdefault(i % w, set()).add(thread)
+            assert all(len(threads) == 1 for threads in stripe_threads.values())  # a stripe is one thread's
+            assert stripe_threads[0] == {threading.current_thread()}
+            assert len({thread for _, thread, _ in ran}) <= w
+            assert max(alive for _, _, alive in ran) <= before + w - 1
+        if cpus == 1:  # no helper thread starts
+            assert {alive for _, _, alive in calls} == {before}
+        assert threading.active_count() == before
+
+    serial = results[0]
+    reason = "eye centers coincide; alignment transform is degenerate"
+    assert serial.errors == (("s04", reason),)
+    assert serial.datasets["train"].ids == ("s00", "s01", "s02", "s03", "s05", "s06")
+    for result in results[1:]:
+        assert result.errors == serial.errors
+        for split in ("train", "test"):
+            assert result.datasets[split].ids == serial.datasets[split].ids
+            assert result.datasets[split].X.tobytes() == serial.datasets[split].X.tobytes()
+
+
+@pytest.mark.parametrize("failing", [0, 5])
+def test_texture_failure_is_raised_and_helpers_stop(tmp_path, rng, monkeypatch, failing):
+    """Only LandmarkEmotionError skips an entry; any other error in a stripe, the calling
+    thread's or a helper's, propagates once every helper has stopped."""
+    path = write_texture_dataset(tmp_path, rng)
+    row = pipeline._texture_row
+
+    def failing_row(p, *args):
+        if p.entry.sample_id == f"s{failing:02d}":
+            raise ArithmeticError(f"entry {failing} failed")
+        return row(p, *args)
+
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 8)
+    monkeypatch.setattr(pipeline, "_texture_row", failing_row)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match=f"entry {failing} failed"):
+        load_dataset(path, PipelineConfig(manifest=str(path), **TEXTURE_CONFIG))
+    assert threading.active_count() == before
 
 
 def test_images_required_for_texture(tmp_path, rng):
