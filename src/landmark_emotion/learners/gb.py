@@ -23,8 +23,8 @@ threshold is read from the feature matrix at the winning pair only.  A
 block's best replaces the best so far only when strictly greater, so ties
 still go to the lowest feature, then the lowest threshold.  Each feature's
 prefix sums are one 1-D running sum over the block, reset to exactly zero
-between features, so they hold the same floats as a per-feature cumsum;
-numpy releases the GIL in it, as in any cumsum that is not in place.  The
+between features, so they hold the same floats as a per-feature cumsum; two
+threads run 1-D cumsums at once, but not 2-D ones along an axis.  The
 sort itself also runs one block at a time, so no temporary is full-size.
 
 No split of a node can gain more than the node's squared error about its
@@ -37,27 +37,22 @@ inside that margin, so a skipped child is never one that would have been
 expanded: the trees, their gains and the model bytes are those of searching
 both children.
 
-The K trees of one round depend only on that round's residuals, so W =
-min(CPUs this process may use, K) threads fit them together over the shared
-sorted layout.  Thread s fits the stripe of classes s, s + W, s + 2W, …
-every round: stripe 0 on the calling thread, the others on the W − 1
-threads of one helper pool that lives for the whole run.  numpy releases
-the GIL in the gathers, prefix sums and gain arithmetic, so the stripes
-really run at once.  A one-CPU process starts no thread.  Trees are kept and
+The K trees of one round depend only on that round's residuals, so each
+round maps the K classes through ``cpus.stripes``, whose helper pool lives
+for the whole run: numpy releases the GIL in the gathers, 1-D prefix sums
+and gain arithmetic, so the searches really run at once.  Trees are kept and
 scores updated in class order after the round, so the model does not depend
-on the thread count; a failure in any stripe is raised once the other
-stripes of its round have finished.
+on the thread count.
 
 The config, ``gb_train`` and the model loader share ``check_gb_parameters``.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cpus import usable_cpus
+from ..cpus import stripes
 from ..errors import LandmarkEmotionError
 from .dataset import LabeledDataset, canonical_order, check_fit_inputs
 
@@ -235,12 +230,12 @@ def _gains(residual: np.ndarray, tied: np.ndarray) -> np.ndarray:
     m = residual.shape[1] - 2
     # One running sum over the whole block restarts from exactly 0 at each
     # feature's resets, so each feature's prefix sums are those of its own
-    # cumsum (a leading -0.0 becomes +0.0, which squares the same).  numpy
-    # 2.4 releases the GIL in it, as in a cumsum along either axis of a 2-D
-    # array, and holds the GIL only through an in-place np.cumsum(buf,
-    # out=buf): a thread sleeping 1 ms in a loop wakes 63-73 us late next to
-    # a loop of any of the others, as next to an idle one, and 5.9 ms late
-    # next to the in-place one.  So the sums go to a fresh array.
+    # cumsum (a leading -0.0 becomes +0.0, which squares the same).  Two
+    # threads run such 1-D cumsums at once, but not np.cumsum(residual,
+    # axis=1): on a (68, 954) block that took 213-239 us a call on one
+    # thread and 420-468 us per thread on two, the 1-D one 195-245 and
+    # 201-255 us (numpy 2.4).  The sums go to a fresh array, as an in-place
+    # np.cumsum(buf, out=buf) holds the GIL.
     sums = np.cumsum(residual.ravel()).reshape(residual.shape)
     total = sums[:, -1:]
     left = sums[:, 2:-1]
@@ -329,14 +324,6 @@ def _fit_two_split_tree(
     )
 
 
-def _fit_stripe(
-    columns: _SortedColumns, s: int, w: int, residual_all: np.ndarray, weight_all: np.ndarray
-) -> list[Tree]:
-    """The round's trees of classes s, s + w, s + 2w, …, in that order."""
-    kc = residual_all.shape[1]
-    return [_fit_two_split_tree(columns, residual_all[:, k], weight_all[:, k], kc) for k in range(s, kc, w)]
-
-
 def gb_train(
     train: LabeledDataset,
     val: LabeledDataset,
@@ -360,23 +347,17 @@ def gb_train(
     class_lookup = np.array(classes)
 
     columns = _SortedColumns(X)
-    w = min(usable_cpus(), kc)
     trees: list[list[Tree]] = [[] for _ in range(kc)]
     train_deviance: list[float] = []
     val_accuracy: list[float] = []
 
-    # an executor starts a thread only on submit, so one stripe starts none;
-    # leaving the block, also by an exception, waits for every running stripe
-    with ThreadPoolExecutor(max_workers=max(w - 1, 1)) as pool:
+    with stripes(kc) as run:
         for _ in range(max_trees):
             P = _softmax(F)
             residual_all = Y - P
             weight_all = P * (1.0 - P)
-            running = [pool.submit(_fit_stripe, columns, s, w, residual_all, weight_all) for s in range(1, w)]
-            stripes = [_fit_stripe(columns, 0, w, residual_all, weight_all)]
-            stripes += [future.result() for future in running]
-            for k in range(kc):
-                tree = stripes[k % w][k // w]
+            fitted = run(lambda k: _fit_two_split_tree(columns, residual_all[:, k], weight_all[:, k], kc))
+            for k, tree in enumerate(fitted):
                 trees[k].append(tree)
                 F[:, k] += shrinkage * tree.predict(X)
                 Fv[:, k] += shrinkage * tree.predict(val.X)

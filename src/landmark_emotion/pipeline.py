@@ -8,33 +8,30 @@ splits a command asks for.  Anything fit on data (the mean shape, the SVM
 scaler) uses the training split only and is stored in the model, so a
 prediction reads nothing outside the split it predicts.
 
-Per entry, ``load_dataset`` reads the ``.pts`` file (and the image, when the
-features need one) and parses it, so a bad file skips only its own entry.
-Per split, the landmark steps run once over the stack of its parsed faces:
-``normalize_size``, ``upright``, ``point_distances`` and ``axis_distances``,
-and ``mean_shape`` over the training stack.  When a face of the stack fails
-a shape check, the shape steps run again face by face, so each failing entry
-is skipped with the message it gets alone.  The texture families then run
-on the faces that passed, split by split, each split's entries striped over
-W = min(CPUs this process may use, entries) threads as ``gb_train`` stripes
-its classes: the calling thread takes entries 0, W, 2W, …, and W - 1 helper
-threads the other stripes; a one-CPU process starts no thread.  An entry
-whose image families fail (say, its eye centres coincide in pixels) is
-skipped with its shape row.  Rows, kept entries and skip messages are
-assembled in entry order, so they do not depend on W.  Skipped entries are
+Per entry, ``load_dataset`` reads and parses the ``.pts`` file, so a bad
+file skips only its own entry.  Per split, the landmark steps run once over
+the stack of its parsed faces: ``normalize_size``, ``upright``,
+``point_distances`` and ``axis_distances``, and ``mean_shape`` over the
+training stack.  When a face of the stack fails a shape check, the shape
+steps run again face by face, so each failing entry is skipped with the
+message it gets alone.  The texture families then run on the faces that
+passed, split by split, the entries mapped through ``cpus.stripes``: each
+entry's image is read, decoded and used inside its stripe, so no more
+images are held at once than there are threads.  An entry whose image
+cannot be read, or whose image families fail (say, its eye centres
+coincide in pixels), is skipped with its shape row.  Skipped entries are
 reported in manifest order.
 """
 from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .cpus import usable_cpus
+from .cpus import stripes
 from .errors import LandmarkEmotionError
 from .features.extract import (
     POINT_TEXTURE_ORIENTATIONS,
@@ -48,7 +45,7 @@ from .features.extract import (
     point_texture_sizes,
 )
 from .features.gabor import FilterBank, build_gabor_bank, gabor_kernels, gabor_spectra
-from .features.image import GrayImage, align_face, read_pgm
+from .features.image import align_face, read_pgm
 from .features.spec import FeatureBlock, FeatureSpec
 from .learners.dataset import CLASSES, UNLABELED, LabeledDataset, label_index
 from .learners.gb import DEFAULT_MAX_TREES, DEFAULT_SHRINKAGE, GBModel, check_gb_parameters, gb_predict_batch
@@ -261,13 +258,10 @@ class LoadResult:
 class _ParsedEntry:
     entry: ManifestEntry
     landmarks: LandmarkSet
-    image: GrayImage | None
 
 
-def _read_entry(entry: ManifestEntry, base: Path, config: PipelineConfig) -> _ParsedEntry:
-    landmarks = parse_pts(read_utf8(base / entry.pts_path))
-    image = read_pgm((base / entry.image_path).read_bytes()) if config.needs_images() else None
-    return _ParsedEntry(entry=entry, landmarks=landmarks, image=image)
+def _read_entry(entry: ManifestEntry, base: Path) -> _ParsedEntry:
+    return _ParsedEntry(entry=entry, landmarks=parse_pts(read_utf8(base / entry.pts_path)))
 
 
 def _upright_split(
@@ -295,71 +289,50 @@ def _upright_split(
     return kept, np.array(shapes).reshape(-1, POINT_COUNT, 2)
 
 
-def _texture_row(p: _ParsedEntry, config: PipelineConfig, bank: FilterBank | None) -> np.ndarray:
-    """One entry's image families, concatenated in spec order."""
+def _texture_row(p: _ParsedEntry, base: Path, config: PipelineConfig, bank: FilterBank | None) -> np.ndarray:
+    """One entry's image, read and decoded, through its image families, concatenated in spec order."""
+    image = read_pgm((base / p.entry.image_path).read_bytes())
     parts = []
     if "bif" in config.features:
         assert bank is not None
-        parts.append(bif_features(align_face(p.image, p.landmarks), bank))
+        parts.append(bif_features(align_face(image, p.landmarks), bank))
     if "point_texture" in config.features:
-        parts.append(point_texture(p.image, p.landmarks))
+        parts.append(point_texture(image, p.landmarks))
     return np.concatenate(parts)
-
-
-def _texture_stripe(
-    items: list[_ParsedEntry], s: int, w: int, config: PipelineConfig, bank: FilterBank | None
-) -> list[np.ndarray | LandmarkEmotionError]:
-    """The texture rows of items s, s + w, s + 2w, …, in that order; a failing entry gets its error."""
-    out: list[np.ndarray | LandmarkEmotionError] = []
-    for p in items[s::w]:
-        try:
-            out.append(_texture_row(p, config, bank))
-        except LandmarkEmotionError as exc:
-            out.append(exc)
-    return out
-
-
-def _texture_rows(
-    items: list[_ParsedEntry], config: PipelineConfig, bank: FilterBank | None
-) -> list[np.ndarray | LandmarkEmotionError]:
-    """Each entry's texture row, or the error its image families raised, in entry order.
-
-    W = min(CPUs this process may use, entries) threads share the entries:
-    stripe s is entries s, s + W, s + 2W, …, stripe 0 runs on the calling
-    thread and the others on W - 1 helper threads.  A one-CPU process starts
-    no thread.  An exception other than ``LandmarkEmotionError`` is raised
-    once every helper has stopped.
-    """
-    # the kernel caches are filled here, so no two threads build them at once
-    if bank is not None:
-        gabor_spectra(bank.bands, bank.orientations, bank.image_size)
-    if "point_texture" in config.features:
-        gabor_kernels(point_texture_sizes(POINT_TEXTURE_SCALES), POINT_TEXTURE_ORIENTATIONS)
-    w = max(min(usable_cpus(), len(items)), 1)
-    # an executor starts a thread only on submit, so one stripe starts none;
-    # leaving the block, also by an exception, waits for every running stripe
-    with ThreadPoolExecutor(max_workers=max(w - 1, 1)) as pool:
-        running = [pool.submit(_texture_stripe, items, s, w, config, bank) for s in range(1, w)]
-        stripes = [_texture_stripe(items, 0, w, config, bank)]
-        stripes += [future.result() for future in running]
-    return [stripes[i % w][i // w] for i in range(len(items))]
 
 
 def _texture_split(
     items: list[_ParsedEntry],
     shapes: np.ndarray,
+    base: Path,
     config: PipelineConfig,
     bank: FilterBank | None,
     failed: dict[str, str],
 ) -> tuple[list[_ParsedEntry], np.ndarray, np.ndarray]:
     """The entries whose image families extract, their shapes, and their texture rows.
 
-    ``failed`` gets each failing entry's message.
+    ``failed`` gets the message of each entry whose image cannot be read or
+    whose image families raise ``LandmarkEmotionError``; any other exception
+    propagates.
     """
+    # the kernel caches are filled here, so no two threads build them at once
+    if bank is not None:
+        gabor_spectra(bank.bands, bank.orientations, bank.image_size)
+    if "point_texture" in config.features:
+        gabor_kernels(point_texture_sizes(POINT_TEXTURE_SCALES), POINT_TEXTURE_ORIENTATIONS)
+
+    def row(i: int) -> np.ndarray | str:
+        try:
+            return _texture_row(items[i], base, config, bank)
+        except (LandmarkEmotionError, OSError) as exc:  # a bad image skips its entry
+            return str(exc)
+
+    with stripes(len(items)) as run:
+        results = run(row)
     kept, rows = [], []
-    for i, (p, result) in enumerate(zip(items, _texture_rows(items, config, bank))):
-        if isinstance(result, LandmarkEmotionError):
-            failed[p.entry.sample_id] = str(result)
+    for i, (p, result) in enumerate(zip(items, results)):
+        if isinstance(result, str):
+            failed[p.entry.sample_id] = result
             continue
         kept.append(i)
         rows.append(result)
@@ -421,14 +394,14 @@ def load_dataset(
             absent[entry.split].append(entry.sample_id)
             continue
         try:
-            parsed[entry.split].append(_read_entry(entry, base, config))
+            parsed[entry.split].append(_read_entry(entry, base))
         except (LandmarkEmotionError, OSError) as exc:  # a bad file skips its entry
             failed[entry.sample_id] = str(exc)
     shapes, texture = {}, {}
     for split, items in parsed.items():
         items, shapes[split] = _upright_split(items, failed)
         if config.needs_images():  # only on the faces that passed the shape checks
-            items, shapes[split], texture[split] = _texture_split(items, shapes[split], config, bank, failed)
+            items, shapes[split], texture[split] = _texture_split(items, shapes[split], base, config, bank, failed)
         parsed[split] = items
 
     if "axis" not in config.features:

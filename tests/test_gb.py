@@ -341,7 +341,7 @@ def test_extra_searches_hold_less_than_one_table(monkeypatch):
     table_bytes = d * n * 8
 
     def peak_growth(cpus):
-        monkeypatch.setattr(gb, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr("landmark_emotion.cpus.usable_cpus", lambda: cpus)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -464,43 +464,36 @@ def test_child_search_skipped_without_changing_bytes(pinned_splits, monkeypatch)
 
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 def test_worker_count_keeps_model_bytes(pinned_splits, monkeypatch, cpus):
-    """A run fits each round in W = min(CPUs, classes) stripes on at most W threads, stripe s
-    always fitting classes s, s + W, … and stripe 0 on the calling thread; the model is the same
-    for any count."""
-    calls = []  # (stripe, stripe count, classes fit, thread) per stripe call
-    stripe_classes = threading.local()  # the classes the thread's current stripe call has fit
-    running = set()
-    fit, fit_stripe = gb._fit_two_split_tree, gb._fit_stripe
+    """A run maps each round's classes through one stripes block: class k is fit on the
+    thread of stripe k mod W, stripe 0's on the calling thread, with at most W threads over the
+    whole run; the model is the same for any count."""
+    calls = []  # (class, thread, threads alive) per tree, in the order the fits start
+    fit = gb._fit_two_split_tree
 
     def recording_fit(columns, residual, *args):
         # each class's residual is a column view of the round's (n, K) residual matrix
-        stripe_classes.fit.append((residual.ctypes.data - residual.base.ctypes.data) // residual.itemsize)
-        running.add(threading.active_count())
+        k = (residual.ctypes.data - residual.base.ctypes.data) // residual.itemsize
+        calls.append((k, threading.current_thread(), threading.active_count()))
         return fit(columns, residual, *args)
 
-    def recording_stripe(columns, s, w, *args):
-        stripe_classes.fit = []
-        trees = fit_stripe(columns, s, w, *args)
-        calls.append((s, w, stripe_classes.fit, threading.current_thread()))
-        return trees
-
-    monkeypatch.setattr(gb, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr("landmark_emotion.cpus.usable_cpus", lambda: cpus)
     monkeypatch.setattr(gb, "_fit_two_split_tree", recording_fit)
-    monkeypatch.setattr(gb, "_fit_stripe", recording_stripe)
     before = threading.active_count()
     assert_pinned(gb_train(*pinned_splits, max_trees=3))
-    w = min(cpus, len(CLASSES))
-    assert sorted(s for s, *_ in calls) == sorted(list(range(w)) * 3)  # every stripe once a round
-    for s, count, classes, thread in calls:
-        assert count == w
-        assert classes == list(range(s, len(CLASSES), w))
-        if s == 0:
-            assert thread is threading.current_thread()
+    kc = len(CLASSES)
+    w = min(cpus, kc)
+    assert len(calls) == 3 * kc
+    for r in range(3):  # a round's fits all finish before the next round's start
+        stripe_threads = {}
+        for k, thread, _ in calls[r * kc : (r + 1) * kc]:
+            stripe_threads.setdefault(k % w, set()).add(thread)
+        assert sorted(stripe_threads) == list(range(w))
+        assert all(len(threads) == 1 for threads in stripe_threads.values())  # a stripe is one thread's
+        assert stripe_threads[0] == {threading.current_thread()}
     # one helper pool for the whole run, not a fresh helper per round
-    assert len({thread for *_, thread in calls}) <= w
-    if cpus == 1:  # no helper thread starts
-        assert {thread for *_, thread in calls} == {threading.current_thread()}
-        assert running == {before}
+    assert len({thread for _, thread, _ in calls}) <= w
+    assert max(alive for _, _, alive in calls) <= before + w - 1
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("failing", [0, len(CLASSES) - 1])
@@ -513,7 +506,7 @@ def test_tree_failure_is_raised_and_helpers_stop(pinned_splits, monkeypatch, fai
             raise ArithmeticError(f"class {failing} failed")
         return fit(columns, residual, *args)
 
-    monkeypatch.setattr(gb, "usable_cpus", lambda: 8)
+    monkeypatch.setattr("landmark_emotion.cpus.usable_cpus", lambda: 8)
     monkeypatch.setattr(gb, "_fit_two_split_tree", failing_fit)
     before = threading.active_count()
     with pytest.raises(ArithmeticError, match=f"class {failing} failed"):

@@ -303,7 +303,7 @@ def test_texture_worker_count_keeps_the_data(tmp_path, rng, monkeypatch):
     results = []
     for cpus in (1, 2, 8):
         calls.clear()
-        monkeypatch.setattr(pipeline, "usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr("landmark_emotion.cpus.usable_cpus", lambda cpus=cpus: cpus)
         before = threading.active_count()
         results.append(load_dataset(path, PipelineConfig(manifest=str(path), **TEXTURE_CONFIG)))
         assert sorted(sid for sid, _, _ in calls) == sorted(splits)
@@ -344,12 +344,40 @@ def test_texture_failure_is_raised_and_helpers_stop(tmp_path, rng, monkeypatch, 
             raise ArithmeticError(f"entry {failing} failed")
         return row(p, *args)
 
-    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 8)
+    monkeypatch.setattr("landmark_emotion.cpus.usable_cpus", lambda: 8)
     monkeypatch.setattr(pipeline, "_texture_row", failing_row)
     before = threading.active_count()
     with pytest.raises(ArithmeticError, match=f"entry {failing} failed"):
         load_dataset(path, PipelineConfig(manifest=str(path), **TEXTURE_CONFIG))
     assert threading.active_count() == before
+
+
+def test_unreadable_images_skip_their_entries(tmp_path, rng, monkeypatch):
+    """A missing or corrupt image skips only its own entry, with its own message, on one thread
+    or two; a face that fails a shape check is skipped for that, not for its missing image."""
+    path = write_texture_dataset(tmp_path, rng)
+    (tmp_path / "s01.pgm").unlink()
+    (tmp_path / "s03.pgm").write_bytes(b"P5\n240 240\n255\n" + bytes(100))  # raster cut short
+    (tmp_path / "s05.pgm").unlink()
+    (tmp_path / "s05.pts").write_text(write_pts(LandmarkSet(np.full((68, 2), 3.0))))  # all points coincide
+    shape_only = load_dataset(path, PipelineConfig(manifest=str(path)))
+    assert [sid for sid, _ in shape_only.errors] == ["s05"]
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr("landmark_emotion.cpus.usable_cpus", lambda cpus=cpus: cpus)
+        results.append(load_dataset(path, PipelineConfig(manifest=str(path), **TEXTURE_CONFIG)))
+    serial, threaded = results
+    assert serial.errors == (
+        ("s01", f"[Errno 2] No such file or directory: '{tmp_path / 's01.pgm'}'"),
+        ("s03", "PGM raster shorter than width*height"),
+        shape_only.errors[0],
+    )
+    assert serial.datasets["train"].ids == ("s00", "s02", "s04", "s06")
+    assert serial.datasets["test"].ids == ("s07", "s08")
+    assert threaded.errors == serial.errors
+    for split in ("train", "test"):
+        assert threaded.datasets[split].ids == serial.datasets[split].ids
+        assert threaded.datasets[split].X.tobytes() == serial.datasets[split].X.tobytes()
 
 
 def test_images_required_for_texture(tmp_path, rng):
